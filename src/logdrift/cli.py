@@ -24,21 +24,25 @@ import numpy as np
 
 from .coefficients import (
     DiffusionSpec, DriftSpec, HypothesisViolation, growth_check,
-    lipschitz_check, loglip_check, sublinear_check, uniform_growth_check,
+    lipschitz_check, loglip_check, mollifier_levels, sublinear_check,
+    uniform_growth_check,
 )
 from .fields import Field
 from .gronwall import STABILITY_REFERENCE, check_domination, \
-    make_problem_corpus, volterra_oracle, GronwallProblem
+    make_problem_corpus, volterra_oracle
 from .heat_kernel import (
     kernel_images, kernel_series, spatial_modulus_estimate,
     time_increment_estimate,
 )
 from .moments import (
-    convolution_scaling_report, epsilon_split_report, mc_sup_moment,
-    mollified_uniformity_report, restart_window_report,
+    MIN_ENSEMBLE, MIN_ORDER, convolution_scaling_report, epsilon_split_report,
+    mc_sup_moment, mollified_uniformity_report, restart_window_report,
 )
 from .noise import ito_isometry_convergence_check, sample_noise
-from .solver import Grid, coupled_uniqueness_experiment, factorization_check
+from .solver import (
+    MAX_FACTORIZATION_ALPHA, Grid, coupled_uniqueness_experiment,
+    factorization_check,
+)
 
 __all__ = ["main", "run", "list_scenarios", "ConfigError"]
 
@@ -196,13 +200,24 @@ def _validate(cfg: dict) -> None:
         drift = _drift_from(cfg)
         _diffusion_from(cfg)
         parse_u0(cfg["u0"], grid.n_modes)
+        levels = _parse_list(cfg["levels"], int, "levels")
+        if cfg["scenario"] in ("moments", "uniqueness"):
+            mollifier_levels(levels)
     except (ValueError, HypothesisViolation) as e:
         raise ConfigError(str(e))
-    _parse_list(cfg["levels"], int, "levels")
     _parse_list(cfg["lambdas"], float, "lambdas")
     _parse_list(cfg["epsilons"], float, "epsilons")
-    if cfg["scenario"] == "uniqueness" and drift is None:
+    scenario = cfg["scenario"]
+    if scenario == "uniqueness" and drift is None:
         raise ConfigError("the uniqueness scenario needs a drift family")
+    if scenario in ("moments", "blowup-phase") and \
+            (cfg["ensemble"] < MIN_ENSEMBLE or cfg["p"] < MIN_ORDER):
+        raise ConfigError(f"the {scenario} scenario needs ensemble >= "
+                          f"{MIN_ENSEMBLE} and p >= {MIN_ORDER}")
+    if scenario == "factorization" and \
+            not 0.0 < cfg["alpha"] < MAX_FACTORIZATION_ALPHA:
+        raise ConfigError("the factorization scenario needs 0 < alpha < "
+                          f"{MAX_FACTORIZATION_ALPHA}")
 
 
 def resolve_config(args, env) -> dict:
@@ -247,6 +262,15 @@ def write_csv(path: Path, header: list, rows: list) -> None:
         f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _spread(values) -> float:
+    """max/min of nonnegative values: 1 when all are equal, inf when only
+    the smallest is 0."""
+    lo, hi = min(values), max(values)
+    if lo == hi:
+        return 1.0
+    return hi / lo if lo > 0.0 else math.inf
 
 
 def _ordered_map(fn: Callable, items, threads: int) -> list:
@@ -297,7 +321,7 @@ def _run_kernel_estimates(cfg: dict, out: Path) -> list:
     ratios = _ordered_map(modulus_ratio, seps, threads)
     write_csv(out / "spatial_modulus.csv", ["separation", "shape_ratio"],
               list(zip(seps, ratios)))
-    spread = max(ratios) / min(ratios)
+    spread = _spread(ratios)
     if spread >= cfg["tol.shape_spread"]:
         failures.append(f"spatial modulus shape: ratio spread {spread:.3f} "
                         f">= {cfg['tol.shape_spread']}")
@@ -328,10 +352,7 @@ def _run_gronwall_suite(cfg: dict, out: Path) -> list:
     for label, prob in STABILITY_REFERENCE:
         nonlin = "vanishing" if label == "vanishing" else "superlinear"
         coarse = volterra_oracle(prob, nonlin)
-        fine = volterra_oracle(
-            GronwallProblem(M=prob.M, c1=prob.c1, c2=prob.c2, c3=prob.c3,
-                            alpha=prob.alpha, T=prob.T,
-                            grid_dt=prob.grid_dt / 2.0), nonlin)
+        fine = volterra_oracle(prob.refined(), nonlin)
         drift = float(np.max(np.abs(coarse - fine[::2])))
         stab_rows.append((label, prob.alpha, prob.grid_dt, drift))
         if drift >= cfg["tol.oracle_stability"]:
@@ -448,20 +469,15 @@ def _run_moments(cfg: dict, out: Path) -> list:
     base, (first, second), scaling, split, uniformity = \
         _ordered_map(lambda job: job(), jobs, cfg["threads"])
 
-    rep_rows = [("full_horizon", r.p, r.T, r.ensemble, r.estimate,
-                 r.std_error, r.blowup_fraction, r.fingerprint)
-                for r in (base,)]
-    rep_rows += [("restart_first", first.p, first.T, first.ensemble,
-                  first.estimate, first.std_error, first.blowup_fraction,
-                  first.fingerprint),
-                 ("restart_second", second.p, second.T, second.ensemble,
-                  second.estimate, second.std_error, second.blowup_fraction,
-                  second.fingerprint)]
+    windows = (("full_horizon", "full-horizon", base),
+               ("restart_first", "restart first window", first),
+               ("restart_second", "restart second window", second))
     write_csv(out / "moments.csv",
               ["window", "p", "T", "ensemble", "estimate", "std_error",
-               "blowup_fraction", "fingerprint"], rep_rows)
-    for name, rep in (("full-horizon", base), ("restart first window", first),
-                      ("restart second window", second)):
+               "blowup_fraction", "fingerprint"],
+              [(window, r.p, r.T, r.ensemble, r.estimate, r.std_error,
+                r.blowup_fraction, r.fingerprint) for window, _, r in windows])
+    for _, name, rep in windows:
         if rep.blowup_fraction > 0.0 or not rep.valid:
             failures.append(f"moment finiteness: {name} report invalid "
                             f"(blowup fraction {rep.blowup_fraction})")
@@ -475,8 +491,7 @@ def _run_moments(cfg: dict, out: Path) -> list:
     if worst > cfg["tol.scaling_rel"]:
         failures.append(f"moment scaling: power-law error {worst:.3e} > "
                         f"{cfg['tol.scaling_rel']:.1e}")
-    ratios = [r["ratio"] for r in scaling]
-    spread = max(ratios) / min(ratios)
+    spread = _spread([r["ratio"] for r in scaling])
     if spread >= cfg["tol.scaling_spread"]:
         failures.append(f"moment scaling: constant spread {spread:.3f} >= "
                         f"{cfg['tol.scaling_spread']}")
@@ -493,8 +508,7 @@ def _run_moments(cfg: dict, out: Path) -> list:
               ["level", "estimate", "std_error"],
               [(r["level"], r["estimate"], r["std_error"])
                for r in uniformity])
-    ests = [r["estimate"] for r in uniformity]
-    spread = max(ests) / min(ests)
+    spread = _spread([r["estimate"] for r in uniformity])
     if spread > cfg["tol.uniformity_spread"]:
         failures.append(f"moment uniformity: level spread {spread:.3f} > "
                         f"{cfg['tol.uniformity_spread']}")

@@ -101,10 +101,6 @@ def drift_eval(spec: DriftSpec, z):
     return out if out.ndim else float(out)
 
 
-def drift_callable(spec: DriftSpec) -> Callable:
-    return lambda z: drift_eval(spec, z)
-
-
 def standard_sample() -> np.ndarray:
     """Fixed evaluation magnitudes: +-[1e-12, 1e6] at 20 points per decade,
     zero, and the anchors 1/e, 1, e where the growth envelope has corners."""
@@ -241,6 +237,17 @@ class MollifierParams:
             raise ValueError("need 0 < fine_step <= coarse_step")
         if self.quad_points < 4:
             raise ValueError("quad_points must be >= 4")
+
+
+def mollifier_levels(levels: Sequence[int]) -> list[int]:
+    """The levels as a list of ints, checked to be >= 1 and strictly
+    increasing, as level sweeps over mollified drifts need them."""
+    levels = [int(n) for n in levels]
+    if any(n < 1 for n in levels):
+        raise ValueError("mollification levels must be >= 1")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError("levels must be strictly increasing")
+    return levels
 
 
 def _bump_normalization() -> float:
@@ -385,10 +392,6 @@ def sigma_eval(spec: DiffusionSpec, u):
     else:
         out = spec.d1 * u * (1.0 + u * u) ** (0.5 * (spec.theta - 1.0)) + spec.d2
     return out if out.ndim else float(out)
-
-
-def sigma_callable(spec: DiffusionSpec) -> Callable:
-    return lambda u: sigma_eval(spec, u)
 
 
 def sublinear_check(spec: DiffusionSpec, sample: Optional[np.ndarray] = None):

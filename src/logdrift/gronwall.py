@@ -17,8 +17,9 @@ from those that explode.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -100,6 +101,10 @@ class GronwallProblem:
             raise ValueError("t outside [0, T]")
         ts = self.times()
         return int(round(t / (ts[1] - ts[0])))
+
+    def refined(self) -> "GronwallProblem":
+        """The same problem on the halved grid."""
+        return dataclasses.replace(self, grid_dt=self.grid_dt / 2.0)
 
 
 def _sample(c: Coefficient, ts: np.ndarray) -> np.ndarray:
@@ -220,115 +225,34 @@ def volterra_oracle(prob: GronwallProblem, nonlinearity: str = "superlinear") ->
     )
 
 
-def superlinear_growth_bound(prob: GronwallProblem, t: float) -> float:
-    """Closed-form bound for the superlinear problem without singular term.
-
-    M(t)^{exp(C2(t))} * exp(exp(C2(t)) * int_0^t c1 e^{-C2}), C2 = int c2.
-    Requires M(0) >= 1 so the power is monotone in its base, and c3 == 0.
-    """
-    ts = prob.times()
-    Mv = _sample(prob.M, ts)
-    if Mv[0] < 1.0:
-        raise ValueError("bound requires M(0) >= 1")
-    if np.any(_sample(prob.c3, ts) > 0):
-        raise ValueError("singular coefficient not covered by this bound")
-    dt = ts[1] - ts[0]
-    C2 = _cumtrapz(_sample(prob.c2, ts), dt)
-    inner = _cumtrapz(_sample(prob.c1, ts) * np.exp(-C2), dt)
-    k = prob.snap_index(t)
-    E = math.exp(C2[k])
-    return float(Mv[k] ** E * math.exp(E * inner[k]))
-
-
-def _sup_constants(prob: GronwallProblem) -> tuple[float, float, float]:
-    ts = prob.times()
-    return (float(_sample(prob.c1, ts).max()),
-            float(_sample(prob.c2, ts).max()),
-            float(_sample(prob.c3, ts).max()))
-
-
-def vanishing_log_constants(prob: GronwallProblem, t: float) -> tuple[float, float, float]:
-    """The three increasing constants of the iterated vanishing-log bound.
-
-    One substitution of the inequality into its own singular term, Fubini on
-    the double kernel (Beta(1-alpha, 1-alpha) moment), then classical
-    Gronwall on the linear part:
-
-      C1(t) = 1 + c3 t^{1-alpha}/(1-alpha)
-      C2(t) = c1 C1(t) + c3^2 B(1-alpha, 1-alpha) t^{1-2 alpha}
-      C3(t) = c2 C1(t)
-    """
-    c1v, c2v, c3v = _sup_constants(prob)
-    a = prob.alpha
-    C1 = 1.0 + c3v * t ** (1.0 - a) / (1.0 - a)
-    C2 = c1v * C1 + c3v**2 * float(beta_fn(1.0 - a, 1.0 - a)) * t ** (1.0 - 2.0 * a)
-    C3 = c2v * C1
-    return C1, C2, C3
-
-
-def check_vanishing_log_bound(prob: GronwallProblem, t: float) -> tuple[float, float]:
-    """(oracle value, reduced bound) for the vanishing-log inequality at t.
-
-    Bound: C(t) M(t) + C(t) int_0^t oracle log_+(1/oracle), with
-    C(t) = max(C1, C3) e^{C2 t}.
-    """
-    oracle = volterra_oracle(prob, "vanishing")
-    ts = prob.times()
-    dt = ts[1] - ts[0]
-    k = prob.snap_index(t)
-    C1, C2, C3 = vanishing_log_constants(prob, t)
-    C = max(C1, C3) * math.exp(C2 * t)
-    Mv = _sample(prob.M, ts)
-    integral = _cumtrapz(vanishing_g(oracle), dt)[k]
-    return float(oracle[k]), float(C * Mv[k] + C * integral)
-
-
-def check_singular_growth_bound(prob: GronwallProblem, t: float,
-                                c_range: tuple[float, float] = (1.0, 1e6),
-                                bisection_steps: int = 60) -> tuple[float, float]:
-    """(oracle value, bound) with the smallest dominating constant.
-
-    The bound family is (C M(t) + 1)^{exp(C t)}; domination over the whole
-    grid is monotone in C, so the least feasible C is found by bisection in
-    c_range (comparisons in log space to dodge overflow). Raises if even the
-    upper endpoint fails.
-    """
-    oracle = volterra_oracle(prob, "superlinear")
-    ts = prob.times()
-    Mv = _sample(prob.M, ts)
-    log_oracle = np.log(np.maximum(oracle, 1e-300))
-
-    def dominates(C: float) -> bool:
-        log_bound = np.exp(np.minimum(C * ts, 700.0)) * np.log(C * Mv + 1.0)
-        return bool(np.all(log_oracle <= log_bound + 1e-9))
-
-    lo, hi = c_range
-    if not dominates(hi):
-        raise ValueError(f"no dominating constant up to {hi:g}")
-    if dominates(lo):
-        hi = lo
-    else:
-        for _ in range(bisection_steps):
-            mid = 0.5 * (lo + hi)
-            if dominates(mid):
-                hi = mid
-            else:
-                lo = mid
-    k = prob.snap_index(t)
-    log_val = math.exp(min(hi * ts[k], 700.0)) * math.log(hi * Mv[k] + 1.0)
-    bound = math.inf if log_val > 709.0 else math.exp(log_val)
-    return float(oracle[k]), float(bound)
-
-
 def _bound_series(kind: str, prob: GronwallProblem,
-                  oracle: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(oracle, bound) arrays over the whole problem grid for one family."""
+                  oracle: np.ndarray | None) -> np.ndarray:
+    """Closed-form bound of one family over the whole problem grid.
+
+    oracle is the problem's Volterra oracle on the same grid; the
+    superlinear family does not read it.
+
+    superlinear: M(t)^{exp(C2(t))} * exp(exp(C2(t)) * int_0^t c1 e^{-C2}),
+      C2 = int c2. Requires M(0) >= 1 so the power is monotone in its base,
+      and c3 == 0.
+    vanishing: C(t) M(t) + C(t) int_0^t f log_+(1/f), f the oracle and
+      C(t) = max(C1, C3) e^{C2 t}, with the three increasing constants of
+      the iterated inequality. One substitution of the inequality into its
+      own singular term, Fubini on the double kernel (Beta(1-alpha, 1-alpha)
+      moment), then classical Gronwall on the linear part give, with the
+      sups of c1, c2, c3:
+        C1(t) = 1 + c3 t^{1-alpha}/(1-alpha)
+        C2(t) = c1 C1(t) + c3^2 B(1-alpha, 1-alpha) t^{1-2 alpha}
+        C3(t) = c2 C1(t)
+    singular: (C M(t) + 1)^{exp(C t)} with the smallest dominating constant
+      C. Domination over the whole grid is monotone in C, so the least
+      feasible C is found by bisection in [1, 1e6] (comparisons in log space
+      to dodge overflow). Raises if even the upper endpoint fails.
+    """
     ts = prob.times()
     dt = ts[1] - ts[0]
     Mv = _sample(prob.M, ts)
     if kind == "superlinear":
-        if oracle is None:
-            oracle = volterra_oracle(prob, "superlinear")
         if Mv[0] < 1.0:
             raise ValueError("bound requires M(0) >= 1")
         if np.any(_sample(prob.c3, ts) > 0):
@@ -336,20 +260,16 @@ def _bound_series(kind: str, prob: GronwallProblem,
         C2 = _cumtrapz(_sample(prob.c2, ts), dt)
         inner = _cumtrapz(_sample(prob.c1, ts) * np.exp(-C2), dt)
         E = np.exp(C2)
-        bound = Mv**E * np.exp(E * inner)
-    elif kind == "vanishing":
-        if oracle is None:
-            oracle = volterra_oracle(prob, "vanishing")
-        c1v, c2v, c3v = _sup_constants(prob)
+        return Mv**E * np.exp(E * inner)
+    if kind == "vanishing":
+        c1v, c2v, c3v = (float(_sample(c, ts).max()) for c in (prob.c1, prob.c2, prob.c3))
         a = prob.alpha
         C1 = 1.0 + c3v * ts ** (1.0 - a) / (1.0 - a)
         C2 = c1v * C1 + c3v**2 * float(beta_fn(1.0 - a, 1.0 - a)) * ts ** (1.0 - 2.0 * a)
         C3 = c2v * C1
         C = np.maximum(C1, C3) * np.exp(C2 * ts)
-        bound = C * (Mv + _cumtrapz(vanishing_g(oracle), dt))
-    elif kind == "singular":
-        if oracle is None:
-            oracle = volterra_oracle(prob, "superlinear")
+        return C * (Mv + _cumtrapz(vanishing_g(oracle), dt))
+    if kind == "singular":
         log_oracle = np.log(np.maximum(oracle, 1e-300))
 
         def dominates(C: float) -> bool:
@@ -369,10 +289,29 @@ def _bound_series(kind: str, prob: GronwallProblem,
                 else:
                     lo = mid
         log_bound = np.exp(np.minimum(hi * ts, 700.0)) * np.log(hi * Mv + 1.0)
-        bound = np.where(log_bound > 709.0, np.inf, np.exp(np.minimum(log_bound, 709.0)))
-    else:
-        raise ValueError(f"unknown bound family {kind!r}")
-    return oracle, bound
+        return np.where(log_bound > 709.0, np.inf, np.exp(np.minimum(log_bound, 709.0)))
+    raise ValueError(f"unknown bound family {kind!r}")
+
+
+def superlinear_growth_bound(prob: GronwallProblem, t: float) -> float:
+    """The superlinear closed-form bound (see _bound_series) at t."""
+    return float(_bound_series("superlinear", prob, None)[prob.snap_index(t)])
+
+
+def check_vanishing_log_bound(prob: GronwallProblem, t: float) -> tuple[float, float]:
+    """(oracle value, vanishing-log bound) at t; see _bound_series."""
+    oracle = volterra_oracle(prob, "vanishing")
+    k = prob.snap_index(t)
+    return float(oracle[k]), float(_bound_series("vanishing", prob, oracle)[k])
+
+
+def check_singular_growth_bound(prob: GronwallProblem, t: float) -> tuple[float, float]:
+    """(oracle value, bound) at t with the smallest constant C for which
+    (C M + 1)^{exp(C t)} dominates the oracle on the whole grid; see
+    _bound_series."""
+    oracle = volterra_oracle(prob, "superlinear")
+    k = prob.snap_index(t)
+    return float(oracle[k]), float(_bound_series("singular", prob, oracle)[k])
 
 
 @dataclass(frozen=True)
@@ -398,9 +337,9 @@ def check_domination(kind: str, prob: GronwallProblem) -> DominationReport:
     """
     nonlin = "vanishing" if kind == "vanishing" else "superlinear"
     coarse = volterra_oracle(prob, nonlin)
-    fine_prob = GronwallProblem(M=prob.M, c1=prob.c1, c2=prob.c2, c3=prob.c3,
-                                alpha=prob.alpha, T=prob.T, grid_dt=prob.grid_dt / 2.0)
-    fine, bound = _bound_series(kind, fine_prob)
+    fine_prob = prob.refined()
+    fine = volterra_oracle(fine_prob, nonlin)
+    bound = _bound_series(kind, fine_prob, fine)
     defect = np.abs(coarse - fine[::2])
     tol = defect + 1e-7 * (1.0 + np.abs(bound[::2]))
     gap = bound[::2] - fine[::2]

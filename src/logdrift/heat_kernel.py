@@ -19,11 +19,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import polygamma
 
 from .fields import Field, simpson_weights, nodes
 
 SQRT_PI = math.sqrt(math.pi)
+
+# image charges on each side in the Gaussian form
+N_IMAGES = 5
 
 
 @dataclass(frozen=True)
@@ -33,19 +35,17 @@ class KernelParams:
     truncation_tol: absolute series/image tail target.
     max_modes: hard cap on spectral terms.
     switch_time: series for t >= switch_time, images below.
-    n_images: image charges on each side in the Gaussian form.
     """
 
     truncation_tol: float = 1e-14
     max_modes: int = 200_000
     switch_time: float = 0.05
-    n_images: int = 5
 
     def __post_init__(self):
         if not (0 < self.truncation_tol < 1):
             raise ValueError("truncation_tol must be in (0, 1)")
-        if self.max_modes < 1 or self.n_images < 1:
-            raise ValueError("max_modes and n_images must be positive")
+        if self.max_modes < 1:
+            raise ValueError("max_modes must be positive")
         if self.switch_time <= 0:
             raise ValueError("switch_time must be positive")
 
@@ -85,11 +85,10 @@ def kernel_series(t, x, y, params: KernelParams = DEFAULT_PARAMS) -> np.ndarray:
     return out if out.shape else float(out)
 
 
-def kernel_images(t, x, y, n_images: int | None = None) -> np.ndarray:
+def kernel_images(t, x, y) -> np.ndarray:
     """Image-charge form of p_t(x, y); accurate for small t."""
     t, x, y = _check_txy(t, x, y)
-    K = DEFAULT_PARAMS.n_images if n_images is None else int(n_images)
-    k = 2.0 * np.arange(-K, K + 1)
+    k = 2.0 * np.arange(-N_IMAGES, N_IMAGES + 1)
     xb, yb = np.broadcast_arrays(x, y)
     norm = 1.0 / math.sqrt(2.0 * math.pi * t)
     d1 = np.subtract.outer(xb - yb, k)
@@ -102,7 +101,7 @@ def kernel_eval(t, x, y, params: KernelParams = DEFAULT_PARAMS):
     """Evaluate p_t(x, y), choosing the series or image form by t."""
     t = float(t)
     if t < params.switch_time:
-        return kernel_images(t, x, y, params.n_images)
+        return kernel_images(t, x, y)
     return kernel_series(t, x, y, params)
 
 
@@ -118,7 +117,7 @@ def _kernel_matrix(t: float, xs: np.ndarray, ys: np.ndarray, params: KernelParam
     out = np.empty((xs.size, ys.size))
     step = max(1, int(2e6 // max(ys.size, 1)))
     for i in range(0, xs.size, step):
-        out[i : i + step] = kernel_images(t, xs[i : i + step, None], ys[None, :], params.n_images)
+        out[i : i + step] = kernel_images(t, xs[i : i + step, None], ys[None, :])
     return out
 
 
@@ -273,8 +272,3 @@ def log_jensen_bound_check(dt: float, u: Field,
     lhs = float((P @ (w * g)).max())
     rhs = (2.0 + 0.25 * log_plus(1.0 / dt) + log_plus(u.l2_norm())) ** 2
     return lhs, float(rhs)
-
-
-def diagonal_tail_weight(N: int) -> float:
-    """(2/pi^2) * sum_{n > N} 1/n^2, the envelope tail beyond N modes."""
-    return float(2.0 / math.pi**2 * polygamma(1, N + 1))

@@ -15,12 +15,13 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .coefficients import (
-    DiffusionSpec, DriftSpec, MollifiedDrift, MollifierParams, mollify,
+    DiffusionSpec, DriftSpec, MollifiedDrift, MollifierParams, mollifier_levels,
+    mollify,
 )
 from .fields import Field
 from .noise import derive_path_seed, sample_noise
@@ -34,6 +35,10 @@ __all__ = [
 
 # paths simulated per batch; bounds the resident noise array
 _CHUNK = 128
+
+# least ensemble with a meaningful standard error; least moment order
+MIN_ENSEMBLE = 30
+MIN_ORDER = 1.0
 
 CONSTANT_FEASIBILITY_CAP = 1.0e9
 
@@ -67,7 +72,7 @@ class MomentReport:
     fingerprint: str
 
     def __post_init__(self):
-        if self.p < 1.0:
+        if self.p < MIN_ORDER:
             raise ValueError("moment order must be >= 1")
         if self.ensemble < 1:
             raise ValueError("ensemble must be positive")
@@ -83,38 +88,71 @@ class MomentReport:
         return math.isfinite(self.estimate)
 
 
-def _path_reductions(drift, diffusion, u0: Field, grid: Grid, ensemble: int,
-                     master_seed: int, threshold: float, terminal: bool):
-    """Per-path sup (or terminal) L2 norm and blow-up flags.
+def _ensemble_chunks(drift, diffusion, u0: Field, grid: Grid, ensemble: int,
+                     master_seed: int, threshold: float):
+    """Solve the ensemble in path-index order, yielding per chunk
+    (lo, hi, l2, blown, blow_steps) for paths lo..hi-1.
 
-    Reductions run in path-index order; chunking only bounds memory."""
+    Chunking only bounds memory. Without diffusion every path is the same
+    solve, so one solve is yielded for all paths; its single row broadcasts
+    over [lo, hi)."""
     if diffusion is None:
-        # deterministic: every path is the same solve
         Xi = np.zeros((1, grid.n_modes, grid.n_steps))
-        l2, b, _ = solve_l2_ensemble(u0, drift, diffusion, grid, Xi, threshold)
-        value = l2[0, -1] if terminal else float(np.max(l2[0]))
-        return np.full(ensemble, value), np.full(ensemble, bool(b[0]))
-    out = np.empty(ensemble)
-    blown = np.zeros(ensemble, dtype=bool)
+        yield (0, ensemble) + solve_l2_ensemble(u0, drift, diffusion, grid, Xi, threshold)
+        return
     for lo in range(0, ensemble, _CHUNK):
         hi = min(lo + _CHUNK, ensemble)
         Xi = np.stack([
             sample_noise(derive_path_seed(master_seed, i), grid.n_modes,
                          grid.n_steps, grid.dt).increments
             for i in range(lo, hi)])
-        l2, b, _ = solve_l2_ensemble(u0, drift, diffusion, grid, Xi, threshold)
+        yield (lo, hi) + solve_l2_ensemble(u0, drift, diffusion, grid, Xi, threshold)
+
+
+def _path_reductions(drift, diffusion, u0: Field, grid: Grid, ensemble: int,
+                     master_seed: int, threshold: float, terminal: bool):
+    """Per-path sup (or terminal) L2 norm and blow-up flags."""
+    out = np.empty(ensemble)
+    blown = np.zeros(ensemble, dtype=bool)
+    for lo, hi, l2, b, _ in _ensemble_chunks(drift, diffusion, u0, grid, ensemble,
+                                             master_seed, threshold):
         blown[lo:hi] = b
         out[lo:hi] = l2[:, -1] if terminal else np.max(l2, axis=1)
     return out, blown
 
 
-def _estimate(values: np.ndarray, alive: np.ndarray, p: float):
-    if not alive.any():
-        return math.nan, math.nan
-    x = values[alive] ** p
-    est = float(np.mean(x))
-    se = float(np.std(x, ddof=1) / math.sqrt(x.size)) if x.size > 1 else math.nan
-    return est, se
+def _report_config(p: float, drift, diffusion, u0: Field, grid: Grid,
+                   ensemble: int, master_seed: int, threshold: float) -> dict:
+    """Check a moment report's arguments; return its fingerprint fields."""
+    if p < MIN_ORDER:
+        raise ValueError("moment order must be >= 1")
+    if ensemble < MIN_ENSEMBLE:
+        raise ValueError(f"ensemble must be >= {MIN_ENSEMBLE} for a meaningful "
+                         "standard error")
+    if u0.n != grid.n_modes:
+        raise ValueError("field resolution does not match the grid")
+    return dict(p=p, n_modes=grid.n_modes, n_steps=grid.n_steps,
+                ensemble=ensemble, master_seed=master_seed,
+                threshold=threshold, drift=_describe(drift),
+                diffusion=_describe(diffusion),
+                u0=hashlib.sha256(u0.coeffs.tobytes()).hexdigest()[:12])
+
+
+def _report(values: np.ndarray, blown: np.ndarray, T: float,
+            config: dict) -> MomentReport:
+    """The report over one window; config holds the fingerprint fields
+    other than T."""
+    alive = ~blown
+    if alive.any():
+        x = values[alive] ** config["p"]
+        est = float(np.mean(x))
+        se = float(np.std(x, ddof=1) / math.sqrt(x.size)) if x.size > 1 else math.nan
+    else:
+        est = se = math.nan
+    return MomentReport(p=float(config["p"]), T=T, ensemble=config["ensemble"],
+                        estimate=est, std_error=se,
+                        blowup_fraction=float(np.mean(blown)),
+                        fingerprint=_fingerprint(T=T, **config))
 
 
 def mc_sup_moment(p: float, drift, diffusion, u0: Field, grid: Grid,
@@ -130,24 +168,11 @@ def mc_sup_moment(p: float, drift, diffusion, u0: Field, grid: Grid,
     running sup by the final-time norm, which is what the additive-noise
     variance identity pins down exactly.
     """
-    if p < 1.0:
-        raise ValueError("moment order must be >= 1")
-    if ensemble < 30:
-        raise ValueError("ensemble must be >= 30 for a meaningful standard error")
-    if u0.n != grid.n_modes:
-        raise ValueError("field resolution does not match the grid")
+    config = _report_config(p, drift, diffusion, u0, grid, ensemble,
+                            master_seed, threshold)
     values, blown = _path_reductions(drift, diffusion, u0, grid, ensemble,
                                      master_seed, threshold, terminal)
-    est, se = _estimate(values, ~blown, p)
-    fp = _fingerprint(
-        p=p, T=grid.T, n_modes=grid.n_modes, n_steps=grid.n_steps,
-        ensemble=ensemble, master_seed=master_seed, threshold=threshold,
-        terminal=terminal, drift=_describe(drift),
-        diffusion=_describe(diffusion),
-        u0=hashlib.sha256(u0.coeffs.tobytes()).hexdigest()[:12])
-    return MomentReport(p=float(p), T=grid.T, ensemble=ensemble, estimate=est,
-                        std_error=se, blowup_fraction=float(np.mean(blown)),
-                        fingerprint=fp)
+    return _report(values, blown, grid.T, dict(config, terminal=terminal))
 
 
 def _constant_field_norm(grid: Grid, value: float) -> float:
@@ -264,11 +289,7 @@ def mollified_uniformity_report(levels: Sequence[int], p: float,
     drifts are globally Lipschitz and bounded, so a blow-up at any level means
     the configuration is wrong and raises rather than reports.
     """
-    levels = [int(n) for n in levels]
-    if any(n < 1 for n in levels):
-        raise ValueError("mollification levels must be >= 1")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly increasing")
+    levels = mollifier_levels(levels)
     rows = []
     for n in levels:
         bn = mollify(drift_spec, MollifierParams(n=n))
@@ -295,48 +316,19 @@ def restart_window_report(p: float, drift, diffusion, u0: Field, grid: Grid,
     (first_window, second_window) of reports; the first excludes only paths
     that blew up by T, the second excludes all blown paths.
     """
-    if p < 1.0:
-        raise ValueError("moment order must be >= 1")
-    if ensemble < 30:
-        raise ValueError("ensemble must be >= 30 for a meaningful standard error")
-    if u0.n != grid.n_modes:
-        raise ValueError("field resolution does not match the grid")
+    config = _report_config(p, drift, diffusion, u0, grid, ensemble,
+                            master_seed, threshold)
     K = grid.n_steps
     full = Grid(grid.n_modes, 2.0 * grid.T, 2 * K)
     sup1 = np.empty(ensemble)
     sup2 = np.empty(ensemble)
     blown1 = np.zeros(ensemble, dtype=bool)
     blown2 = np.zeros(ensemble, dtype=bool)
-    for lo in range(0, ensemble, _CHUNK):
-        hi = min(lo + _CHUNK, ensemble)
-        if diffusion is None:
-            Xi = np.zeros((hi - lo, full.n_modes, full.n_steps))
-        else:
-            Xi = np.stack([
-                sample_noise(derive_path_seed(master_seed, i), full.n_modes,
-                             full.n_steps, full.dt).increments
-                for i in range(lo, hi)])
-        l2, b, steps = solve_l2_ensemble(u0, drift, diffusion, full, Xi,
-                                         threshold)
+    for lo, hi, l2, b, steps in _ensemble_chunks(drift, diffusion, u0, full, ensemble,
+                                                 master_seed, threshold):
         sup1[lo:hi] = np.max(l2[:, :K + 1], axis=1)
         sup2[lo:hi] = np.max(l2[:, K:], axis=1)
         blown1[lo:hi] = b & (steps <= K)
         blown2[lo:hi] = b
-    common = dict(
-        p=p, n_modes=grid.n_modes, n_steps=grid.n_steps, ensemble=ensemble,
-        master_seed=master_seed, threshold=threshold,
-        drift=_describe(drift), diffusion=_describe(diffusion),
-        u0=hashlib.sha256(u0.coeffs.tobytes()).hexdigest()[:12])
-    est1, se1 = _estimate(sup1, ~blown1, p)
-    est2, se2 = _estimate(sup2, ~blown2, p)
-    first = MomentReport(p=float(p), T=grid.T, ensemble=ensemble,
-                         estimate=est1, std_error=se1,
-                         blowup_fraction=float(np.mean(blown1)),
-                         fingerprint=_fingerprint(window="first", T=grid.T,
-                                                  **common))
-    second = MomentReport(p=float(p), T=2.0 * grid.T, ensemble=ensemble,
-                          estimate=est2, std_error=se2,
-                          blowup_fraction=float(np.mean(blown2)),
-                          fingerprint=_fingerprint(window="second",
-                                                   T=2.0 * grid.T, **common))
-    return first, second
+    return (_report(sup1, blown1, grid.T, dict(config, window="first")),
+            _report(sup2, blown2, 2.0 * grid.T, dict(config, window="second")))

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.signal import fftconvolve
 
 from .coefficients import (
-    DiffusionSpec, DriftSpec, MollifiedDrift, MollifierParams,
-    drift_eval, mollify, sigma_eval,
+    DiffusionSpec, DriftSpec, MollifierParams, drift_eval, mollifier_levels,
+    mollify, sigma_eval,
 )
 from .fields import Field, sine_matrix
 from .noise import NoiseRealization, sample_noise
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 DEFAULT_BLOWUP_THRESHOLD = 1.0e8
+MAX_FACTORIZATION_ALPHA = 0.25  # factorization_check needs 0 < alpha < this
 
 
 @dataclass(frozen=True)
@@ -257,9 +258,7 @@ def coupled_uniqueness_experiment(u0: Field, drift_spec: DriftSpec, diffusion,
     Raises RuntimeError if any level blows up: the mollified critical drift is
     globally Lipschitz, so a blow-up here means the configuration is wrong.
     """
-    levels = list(levels)
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly increasing")
+    levels = mollifier_levels(levels)
     noise = sample_noise(seed, grid.n_modes, grid.n_steps, grid.dt)
     paths = []
     for n in levels:
@@ -295,7 +294,7 @@ def factorization_check(alpha: float, grid: Grid, noise: NoiseRealization,
     moments of (t-s)^(alpha-1) and (s-r)^(-alpha)) against right-endpoint
     semigroup factors, reduced to per-mode lag convolutions.
     """
-    if not 0.0 < alpha < 0.25:
+    if not 0.0 < alpha < MAX_FACTORIZATION_ALPHA:
         raise ValueError("alpha must lie in (0, 1/4)")
     _check_noise(grid, noise)
     N, K, dt = grid.n_modes, grid.n_steps, grid.dt

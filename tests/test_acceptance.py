@@ -15,7 +15,6 @@ from logdrift.coefficients import DiffusionSpec, DriftSpec
 from logdrift.fields import Field
 from logdrift.gronwall import (
     STABILITY_REFERENCE,
-    GronwallProblem,
     check_domination,
     make_problem_corpus,
     vanishing_data_decay,
@@ -98,10 +97,7 @@ def test_criterion_05_gronwall_domination():
         assert bad == 0, f"{bad}/100 {kind} problems exceeded their bound"
     for label, prob in STABILITY_REFERENCE:
         coarse = volterra_oracle(prob, label)
-        fine = volterra_oracle(
-            GronwallProblem(M=prob.M, c1=prob.c1, c2=prob.c2, c3=prob.c3,
-                            alpha=prob.alpha, T=prob.T,
-                            grid_dt=prob.grid_dt / 2.0), label)
+        fine = volterra_oracle(prob.refined(), label)
         drift = float(np.max(np.abs(coarse - fine[::2])))
         assert drift < 1e-6, f"{label} oracle drift {drift:.3e} under halving"
 

@@ -167,6 +167,39 @@ def test_contract_failure_exits_1_and_names_assertion(tmp_path, capsys):
     assert "FAIL blow-up phase" in (out / "summary.txt").read_text()
 
 
+@pytest.mark.parametrize("scenario,lines,code,message", [
+    ("moments", ["ensemble=10"], 2, "ensemble >= 30"),
+    ("moments", ["p=0.5"], 2, "p >= 1.0"),
+    ("blowup-phase", ["ensemble=10"], 2, "ensemble >= 30"),
+    ("factorization", ["alpha=0.3"], 2, "0 < alpha < 0.25"),
+    ("uniqueness", ["levels=8,4"], 2, "strictly increasing"),
+    ("uniqueness", ["levels=0,4"], 2, "levels must be >= 1"),
+    # no noise and zero data: some levels estimate exactly 0, others pick
+    # up roundoff from the mollified drift, so the spread is infinite
+    ("moments", ["diffusion.family=none", "u0=zero", "ensemble=30",
+                 "grid.n_modes=8", "grid.n_steps=16", "levels=4,8"], 1,
+     "FAIL moment uniformity: level spread inf"),
+])
+def test_scenario_limits_hold_for_accepted_configs(tmp_path, capsys, scenario,
+                                                   lines, code, message):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "run"
+    assert cli.main(["--scenario", scenario, "--config", str(cfgfile),
+                     "--output-dir", str(out)]) == code
+    if code == 2:
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert message in (out / "summary.txt").read_text()
+
+
+def test_spread_of_equal_and_zero_estimates():
+    assert cli._spread([0.0, 0.0, 0.0]) == 1.0
+    assert cli._spread([2.0, 4.0]) == 2.0
+    assert cli._spread([0.0, 1e-3]) == math.inf
+
+
 def test_reruns_and_thread_counts_are_byte_identical(tmp_path):
     outs = []
     for name, threads in (("a", None), ("b", None), ("c", "3")):

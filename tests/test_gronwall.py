@@ -147,8 +147,9 @@ def test_domination_over_randomized_corpora():
 
 def test_oracle_grid_stability_on_reference_corpus():
     for nonlin, prob in STABILITY_REFERENCE:
-        fine = GronwallProblem(M=prob.M, c1=prob.c1, c2=prob.c2, c3=prob.c3,
-                               alpha=prob.alpha, T=prob.T, grid_dt=prob.grid_dt / 2.0)
+        fine = prob.refined()
+        assert fine.grid_dt == prob.grid_dt / 2.0
+        assert fine.times().size == 2 * prob.times().size - 1
         a = volterra_oracle(prob, nonlin)
         b = volterra_oracle(fine, nonlin)
         assert np.max(np.abs(a - b[::2])) < 1e-6

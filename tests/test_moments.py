@@ -188,6 +188,18 @@ def test_restart_window_reports():
     assert first.fingerprint != second.fingerprint
 
 
+def test_restart_windows_without_diffusion_match_one_path():
+    # every path is the same deterministic solve on the doubled horizon
+    g = Grid(n_modes=8, T=0.5, n_steps=32)
+    u0 = Field.random_l2(8, norm=3.0, seed=8)
+    first, second = restart_window_report(2.0, CRITICAL, None, u0, g, 30, 5)
+    traj = solve_path(u0, CRITICAL, None, Grid(8, 1.0, 64))
+    l2 = traj.l2_series
+    assert first.estimate == pytest.approx(np.max(l2[:33]) ** 2, rel=1e-12)
+    assert second.estimate == pytest.approx(np.max(l2[32:]) ** 2, rel=1e-12)
+    assert first.blowup_fraction == second.blowup_fraction == 0.0
+
+
 def test_restart_equals_continuation_bitwise():
     g_full = Grid(n_modes=16, T=1.0, n_steps=256)
     g_half = Grid(n_modes=16, T=0.5, n_steps=128)

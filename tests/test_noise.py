@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,26 @@ def test_refinement_with_odd_root_count():
     pair = fine.increments[:, 0::2] + fine.increments[:, 1::2]
     np.testing.assert_array_equal(pair, coarse.increments)
     np.testing.assert_array_equal(fine.coarsened().increments, coarse.increments)
+
+
+# sha256 of increments.tobytes(), recorded before any rewrite of the
+# generator; n_steps 12 and 7 have odd root counts 3 and 7
+GOLDEN_DIGESTS = [
+    ((0, 4, 16, 1.0 / 16.0),
+     "cf5bc2b5f398d7769ddddf515f4f740cd2ff7d838197560a9eed5b29e9f9387a"),
+    ((12345, 3, 12, 0.25),
+     "cf9c68969fa5e62dbde2c2461685de4b7d0116cce2e4c3f3ee4558cbe7f8d6a8"),
+    ((2 ** 40 + 7, 5, 7, 0.1),
+     "959aa6db67a83f3d981b8142add8363b5435c119e915de81c44075bf1c191cbd"),
+    ((909, 8, 64, 1.0 / 64.0),
+     "003b9ac26765bcbc5bb928dbb32e287221b0e489d66dd45d2d2610fcc16a1221"),
+]
+
+
+@pytest.mark.parametrize("args,digest", GOLDEN_DIGESTS)
+def test_absolute_noise_bits_are_pinned(args, digest):
+    real = sample_noise(*args)
+    assert hashlib.sha256(real.increments.tobytes()).hexdigest() == digest
 
 
 def test_coarsen_requires_even_steps():
