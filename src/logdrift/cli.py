@@ -466,8 +466,11 @@ def _run_moments(cfg: dict, out: Path) -> list:
                                             diffusion, u0, grid, ens, seed,
                                             threshold=cfg["threshold"]),
     ]
-    base, (first, second), scaling, split, uniformity = \
-        _ordered_map(lambda job: job(), jobs, cfg["threads"])
+    try:
+        base, (first, second), scaling, split, uniformity = \
+            _ordered_map(lambda job: job(), jobs, cfg["threads"])
+    except RuntimeError as e:
+        return [f"moment reports: {e}"]
 
     windows = (("full_horizon", "full-horizon", base),
                ("restart_first", "restart first window", first),

@@ -141,9 +141,6 @@ class Field:
             return float(np.sqrt(np.sum(self._coeffs**2)))
         return float(np.sqrt(np.sum(self._values**2) / (self.n + 1)))
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
     def __sub__(self, other: "Field") -> "Field":
         if self.n != other.n:
             raise ValueError("node counts differ")

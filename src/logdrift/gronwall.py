@@ -37,8 +37,9 @@ class OracleConvergenceError(RuntimeError):
     """Raised when Picard iteration fails to settle; never silently ignored."""
 
 
-def log_plus(x):
-    return np.log(np.maximum(1.0, x))
+def log_plus(z):
+    """log of max(1, |z|), elementwise."""
+    return np.log(np.maximum(1.0, np.abs(z)))
 
 
 def superlinear_g(x):

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Field, simpson_weights, nodes
+from .gronwall import log_plus
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -246,11 +247,6 @@ def spatial_modulus_estimate(x: float, y: float,
         dsin = np.abs(np.sin(n * math.pi * x) - np.sin(n * math.pi * y))
         total += float((2.0 * dsin * (-np.expm1(-lam * R)) / lam).sum())
     return total
-
-
-def log_plus(z):
-    """log of max(1, |z|), elementwise."""
-    return np.log(np.maximum(1.0, np.abs(z)))
 
 
 def log_jensen_bound_check(dt: float, u: Field,

@@ -70,16 +70,14 @@ class Grid:
 
 @dataclass(frozen=True)
 class Trajectory:
-    times: np.ndarray          # saved times
-    fields: tuple              # Field per saved time
     l2_times: np.ndarray       # every computed time
     l2_series: np.ndarray      # L2 norm at every computed time
     blown_up: bool
     blowup_time: Optional[float]
-    coeffs: Optional[np.ndarray] = None  # (computed steps + 1, n_modes) when kept
+    coeffs: np.ndarray         # (computed steps + 1, n_modes)
 
     def final(self) -> Field:
-        return self.fields[-1]
+        return Field.from_coeffs(self.coeffs[-1])
 
 
 def _as_drift(drift) -> Optional[Callable]:
@@ -112,16 +110,24 @@ def _propagators(n_modes: int, dt: float):
     return E, gamma
 
 
-def _step_batch(U, drift_fn, sigma_fn, xi, E, gamma, dt, B, inv_np1):
-    """One exponential-Euler step on (P, N) coefficient rows; xi is (P, N)."""
-    vals = U @ B
-    if drift_fn is None:
-        interior = U
-    else:
-        interior = U + dt * ((drift_fn(vals) @ B) * inv_np1)
-    w = xi @ B
-    shat = ((sigma_fn(vals) * w) @ B) * inv_np1
-    return E * interior + gamma * shat
+def _scheme(drift, diffusion, grid: Grid) -> Callable:
+    """The exponential-Euler step advance(U, xi) on (P, N) coefficient rows;
+    xi holds the rows' (P, N) modal increments of the step."""
+    drift_fn = _as_drift(drift)
+    sigma_fn = _as_sigma(diffusion)
+    B = sine_matrix(grid.n_modes)
+    inv_np1 = 1.0 / (grid.n_modes + 1)
+    E, gamma = _propagators(grid.n_modes, grid.dt)
+    dt = grid.dt
+
+    def advance(U, xi):
+        vals = U @ B
+        if drift_fn is not None:
+            U = U + dt * ((drift_fn(vals) @ B) * inv_np1)
+        shat = ((sigma_fn(vals) * (xi @ B)) @ B) * inv_np1
+        return E * U + gamma * shat
+
+    return advance
 
 
 def step(u: Field, drift, diffusion, xi: np.ndarray, grid: Grid) -> Field:
@@ -131,11 +137,8 @@ def step(u: Field, drift, diffusion, xi: np.ndarray, grid: Grid) -> Field:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (grid.n_modes,):
         raise ValueError("xi must have one increment per mode")
-    B = sine_matrix(grid.n_modes)
-    E, gamma = _propagators(grid.n_modes, grid.dt)
-    out = _step_batch(u.coeffs[None, :], _as_drift(drift), _as_sigma(diffusion),
-                      xi[None, :], E, gamma, grid.dt, B, 1.0 / (grid.n_modes + 1))
-    return Field.from_coeffs(out[0])
+    advance = _scheme(drift, diffusion, grid)
+    return Field.from_coeffs(advance(u.coeffs[None], xi[None])[0])
 
 
 def _check_noise(grid: Grid, noise: NoiseRealization):
@@ -145,12 +148,51 @@ def _check_noise(grid: Grid, noise: NoiseRealization):
         raise ValueError("noise step does not match the grid step")
 
 
+def _march(u0: Field, drift, diffusion, grid: Grid, Xi: np.ndarray,
+           threshold: float, history: bool = False):
+    """The time loop: advance one path per row of Xi (P, n_modes, n_steps).
+
+    A row breaches at the first step whose L2 norm is non-finite or above
+    threshold; it stops advancing there and its l2 tail is frozen at the
+    breach value. The loop ends when no row is active. Returns (l2, blown,
+    blow_steps, states): l2 is (P, n_steps+1), blow_steps the breach step or
+    -1, and states the (steps run + 1, P, n_modes) coefficients with history,
+    else None.
+    """
+    advance = _scheme(drift, diffusion, grid)
+    P = Xi.shape[0]
+    U = np.tile(u0.coeffs, (P, 1))
+    l2 = np.empty((P, grid.n_steps + 1))
+    l2[:, 0] = np.sqrt(np.sum(U * U, axis=1))
+    states = [U.copy()] if history else None
+    blown = np.zeros(P, dtype=bool)
+    blow_steps = np.full(P, -1)
+    active = np.arange(P)
+    for k in range(grid.n_steps):
+        Un = advance(U[active], Xi[active, :, k])
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.sqrt(np.sum(Un * Un, axis=1))
+        U[active] = Un
+        l2[active, k + 1] = norms
+        if history:
+            states.append(U.copy())
+        bad = ~np.isfinite(norms) | (norms > threshold)
+        if np.any(bad):
+            hit = active[bad]
+            blown[hit] = True
+            blow_steps[hit] = k + 1
+            l2[hit, k + 2:] = l2[hit, k + 1][:, None]
+            active = active[~bad]
+            if active.size == 0:
+                break
+    return l2, blown, blow_steps, np.array(states) if history else None
+
+
 def solve_path(u0: Field, drift, diffusion, grid: Grid,
                noise: Optional[NoiseRealization] = None,
-               threshold: float = DEFAULT_BLOWUP_THRESHOLD, save_stride: int = 8,
-               keep_coeffs: bool = False) -> Trajectory:
-    """Integrate one path, recording the L2 norm at every step and fields at
-    the save stride. Stops early when the norm leaves [0, threshold] or turns
+               threshold: float = DEFAULT_BLOWUP_THRESHOLD) -> Trajectory:
+    """Integrate one path, keeping the coefficients and the L2 norm at every
+    step. Stops early when the norm leaves [0, threshold] or turns
     non-finite; the first offending time is recorded as blowup_time.
 
     noise may be omitted only for deterministic runs (diffusion None)."""
@@ -159,48 +201,20 @@ def solve_path(u0: Field, drift, diffusion, grid: Grid,
     if noise is None:
         if diffusion is not None:
             raise ValueError("stochastic runs need a noise realization")
-        zeros = np.zeros((grid.n_modes, grid.n_steps))
-        zeros.flags.writeable = False
-        noise = NoiseRealization(0, grid.n_modes, grid.n_steps, grid.dt, zeros)
-    _check_noise(grid, noise)
-    drift_fn = _as_drift(drift)
-    sigma_fn = _as_sigma(diffusion)
-    B = sine_matrix(grid.n_modes)
-    inv_np1 = 1.0 / (grid.n_modes + 1)
-    E, gamma = _propagators(grid.n_modes, grid.dt)
+        Xi = np.zeros((1, grid.n_modes, grid.n_steps))
+    else:
+        _check_noise(grid, noise)
+        Xi = noise.increments[None, :grid.n_modes]
+    l2, blown, _, states = _march(u0, drift, diffusion, grid, Xi, threshold,
+                                  history=True)
+    k_end = states.shape[0] - 1
     times = grid.times()
-    U = u0.coeffs.copy()
-    l2 = [float(np.sqrt(np.sum(U * U)))]
-    saved = {0: Field.from_coeffs(U)}
-    kept = [U.copy()] if keep_coeffs else None
-    blown = False
-    blowup_time = None
-    k_end = grid.n_steps
-    for k in range(grid.n_steps):
-        U = _step_batch(U[None, :], drift_fn, sigma_fn,
-                        noise.increments[:grid.n_modes, k][None, :],
-                        E, gamma, grid.dt, B, inv_np1)[0]
-        norm = float(np.sqrt(np.sum(U * U)))
-        l2.append(norm)
-        if keep_coeffs:
-            kept.append(U.copy())
-        if (k + 1) % save_stride == 0:
-            saved[k + 1] = Field.from_coeffs(U)
-        if not math.isfinite(norm) or norm > threshold:
-            blown = True
-            blowup_time = float(times[k + 1])
-            k_end = k + 1
-            break
-    saved[k_end] = Field.from_coeffs(U)
-    idx = sorted(saved)
     return Trajectory(
-        times=times[idx],
-        fields=tuple(saved[i] for i in idx),
         l2_times=times[:k_end + 1],
-        l2_series=np.array(l2),
-        blown_up=blown,
-        blowup_time=blowup_time,
-        coeffs=np.array(kept) if keep_coeffs else None,
+        l2_series=l2[0, :k_end + 1],
+        blown_up=bool(blown[0]),
+        blowup_time=float(times[k_end]) if blown[0] else None,
+        coeffs=states[:, 0],
     )
 
 
@@ -214,37 +228,9 @@ def solve_l2_ensemble(u0: Field, drift, diffusion, grid: Grid,
     breach value, blow_steps holds the breaching step index or -1.
     """
     Xi = np.asarray(noise_batch, dtype=float)
-    P = Xi.shape[0]
     if Xi.shape[1:] != (grid.n_modes, grid.n_steps):
         raise ValueError("noise batch shape does not match the grid")
-    drift_fn = _as_drift(drift)
-    sigma_fn = _as_sigma(diffusion)
-    B = sine_matrix(grid.n_modes)
-    inv_np1 = 1.0 / (grid.n_modes + 1)
-    E, gamma = _propagators(grid.n_modes, grid.dt)
-    U = np.tile(u0.coeffs, (P, 1))
-    l2 = np.empty((P, grid.n_steps + 1))
-    l2[:, 0] = np.sqrt(np.sum(U * U, axis=1))
-    blown = np.zeros(P, dtype=bool)
-    blow_steps = np.full(P, -1)
-    active = np.arange(P)
-    for k in range(grid.n_steps):
-        Un = _step_batch(U[active], drift_fn, sigma_fn, Xi[active, :, k],
-                         E, gamma, grid.dt, B, inv_np1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms = np.sqrt(np.sum(Un * Un, axis=1))
-        U[active] = Un
-        l2[active, k + 1] = norms
-        bad = ~np.isfinite(norms) | (norms > threshold)
-        if np.any(bad):
-            hit = active[bad]
-            blown[hit] = True
-            blow_steps[hit] = k + 1
-            l2[hit, k + 2:] = l2[hit, k + 1][:, None]
-            active = active[~bad]
-            if active.size == 0:
-                break
-    return l2, blown, blow_steps
+    return _march(u0, drift, diffusion, grid, Xi, threshold)[:3]
 
 
 def coupled_uniqueness_experiment(u0: Field, drift_spec: DriftSpec, diffusion,
@@ -263,8 +249,7 @@ def coupled_uniqueness_experiment(u0: Field, drift_spec: DriftSpec, diffusion,
     paths = []
     for n in levels:
         bn = mollify(drift_spec, MollifierParams(n=n))
-        traj = solve_path(u0, bn, diffusion, grid, noise,
-                          threshold=threshold, keep_coeffs=True)
+        traj = solve_path(u0, bn, diffusion, grid, noise, threshold=threshold)
         if traj.blown_up:
             raise RuntimeError(
                 f"mollified level n={n} blew up at t={traj.blowup_time}; "

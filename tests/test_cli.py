@@ -179,6 +179,14 @@ def test_contract_failure_exits_1_and_names_assertion(tmp_path, capsys):
     ("moments", ["diffusion.family=none", "u0=zero", "ensemble=30",
                  "grid.n_modes=8", "grid.n_steps=16", "levels=4,8"], 1,
      "FAIL moment uniformity: level spread inf"),
+    # in-report RuntimeErrors end in a named FAIL, not a traceback
+    ("moments", ["grid.n_modes=8", "grid.n_steps=16", "ensemble=30",
+                 "lambdas=1e9"], 1,
+     "FAIL moment reports: a pure-convolution path breached the blow-up "
+     "threshold"),
+    ("moments", ["grid.n_modes=8", "grid.n_steps=16", "ensemble=30",
+                 "threshold=1e-3"], 1,
+     "FAIL moment reports: mollified level n=4 produced blow-ups"),
 ])
 def test_scenario_limits_hold_for_accepted_configs(tmp_path, capsys, scenario,
                                                    lines, code, message):

@@ -7,6 +7,7 @@ from logdrift.gronwall import (
     GronwallProblem,
     OracleConvergenceError,
     STABILITY_REFERENCE,
+    _bound_series,
     check_domination,
     check_singular_growth_bound,
     check_vanishing_log_bound,
@@ -127,14 +128,18 @@ def test_singular_bound_bisection_minimality():
     prob = GronwallProblem(M=2.0, c1=0.4, c2=0.5, c3=0.6, alpha=0.5, T=1.0)
     orc, bnd = check_singular_growth_bound(prob, 1.0)
     assert orc <= bnd * (1.0 + 1e-6)
-    # the bound family at a slightly smaller constant must fail somewhere:
-    # re-run with the cap forced just under the found constant
-    ts = prob.times()
     f = volterra_oracle(prob, "superlinear")
-    # recover C from the returned bound value: bnd = (C M + 1)^{exp(C t)}
-    # cheap sanity: the bound is far from the trivial C = 1 member
-    trivial = (1.0 * 2.0 + 1.0) ** math.exp(1.0)
-    assert not np.all(f <= trivial)
+    # the bound at t = 0 is C M(0) + 1, which gives back the constant found
+    C = (_bound_series("singular", prob, f)[0] - 1.0) / 2.0
+    ts = prob.times()
+
+    def dominates(c):
+        # the family (c M + 1)^{exp(c t)} against the oracle, in log space
+        log_bound = np.exp(c * ts) * np.log(c * 2.0 + 1.0)
+        return bool(np.all(np.log(f) <= log_bound + 1e-9))
+
+    assert dominates(C)
+    assert not dominates(C * (1.0 - 1e-6))
 
 
 def test_domination_over_randomized_corpora():

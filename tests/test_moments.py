@@ -205,12 +205,11 @@ def test_restart_equals_continuation_bitwise():
     g_half = Grid(n_modes=16, T=0.5, n_steps=128)
     u0 = Field.random_l2(16, norm=3.0, seed=8)
     noise = sample_noise(42, 16, 256, g_full.dt)
-    whole = solve_path(u0, CRITICAL, KICK, g_full, noise, keep_coeffs=True)
+    whole = solve_path(u0, CRITICAL, KICK, g_full, noise)
     head = NoiseRealization(42, 16, 128, g_full.dt, noise.increments[:, :128])
     tail_inc = noise.increments[:, 128:].copy()
     tail_inc.flags.writeable = False
     tail = NoiseRealization(42, 16, 128, g_full.dt, tail_inc)
-    h1 = solve_path(u0, CRITICAL, KICK, g_half, head, keep_coeffs=True)
-    h2 = solve_path(h1.final(), CRITICAL, KICK, g_half, tail,
-                    keep_coeffs=True)
+    h1 = solve_path(u0, CRITICAL, KICK, g_half, head)
+    h2 = solve_path(h1.final(), CRITICAL, KICK, g_half, tail)
     np.testing.assert_array_equal(whole.coeffs[128:], h2.coeffs)

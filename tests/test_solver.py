@@ -1,9 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from logdrift.coefficients import DiffusionSpec, DriftSpec
+from logdrift.coefficients import (
+    DiffusionSpec, DriftSpec, MollifierParams, mollify,
+)
 from logdrift.fields import Field
 from logdrift.noise import sample_noise
 from logdrift.solver import (
@@ -21,6 +24,13 @@ BOUNDED = DiffusionSpec("bounded", d1=1.0, d2=0.0)
 
 # frozen after the first implementation run (seed 909, alpha 0.1, sigma == 1)
 FACTORIZATION_512_REFERENCE = 0.034359202283835696
+
+# sha256 of the solve_path coefficients in test_solver_bits_are_pinned; they
+# fail when any bit of the scheme's output moves
+STOCHASTIC_COEFFS_SHA256 = (
+    "611d63f0286972ace7842844b433fd02574c0ed09100fe575d10419c646f04ba")
+BLOWUP_COEFFS_SHA256 = (
+    "fef2e278b5fba7a0e0343c245b4b98e829e2008e25e690e6d6d131db90f91a23")
 
 
 def test_grid_properties_and_validation():
@@ -83,16 +93,16 @@ def test_additive_noise_modal_variance():
 def test_trajectory_linear_in_sigma_under_common_noise():
     g = Grid(n_modes=16, T=0.25, n_steps=128)
     noise = sample_noise(17, 16, 128, g.dt)
-    base = solve_path(Field.zero(16), None, 1.0, g, noise, keep_coeffs=True)
-    doubled = solve_path(Field.zero(16), None, 2.0, g, noise, keep_coeffs=True)
+    base = solve_path(Field.zero(16), None, 1.0, g, noise)
+    doubled = solve_path(Field.zero(16), None, 2.0, g, noise)
     np.testing.assert_array_equal(2.0 * base.coeffs, doubled.coeffs)
 
 
 def test_noise_coupling_bitwise_reproducible():
     g = Grid(n_modes=16, T=0.25, n_steps=128)
     noise = sample_noise(17, 16, 128, g.dt)
-    a = solve_path(Field.zero(16), CRITICAL, BOUNDED, g, noise, keep_coeffs=True)
-    b = solve_path(Field.zero(16), CRITICAL, BOUNDED, g, noise, keep_coeffs=True)
+    a = solve_path(Field.zero(16), CRITICAL, BOUNDED, g, noise)
+    b = solve_path(Field.zero(16), CRITICAL, BOUNDED, g, noise)
     np.testing.assert_array_equal(a.coeffs, b.coeffs)
 
 
@@ -118,14 +128,50 @@ def test_blowup_detected_and_trajectory_truncated():
     assert traj.l2_times.size < g.n_steps + 1
 
 
-def test_saved_fields_match_l2_series():
+def test_kept_coeffs_match_l2_series():
     g = Grid(n_modes=16, T=0.5, n_steps=64)
     noise = sample_noise(31, 16, 64, g.dt)
     traj = solve_path(Field.random_l2(16, 3.0, seed=4), CRITICAL, BOUNDED, g,
-                      noise, save_stride=16)
-    for t, f in zip(traj.times, traj.fields):
-        k = int(np.searchsorted(traj.l2_times, t))
-        assert abs(f.l2_norm() - traj.l2_series[k]) < 1e-12
+                      noise)
+    assert traj.coeffs.shape == (g.n_steps + 1, 16)
+    for row, norm in zip(traj.coeffs, traj.l2_series):
+        assert abs(Field.from_coeffs(row).l2_norm() - norm) < 1e-12
+    np.testing.assert_array_equal(traj.final().coeffs, traj.coeffs[-1])
+
+
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def test_solver_bits_are_pinned():
+    g = Grid(n_modes=16, T=0.5, n_steps=128)
+    traj = solve_path(Field.random_l2(16, 3.0, seed=4),
+                      mollify(CRITICAL, MollifierParams(n=16)), BOUNDED, g,
+                      sample_noise(31, 16, 128, g.dt))
+    assert traj.coeffs.shape == (129, 16)
+    assert _sha256(traj.coeffs) == STOCHASTIC_COEFFS_SHA256
+    g = Grid(n_modes=8, T=4.0, n_steps=512)
+    u0 = Field.from_coeffs(np.concatenate([[50.0], np.zeros(7)]))
+    traj = solve_path(u0, SUPERCRITICAL, 1.0, g, sample_noise(5, 8, 512, g.dt))
+    assert traj.blown_up and traj.coeffs.shape == (39, 8)
+    assert _sha256(traj.coeffs) == BLOWUP_COEFFS_SHA256
+
+
+@pytest.mark.parametrize("drift,diffusion,seed", [
+    (CRITICAL, BOUNDED, 31),
+    (SUPERCRITICAL, 1.0, 5),
+])
+def test_path_l2_series_is_its_ensemble_row(drift, diffusion, seed):
+    g = Grid(n_modes=8, T=4.0, n_steps=512)
+    u0 = Field.from_coeffs(np.concatenate([[50.0], np.zeros(7)]))
+    noise = sample_noise(seed, 8, 512, g.dt)
+    traj = solve_path(u0, drift, diffusion, g, noise)
+    l2, blown, steps = solve_l2_ensemble(u0, drift, diffusion, g,
+                                         noise.increments[None])
+    assert blown[0] == traj.blown_up
+    k_end = steps[0] if blown[0] else g.n_steps
+    assert traj.l2_series.size == k_end + 1
+    np.testing.assert_array_equal(traj.l2_series, l2[0, :k_end + 1])
 
 
 def test_solver_input_validation():
@@ -161,9 +207,9 @@ def test_spectral_refinement_differences_shrink():
         u0c = Field.from_coeffs(np.concatenate([[5.0, 2.0], np.zeros(N - 2)]))
         u0f = Field.from_coeffs(np.concatenate([[5.0, 2.0], np.zeros(2 * N - 2)]))
         coarse = solve_path(u0c, CRITICAL, BOUNDED, g_c,
-                            sample_noise(77, N, 512, g_c.dt), keep_coeffs=True)
+                            sample_noise(77, N, 512, g_c.dt))
         fine = solve_path(u0f, CRITICAL, BOUNDED, g_f,
-                          sample_noise(77, 2 * N, 512, g_f.dt), keep_coeffs=True)
+                          sample_noise(77, 2 * N, 512, g_f.dt))
         pad = np.zeros_like(fine.coeffs)
         pad[:, :N] = coarse.coeffs
         diffs.append(float(np.max(np.sqrt(np.sum((pad - fine.coeffs) ** 2, axis=1)))))
