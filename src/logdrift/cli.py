@@ -76,16 +76,19 @@ BASE_DEFAULTS = {
     "threshold": 1.0e8,
     "output_dir": "runs",
     "threads": 1,
-    "tol.kernel_rel": 1.0e-10,
-    "tol.slope_lo": 0.4,
-    "tol.slope_hi": 0.6,
-    "tol.shape_spread": 10.0,
-    "tol.uniqueness_final": 1.0e-2,
-    "tol.scaling_rel": 1.0e-12,
-    "tol.scaling_spread": 3.0,
-    "tol.uniformity_spread": 2.0,
-    "tol.oracle_stability": 1.0e-6,
 }
+
+# Scenario tolerances. They are part of each claim's definition, so no
+# configuration moves them.
+KERNEL_REL_TOL = 1.0e-10
+SLOPE_LO = 0.4
+SLOPE_HI = 0.6
+SHAPE_SPREAD_TOL = 10.0
+UNIQUENESS_FINAL_TOL = 1.0e-2
+SCALING_REL_TOL = 1.0e-12
+SCALING_SPREAD_TOL = 3.0
+UNIFORMITY_SPREAD_TOL = 2.0
+ORACLE_STABILITY_TOL = 1.0e-6
 
 SCENARIO_DEFAULTS = {
     "kernel-estimates": {},
@@ -108,15 +111,17 @@ SCENARIO_DEFAULTS = {
 
 
 def _coerce(key: str, text: str):
+    """The value of key parsed as its default's type; NaN is no number."""
     default = BASE_DEFAULTS[key]
+    if not isinstance(default, (int, float)):
+        return text
     try:
-        if isinstance(default, int):
-            return int(text)
-        if isinstance(default, float):
-            return float(text)
+        value = type(default)(text)
     except ValueError:
+        value = math.nan
+    if math.isnan(value):
         raise ConfigError(f"config key {key!r} expects a number, got {text!r}")
-    return text
+    return value
 
 
 def parse_config_file(path: str) -> dict:
@@ -210,6 +215,8 @@ def _validate(cfg: dict) -> None:
     scenario = cfg["scenario"]
     if scenario == "uniqueness" and drift is None:
         raise ConfigError("the uniqueness scenario needs a drift family")
+    if scenario == "uniqueness" and len(levels) < 2:
+        raise ConfigError("the uniqueness scenario needs at least two levels")
     if scenario in ("moments", "blowup-phase") and \
             (cfg["ensemble"] < MIN_ENSEMBLE or cfg["p"] < MIN_ORDER):
         raise ConfigError(f"the {scenario} scenario needs ensemble >= "
@@ -299,18 +306,18 @@ def _run_kernel_estimates(cfg: dict, out: Path) -> list:
     write_csv(out / "kernel_agreement.csv", ["t", "max_rel_err"],
               list(zip(ts, errs)))
     worst = max(errs)
-    if worst > cfg["tol.kernel_rel"]:
+    if worst > KERNEL_REL_TOL:
         failures.append(f"kernel dual-form agreement: max scaled error "
-                        f"{worst:.3e} > {cfg['tol.kernel_rel']:.1e}")
+                        f"{worst:.3e} > {KERNEL_REL_TOL:.1e}")
 
     hs = [0.1 * 2.0 ** -k for k in range(7)]
     vals = _ordered_map(time_increment_estimate, hs, threads)
     write_csv(out / "time_increment.csv", ["h", "estimate"],
               list(zip(hs, vals)))
     slope = float(np.polyfit(np.log(hs), np.log(vals), 1)[0])
-    if not cfg["tol.slope_lo"] <= slope <= cfg["tol.slope_hi"]:
+    if not SLOPE_LO <= slope <= SLOPE_HI:
         failures.append(f"time-increment exponent: slope {slope:.4f} outside "
-                        f"[{cfg['tol.slope_lo']}, {cfg['tol.slope_hi']}]")
+                        f"[{SLOPE_LO}, {SLOPE_HI}]")
 
     seps = [2.0 ** -k for k in range(3, 13)]
 
@@ -322,9 +329,9 @@ def _run_kernel_estimates(cfg: dict, out: Path) -> list:
     write_csv(out / "spatial_modulus.csv", ["separation", "shape_ratio"],
               list(zip(seps, ratios)))
     spread = _spread(ratios)
-    if spread >= cfg["tol.shape_spread"]:
+    if spread >= SHAPE_SPREAD_TOL:
         failures.append(f"spatial modulus shape: ratio spread {spread:.3f} "
-                        f">= {cfg['tol.shape_spread']}")
+                        f">= {SHAPE_SPREAD_TOL}")
     return failures
 
 
@@ -355,10 +362,9 @@ def _run_gronwall_suite(cfg: dict, out: Path) -> list:
         fine = volterra_oracle(prob.refined(), nonlin)
         drift = float(np.max(np.abs(coarse - fine[::2])))
         stab_rows.append((label, prob.alpha, prob.grid_dt, drift))
-        if drift >= cfg["tol.oracle_stability"]:
+        if drift >= ORACLE_STABILITY_TOL:
             failures.append(f"oracle stability: sup drift {drift:.3e} >= "
-                            f"{cfg['tol.oracle_stability']:.1e} under dt "
-                            "halving")
+                            f"{ORACLE_STABILITY_TOL:.1e} under dt halving")
     write_csv(out / "oracle_stability.csv",
               ["kind", "alpha", "grid_dt", "sup_drift"], stab_rows)
     return failures
@@ -417,9 +423,9 @@ def _run_uniqueness(cfg: dict, out: Path) -> list:
     if any(b >= a for a, b in zip(tail, tail[1:])):
         failures.append("uniqueness convergence: consecutive level "
                         f"differences not eventually decreasing ({diffs})")
-    if diffs[-1] >= cfg["tol.uniqueness_final"]:
+    if diffs[-1] >= UNIQUENESS_FINAL_TOL:
         failures.append(f"uniqueness convergence: finest gap {diffs[-1]:.3e} "
-                        f">= {cfg['tol.uniqueness_final']:.1e}")
+                        f">= {UNIQUENESS_FINAL_TOL:.1e}")
     return failures
 
 
@@ -491,13 +497,13 @@ def _run_moments(cfg: dict, out: Path) -> list:
               [(r["lam"], r["lhs"], r["rhs"], r["ratio"], r["lhs_over_base"],
                 r["power_rel_err"]) for r in scaling])
     worst = max(r["power_rel_err"] for r in scaling)
-    if worst > cfg["tol.scaling_rel"]:
+    if worst > SCALING_REL_TOL:
         failures.append(f"moment scaling: power-law error {worst:.3e} > "
-                        f"{cfg['tol.scaling_rel']:.1e}")
+                        f"{SCALING_REL_TOL:.1e}")
     spread = _spread([r["ratio"] for r in scaling])
-    if spread >= cfg["tol.scaling_spread"]:
+    if spread >= SCALING_SPREAD_TOL:
         failures.append(f"moment scaling: constant spread {spread:.3f} >= "
-                        f"{cfg['tol.scaling_spread']}")
+                        f"{SCALING_SPREAD_TOL}")
 
     write_csv(out / "moment_epsilon_split.csv",
               ["epsilon", "lhs", "sup_term", "c_epsilon", "feasible"],
@@ -512,9 +518,9 @@ def _run_moments(cfg: dict, out: Path) -> list:
               [(r["level"], r["estimate"], r["std_error"])
                for r in uniformity])
     spread = _spread([r["estimate"] for r in uniformity])
-    if spread > cfg["tol.uniformity_spread"]:
+    if spread > UNIFORMITY_SPREAD_TOL:
         failures.append(f"moment uniformity: level spread {spread:.3f} > "
-                        f"{cfg['tol.uniformity_spread']}")
+                        f"{UNIFORMITY_SPREAD_TOL}")
     return failures
 
 

@@ -133,7 +133,7 @@ def _required_growth_constant(bvals, weights, c2_floor):
     return float(max(np.max(req), 0.0))
 
 
-def growth_check(spec: DriftSpec, sample: Optional[np.ndarray] = None):
+def growth_check(spec: DriftSpec):
     """Minimal (c1, c2) with |b(z)| <= c1 |z| log+|z| + c2 on the sample.
 
     c2 is pinned first by the points where the weight |z| log+|z| vanishes,
@@ -141,7 +141,7 @@ def growth_check(spec: DriftSpec, sample: Optional[np.ndarray] = None):
     HypothesisViolation when the required c1 keeps growing across the top
     sampled decades (super-log-linear drift) or exceeds the constant cap.
     """
-    zs = standard_sample() if sample is None else np.asarray(sample, dtype=float)
+    zs = standard_sample()
     bvals = np.abs(drift_eval(spec, zs))
     weights = np.abs(zs) * log_plus(np.abs(zs))
     flat = weights == 0.0
@@ -176,14 +176,14 @@ def loglip_terms(u, v):
     return t1, t2, gap
 
 
-def loglip_check(spec: DriftSpec, pairs=None):
+def loglip_check(spec: DriftSpec):
     """Minimal (c3, c4, c5) majorizing |b(u)-b(v)| over the pair sample.
 
     Solved as a linear program (minimize c3+c4+c5 subject to the sampled
     inequalities, all constants in [0, cap]). Infeasibility at the cap is
     how discontinuous or super-log-Lipschitz drifts surface.
     """
-    u, v = pair_sample() if pairs is None else pairs
+    u, v = pair_sample()
     t1, t2, t3 = loglip_terms(u, v)
     d = np.abs(drift_eval(spec, u) - drift_eval(spec, v))
     keep = d > 0.0
@@ -221,22 +221,23 @@ def validate_declared_constants(spec: DriftSpec, cs) -> None:
 # mollification
 
 
+# lookup-grid steps of a mollified drift (fine on [-1, 1] around the log
+# kink) and Gauss-Legendre nodes per half of its bump integral
+COARSE_STEP = 1.0 / 64.0
+FINE_STEP = 1.0 / 1024.0
+QUAD_POINTS = 96
+GROWTH_LEVELS = (1, 2, 4, 8, 16, 32, 64)
+
+
 @dataclass(frozen=True)
 class MollifierParams:
-    """Level n >= 1 plus numeric knobs for the lookup-grid construction."""
+    """Mollification level n >= 1."""
 
     n: int
-    coarse_step: float = 1.0 / 64.0
-    fine_step: float = 1.0 / 1024.0
-    quad_points: int = 96
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("mollifier level must be >= 1")
-        if not (0.0 < self.fine_step <= self.coarse_step):
-            raise ValueError("need 0 < fine_step <= coarse_step")
-        if self.quad_points < 4:
-            raise ValueError("quad_points must be >= 4")
 
 
 def mollifier_levels(levels: Sequence[int]) -> list[int]:
@@ -286,15 +287,13 @@ class MollifiedDrift:
         self.params = params
         n = params.n
         edge = n + 2.0
-        coarse = np.arange(-edge, edge + 0.5 * params.coarse_step, params.coarse_step)
+        coarse = np.arange(-edge, edge + 0.5 * COARSE_STEP, COARSE_STEP)
         inner = min(1.0, edge)
-        fine = np.arange(-inner, inner + 0.5 * params.fine_step, params.fine_step)
+        fine = np.arange(-inner, inner + 0.5 * FINE_STEP, FINE_STEP)
         grid = np.unique(np.concatenate([coarse, fine, [-edge, 0.0, edge]]))
         # interpolate the smooth convolution only; the cutoff varies fast near
         # the support edge and is applied exactly at call time
-        conv = _convolve_bump(spec, grid, n, params.quad_points)
-        self.grid = grid
-        self.values = conv * cutoff(grid, n)
+        conv = _convolve_bump(spec, grid, n)
         self._interp = PchipInterpolator(grid, conv, extrapolate=False)
         mids = 0.5 * (grid[1:] + grid[:-1])
         dense = np.sort(np.concatenate([grid, mids]))
@@ -308,10 +307,10 @@ class MollifiedDrift:
         return out if out.ndim else float(out)
 
 
-def _convolve_bump(spec: DriftSpec, xs: np.ndarray, n: int, quad_points: int):
+def _convolve_bump(spec: DriftSpec, xs: np.ndarray, n: int):
     """int_{-1}^{1} b(x - s/n) bump(s) ds on each x, split at the s where the
     drift argument crosses zero (the log kink sits there)."""
-    g, w = np.polynomial.legendre.leggauss(quad_points)
+    g, w = np.polynomial.legendre.leggauss(QUAD_POINTS)
     split = np.clip(n * xs, -1.0, 1.0)
     total = np.zeros_like(xs)
     for a, b in ((-np.ones_like(split), split), (split, np.ones_like(split))):
@@ -326,19 +325,18 @@ def mollify(spec: DriftSpec, params: MollifierParams) -> MollifiedDrift:
     return MollifiedDrift(spec, params)
 
 
-def uniform_growth_check(spec: DriftSpec, levels: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
-                         sample: Optional[np.ndarray] = None) -> float:
+def uniform_growth_check(spec: DriftSpec) -> float:
     """Smallest L with |b_n(x)| <= c1 |x| log+|x| + L (|x| + 1) across levels.
 
     c1 is the base drift's growth constant; finiteness of the returned L,
-    uniformly over the level list, is the point of the check.
+    uniformly over GROWTH_LEVELS, is the point of the check.
     """
-    zs = standard_sample() if sample is None else np.asarray(sample, dtype=float)
-    zs = zs[np.abs(zs) <= max(levels) + 3.0]
+    zs = standard_sample()
+    zs = zs[np.abs(zs) <= max(GROWTH_LEVELS) + 3.0]
     c1, _ = growth_check(spec)
     envelope = c1 * np.abs(zs) * log_plus(np.abs(zs))
     worst = 0.0
-    for n in levels:
+    for n in GROWTH_LEVELS:
         bn = mollify(spec, MollifierParams(n=n))
         excess = (np.abs(bn(zs)) - envelope) / (np.abs(zs) + 1.0)
         worst = max(worst, float(np.max(excess)))
@@ -394,9 +392,9 @@ def sigma_eval(spec: DiffusionSpec, u):
     return out if out.ndim else float(out)
 
 
-def sublinear_check(spec: DiffusionSpec, sample: Optional[np.ndarray] = None):
+def sublinear_check(spec: DiffusionSpec):
     """Minimal (d1, d2) with |sigma(u)| <= d1 |u|^theta + d2 on the sample."""
-    us = standard_sample() if sample is None else np.asarray(sample, dtype=float)
+    us = standard_sample()
     svals = np.abs(sigma_eval(spec, us))
     weights = np.abs(us) ** spec.theta if spec.theta > 0.0 else np.ones_like(us)
     flat = weights == 0.0
@@ -407,9 +405,9 @@ def sublinear_check(spec: DiffusionSpec, sample: Optional[np.ndarray] = None):
     return d1, d2
 
 
-def lipschitz_check(spec: DiffusionSpec, pairs=None) -> float:
+def lipschitz_check(spec: DiffusionSpec) -> float:
     """Largest sampled difference quotient of sigma."""
-    u, v = pair_sample() if pairs is None else pairs
+    u, v = pair_sample()
     gap = np.abs(u - v)
     keep = gap > 0.0
     d = np.abs(sigma_eval(spec, u[keep]) - sigma_eval(spec, v[keep]))

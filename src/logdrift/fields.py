@@ -103,6 +103,8 @@ class Field:
         """The single basis function amplitude * e_k on n nodes."""
         if not 1 <= k <= n:
             raise ValueError("mode index out of range")
+        if not np.isfinite(amplitude):
+            raise ValueError("amplitude must be finite")
         c = np.zeros(n)
         c[k - 1] = amplitude
         return cls(n, coeffs=c)
@@ -114,6 +116,8 @@ class Field:
         Coefficients decay like 1/k so the profile is square integrable but
         not smooth; the draw is fixed by the seed.
         """
+        if not np.isfinite(norm):
+            raise ValueError("norm must be finite")
         rng = np.random.default_rng(seed)
         c = rng.standard_normal(n) / np.arange(1, n + 1)
         c *= norm / np.sqrt(np.sum(c * c))

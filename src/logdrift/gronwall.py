@@ -31,6 +31,7 @@ Coefficient = float | Callable[[np.ndarray], np.ndarray]
 
 MAX_PICARD_ITERATIONS = 10_000
 PICARD_TOL = 1e-10
+OSGOOD_TAIL_RATIO = 0.75
 
 
 class OracleConvergenceError(RuntimeError):
@@ -354,10 +355,9 @@ def check_domination(kind: str, prob: GronwallProblem) -> DominationReport:
 
 
 def vanishing_data_decay(eps_values: Sequence[float],
-                         c1: float = 0.25, c2: float = 0.5, c3: float = 0.25,
-                         alpha: float = 0.5, T: float = 1.0,
                          grid_dt: float = 1.0 / 1024.0) -> np.ndarray:
-    """sup_t of the vanishing-log oracle when the forcing is M = eps.
+    """sup_t over [0, 1] of the vanishing-log oracle when the forcing is
+    M = eps, with c1 = c3 = 1/4, c2 = 1/2 and alpha = 1/2.
 
     As eps -> 0 the supremum decays like a power of eps (with exponent
     strictly between 0 and 1 set by the log term), which is the quantitative
@@ -365,8 +365,8 @@ def vanishing_data_decay(eps_values: Sequence[float],
     """
     sups = []
     for eps in eps_values:
-        prob = GronwallProblem(M=float(eps), c1=c1, c2=c2, c3=c3,
-                               alpha=alpha, T=T, grid_dt=grid_dt)
+        prob = GronwallProblem(M=float(eps), c1=0.25, c2=0.5, c3=0.25,
+                               alpha=0.5, T=1.0, grid_dt=grid_dt)
         sups.append(float(volterra_oracle(prob, "vanishing").max()))
     return np.asarray(sups)
 
@@ -379,17 +379,16 @@ class OsgoodReport:
     shell_increments: tuple
 
 
-def osgood_classifier(drift: Callable[[float], float], z0: float,
-                      tail_ratio: float = 0.75) -> OsgoodReport:
+def osgood_classifier(drift: Callable[[float], float], z0: float) -> OsgoodReport:
     """Classify whether int_{z0}^inf dz / b(z) converges, for positive b.
 
     Substituting z = e^w turns the integral into int e^w / b(e^w) dw, which
     is split over shells whose log-boundaries eventually double; geometric
-    decay of the shell increments (last ratio below tail_ratio) certifies
-    convergence, with the tail geometrically extrapolated. A flat or growing
-    increment sequence is classified divergent. b must be positive on the
-    sampled range; b values overflowing to inf contribute 0, consistent with
-    a convergent tail.
+    decay of the shell increments (last ratio below OSGOOD_TAIL_RATIO)
+    certifies convergence, with the tail geometrically extrapolated. A flat
+    or growing increment sequence is classified divergent. b must be
+    positive on the sampled range; b values overflowing to inf contribute 0,
+    consistent with a convergent tail.
     """
     if z0 <= 0:
         raise ValueError("z0 must be positive")
@@ -428,15 +427,14 @@ def osgood_classifier(drift: Callable[[float], float], z0: float,
         # increments already dead well before the float ceiling
         return OsgoodReport("convergent", total, tuple(bounds), tuple(incs))
     last, prev = incs[-1], incs[-2]
-    if prev > 0 and last / prev < tail_ratio:
+    if prev > 0 and last / prev < OSGOOD_TAIL_RATIO:
         r = last / prev
         return OsgoodReport("convergent", total + float(last * r / (1.0 - r)),
                             tuple(bounds), tuple(incs))
     return OsgoodReport("divergent", math.inf, tuple(bounds), tuple(incs))
 
 
-def make_problem_corpus(kind: str, count: int, seed: int,
-                        grid_dt: float = 1.0 / 256.0) -> list[GronwallProblem]:
+def make_problem_corpus(kind: str, count: int, seed: int) -> list[GronwallProblem]:
     """Randomized problems for one inequality family, reproducible by seed.
 
     kind "superlinear": no singular term, M constant in [1, 5].
@@ -460,7 +458,7 @@ def make_problem_corpus(kind: str, count: int, seed: int,
         else:
             raise ValueError(f"unknown corpus kind {kind!r}")
         out.append(GronwallProblem(M=M, c1=c1, c2=c2, c3=c3, alpha=alpha,
-                                   T=1.0, grid_dt=grid_dt))
+                                   T=1.0))
     return out
 
 

@@ -28,25 +28,26 @@ SQRT_PI = math.sqrt(math.pi)
 # image charges on each side in the Gaussian form
 N_IMAGES = 5
 
+# spectral series: absolute tail target and hard cap on terms
+TRUNCATION_TOL = 1e-14
+MAX_MODES = 200_000
+# x grids of the sups in mass_and_l2_bounds and time_increment_estimate, and
+# the latter's (even) count of Simpson intervals in w = sqrt(r)
+MASS_X_POINTS = 513
+INCREMENT_X_POINTS = 1025
+INCREMENT_W_INTERVALS = 1200
+
 
 @dataclass(frozen=True)
 class KernelParams:
     """Evaluation controls for the heat kernel.
 
-    truncation_tol: absolute series/image tail target.
-    max_modes: hard cap on spectral terms.
     switch_time: series for t >= switch_time, images below.
     """
 
-    truncation_tol: float = 1e-14
-    max_modes: int = 200_000
     switch_time: float = 0.05
 
     def __post_init__(self):
-        if not (0 < self.truncation_tol < 1):
-            raise ValueError("truncation_tol must be in (0, 1)")
-        if self.max_modes < 1:
-            raise ValueError("max_modes must be positive")
         if self.switch_time <= 0:
             raise ValueError("switch_time must be positive")
 
@@ -69,8 +70,8 @@ def _check_txy(t, x, y):
 def _series_mode_count(t: float, params: KernelParams) -> int:
     # tail of sum 2 e^{-n^2 pi^2 t/2} beyond N is < tol once
     # N^2 pi^2 t / 2 > log(2/tol) + margin
-    n = math.ceil(math.sqrt(2.0 * math.log(2.0 / params.truncation_tol) / (math.pi**2 * t))) + 2
-    return min(max(n, 3), params.max_modes)
+    n = math.ceil(math.sqrt(2.0 * math.log(2.0 / TRUNCATION_TOL) / (math.pi**2 * t))) + 2
+    return min(max(n, 3), MAX_MODES)
 
 
 def kernel_series(t, x, y, params: KernelParams = DEFAULT_PARAMS) -> np.ndarray:
@@ -136,8 +137,7 @@ def semigroup_apply(t: float, f: Field) -> Field:
     return Field(f.n, coeffs=f.coeffs * np.exp(-0.5 * (k * math.pi) ** 2 * t))
 
 
-def mass_and_l2_bounds(t: float, params: KernelParams = DEFAULT_PARAMS,
-                       n_x: int = 513, n_y: int | None = None) -> tuple[float, float]:
+def mass_and_l2_bounds(t: float, params: KernelParams = DEFAULT_PARAMS) -> tuple[float, float]:
     """Return (sup_x int p_t(x, y) dy, sup_x int p_t(x, y)^2 dy).
 
     Simpson quadrature in y on a grid fine enough to resolve the kernel
@@ -146,9 +146,8 @@ def mass_and_l2_bounds(t: float, params: KernelParams = DEFAULT_PARAMS,
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    if n_y is None:
-        n_y = 1 + 2 * max(1024, int(math.ceil(48.0 / math.sqrt(t))))
-    xs = np.linspace(0.0, 1.0, n_x)
+    n_y = 1 + 2 * max(1024, int(math.ceil(48.0 / math.sqrt(t))))
+    xs = np.linspace(0.0, 1.0, MASS_X_POINTS)
     ys = np.linspace(0.0, 1.0, n_y)
     P = _kernel_matrix(t, xs, ys, params)
     w = simpson_weights(n_y, 1.0 / (n_y - 1))
@@ -168,9 +167,7 @@ def _diag_images(s: float, xs: np.ndarray) -> np.ndarray:
     return norm * (same - refl)
 
 
-def time_increment_estimate(h: float, R: float = 3.0,
-                            params: KernelParams = DEFAULT_PARAMS,
-                            n_x: int = 1025, n_w: int = 1200) -> float:
+def time_increment_estimate(h: float, R: float = 3.0) -> float:
     """Integrated sup-over-space second difference of the kernel in time.
 
     Computes int_0^R sup_x [p_{2r} - 2 p_{2r+h} + p_{2r+2h}](x, x) dr, the
@@ -188,9 +185,8 @@ def time_increment_estimate(h: float, R: float = 3.0,
         raise ValueError("h must be positive")
     if math.exp(-math.pi**2 * R) / 3.0 > 1e-12:
         raise ValueError("R too small for the required tail bound")
-    if n_w % 2:
-        n_w += 1
-    xs = np.linspace(0.0, 1.0, n_x)[1:-1]
+    n_w = INCREMENT_W_INTERVALS
+    xs = np.linspace(0.0, 1.0, INCREMENT_X_POINTS)[1:-1]
     ws = np.linspace(0.0, math.sqrt(R), n_w + 1)
     vals = np.empty(n_w + 1)
     vals[0] = 1.0 / SQRT_PI
@@ -225,9 +221,8 @@ def time_increment_pointwise(x: float, h: float, R: float = 3.0) -> float:
     return total
 
 
-def spatial_modulus_estimate(x: float, y: float,
-                             params: KernelParams = DEFAULT_PARAMS,
-                             n_terms: int = 4_000_000, R: float = 3.0) -> float:
+def spatial_modulus_estimate(x: float, y: float, n_terms: int = 4_000_000,
+                             R: float = 3.0) -> float:
     """Majorant series for the spatial modulus of stochastic convolutions.
 
     sum_n |e_n(x) - e_n(y)| * sqrt(2) * (1 - e^{-pi^2 n^2 R / 2}) * 2/(pi^2 n^2),

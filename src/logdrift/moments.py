@@ -176,13 +176,26 @@ def mc_sup_moment(p: float, drift, diffusion, u0: Field, grid: Grid,
 
 
 def _constant_field_norm(grid: Grid, value: float) -> float:
-    return Field.from_values(np.full(grid.n_x, value)).l2_norm()
+    return Field.from_values(np.full(grid.n_modes, value)).l2_norm()
+
+
+def _convolution_moment(p: float, sigma: float, grid: Grid, ensemble: int,
+                        master_seed: int) -> float:
+    """E[sup_t ||u(t)||^p] of the pure stochastic convolution: zero drift,
+    zero data and constant diffusion sigma. Raises RuntimeError when a path
+    breaches the blow-up threshold."""
+    sup, blown = _path_reductions(None, sigma, Field.zero(grid.n_modes), grid,
+                                  ensemble, master_seed,
+                                  DEFAULT_BLOWUP_THRESHOLD, False)
+    if blown.any():
+        raise RuntimeError("a pure-convolution path breached the blow-up "
+                           "threshold; the configuration is off scale")
+    return float(np.mean(sup ** p))
 
 
 def convolution_scaling_report(p: float, sigma_base: float,
                                lambdas: Sequence[float], grid: Grid,
-                               ensemble: int, master_seed: int,
-                               threshold: float = DEFAULT_BLOWUP_THRESHOLD):
+                               ensemble: int, master_seed: int):
     """Scaling skeleton of the pure stochastic convolution for p > 8.
 
     With zero drift, zero initial data, and constant diffusion lam * sigma_base
@@ -198,21 +211,12 @@ def convolution_scaling_report(p: float, sigma_base: float,
     lam_list = [float(lam) for lam in lambdas]
     if any(lam <= 0.0 for lam in lam_list):
         raise ValueError("scaling factors must be positive")
-    u0 = Field.zero(grid.n_modes)
-
-    def lhs(lam: float) -> float:
-        sup, blown = _path_reductions(None, lam * sigma_base, u0, grid,
-                                      ensemble, master_seed, threshold, False)
-        if blown.any():
-            raise RuntimeError("a pure-convolution path breached the blow-up "
-                               "threshold; the configuration is off scale")
-        return float(np.mean(sup ** p))
-
-    base = lhs(1.0)
+    base = _convolution_moment(p, sigma_base, grid, ensemble, master_seed)
     norm1 = _constant_field_norm(grid, sigma_base)
     rows = []
     for lam in lam_list:
-        left = base if lam == 1.0 else lhs(lam)
+        left = base if lam == 1.0 else _convolution_moment(
+            p, lam * sigma_base, grid, ensemble, master_seed)
         right = grid.T * (lam * norm1) ** p
         over_base = left / base
         rows.append({
@@ -228,15 +232,15 @@ def convolution_scaling_report(p: float, sigma_base: float,
 
 def epsilon_split_report(p: float, epsilons: Sequence[float],
                          sigma_value: float, grid: Grid, ensemble: int,
-                         master_seed: int,
-                         cap: float = CONSTANT_FEASIBILITY_CAP):
+                         master_seed: int):
     """Feasibility of E[sup conv^p] <= eps E[sup||sigma||^p] + C int term
     for moment orders p <= 8 and constant diffusion.
 
     For each epsilon the smallest feasible constant is
     C_eps = max(0, (LHS - eps A) / B) with A = ||sigma||^p and
-    B = T ||sigma||^p; a row is infeasible when C_eps exceeds the cap.
-    C_eps is recorded, not asserted against any target value.
+    B = T ||sigma||^p; a row is infeasible when C_eps exceeds
+    CONSTANT_FEASIBILITY_CAP. C_eps is recorded, not asserted against any
+    target value.
     """
     if not 1.0 <= p <= 8.0:
         raise ValueError("the split holds for moment orders 1 <= p <= 8")
@@ -249,13 +253,7 @@ def epsilon_split_report(p: float, epsilons: Sequence[float],
         left = 0.0
         A = B = 0.0
     else:
-        sup, blown = _path_reductions(None, sigma_value, Field.zero(grid.n_modes),
-                                      grid, ensemble, master_seed,
-                                      DEFAULT_BLOWUP_THRESHOLD, False)
-        if blown.any():
-            raise RuntimeError("a pure-convolution path breached the blow-up "
-                               "threshold; the configuration is off scale")
-        left = float(np.mean(sup ** p))
+        left = _convolution_moment(p, sigma_value, grid, ensemble, master_seed)
         norm = _constant_field_norm(grid, sigma_value)
         A = norm ** p
         B = grid.T * norm ** p
@@ -273,7 +271,7 @@ def epsilon_split_report(p: float, epsilons: Sequence[float],
             "lhs": left,
             "sup_term": eps * A,
             "c_epsilon": c_eps,
-            "feasible": c_eps <= cap,
+            "feasible": c_eps <= CONSTANT_FEASIBILITY_CAP,
         })
     return rows
 

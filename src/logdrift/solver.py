@@ -53,10 +53,6 @@ class Grid:
             raise ValueError("T must be positive and finite")
 
     @property
-    def n_x(self) -> int:
-        return self.n_modes
-
-    @property
     def dt(self) -> float:
         return self.T / self.n_steps
 

@@ -1,7 +1,9 @@
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logdrift import cli
 from logdrift.cli import (
@@ -187,6 +189,15 @@ def test_contract_failure_exits_1_and_names_assertion(tmp_path, capsys):
     ("moments", ["grid.n_modes=8", "grid.n_steps=16", "ensemble=30",
                  "threshold=1e-3"], 1,
      "FAIL moment reports: mollified level n=4 produced blow-ups"),
+    # non-finite initial data, a single level and a NaN threshold are
+    # config errors, not tracebacks or a switched-off blow-up rule
+    ("blowup-phase", ["grid.n_modes=8", "grid.n_steps=16", "ensemble=30",
+                      "u0=mode:1,nan"], 2, "amplitude must be finite"),
+    ("moments", ["grid.n_modes=8", "grid.n_steps=16", "ensemble=30",
+                 "u0=random:nan,1"], 2, "norm must be finite"),
+    ("uniqueness", ["levels=4"], 2, "at least two levels"),
+    ("moments", ["grid.n_modes=8", "grid.n_steps=16", "ensemble=30",
+                 "threshold=nan"], 2, "expects a number, got 'nan'"),
 ])
 def test_scenario_limits_hold_for_accepted_configs(tmp_path, capsys, scenario,
                                                    lines, code, message):
@@ -200,6 +211,70 @@ def test_scenario_limits_hold_for_accepted_configs(tmp_path, capsys, scenario,
         assert not out.exists()
     else:
         assert message in (out / "summary.txt").read_text()
+
+
+@pytest.mark.parametrize("key", [
+    "tol.kernel_rel", "tol.slope_lo", "tol.slope_hi", "tol.shape_spread",
+    "tol.uniqueness_final", "tol.scaling_rel", "tol.scaling_spread",
+    "tol.uniformity_spread", "tol.oracle_stability"])
+def test_tolerances_are_not_config_keys(tmp_path, capsys, key):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(f"{key}=1.0\n")
+    out = tmp_path / "run"
+    assert cli.main(["--scenario", "kernel-estimates", "--config",
+                     str(cfgfile), "--output-dir", str(out)]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_EDGE_FLOATS = ("nan", "inf", "-inf", "-1.0", "0.0")
+_EDGE_VALUES = {
+    "grid.T": _EDGE_FLOATS,
+    "threshold": _EDGE_FLOATS + ("1e-3",),
+    "p": _EDGE_FLOATS + ("0.5",),
+    "alpha": _EDGE_FLOATS + ("0.3",),
+    "drift.scale": _EDGE_FLOATS,
+    "drift.exponent": _EDGE_FLOATS,
+    "diffusion.d1": _EDGE_FLOATS,
+    "u0": ("mode:1,nan", "mode:1,inf", "mode:1,-3", "random:nan,1",
+           "random:-1,3", "zero"),
+    "levels": ("4", "8,4", "4,4", "0,4"),
+    "ensemble": ("-1", "10"),
+}
+
+
+@st.composite
+def _edge_configs(draw):
+    scenario = draw(st.sampled_from(["moments", "blowup-phase", "uniqueness",
+                                     "hypothesis-check", "factorization",
+                                     "isometry"]))
+    lines = [f"grid.n_modes={draw(st.sampled_from([4, 8]))}",
+             f"grid.n_steps={draw(st.sampled_from([8, 16]))}",
+             "ensemble=30"]
+    edge = st.sampled_from(sorted(_EDGE_VALUES)).flatmap(
+        lambda k: st.sampled_from(_EDGE_VALUES[k]).map(lambda v: f"{k}={v}"))
+    lines += draw(st.lists(edge, max_size=2,
+                           unique_by=lambda line: line.split("=")[0]))
+    return scenario, lines
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(_edge_configs())
+def test_every_accepted_config_exits_0_1_or_2(case):
+    # exit 1 names a failed check in summary.txt; exit 2 writes nothing
+    scenario, lines = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfgfile = Path(tmp) / "c.cfg"
+        cfgfile.write_text("\n".join(lines) + "\n")
+        out = Path(tmp) / "run"
+        code = cli.main(["--scenario", scenario, "--config", str(cfgfile),
+                         "--output-dir", str(out)])
+        assert code in (0, 1, 2)
+        summary = out / "summary.txt"
+        if code == 1:
+            assert "\nFAIL " in summary.read_text()
+        if code == 2:
+            assert not summary.exists()
 
 
 def test_spread_of_equal_and_zero_estimates():

@@ -36,7 +36,6 @@ BLOWUP_COEFFS_SHA256 = (
 def test_grid_properties_and_validation():
     g = Grid(n_modes=16, T=2.0, n_steps=128)
     assert g.dt == pytest.approx(2.0 / 128.0)
-    assert g.n_x == 16
     assert g.stiffness == pytest.approx(g.dt * 0.5 * math.pi ** 2 * 256)
     ts = g.times()
     assert ts[0] == 0.0 and ts[-1] == 2.0 and ts.size == 129
