@@ -200,6 +200,9 @@ def _validate(cfg: dict) -> None:
         raise ConfigError("threads must be >= 1")
     if cfg["ensemble"] < 1:
         raise ConfigError("ensemble must be >= 1")
+    if cfg["threshold"] <= 0.0:
+        # every norm would exceed it, so each path "blows up" at step 1
+        raise ConfigError("threshold must be > 0")
     try:
         grid = _grid_from(cfg)
         drift = _drift_from(cfg)

@@ -11,6 +11,7 @@ monotone cubic interpolation, so they are cheap, Lipschitz, and deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -159,7 +160,7 @@ def growth_check(spec: DriftSpec):
         raise HypothesisViolation(
             f"growth check: required constant climbs {d1:.3g} -> {d2:.3g} -> {d3:.3g} "
             "across the top sampled decades")
-    if c1 > CONSTANT_CAP or c2 > CONSTANT_CAP:
+    if not (c1 <= CONSTANT_CAP and c2 <= CONSTANT_CAP):
         raise HypothesisViolation(f"growth check: constants ({c1:.3g}, {c2:.3g}) exceed cap")
     return c1, c2
 
@@ -367,8 +368,8 @@ class DiffusionSpec:
     def __post_init__(self):
         if self.family not in DIFFUSION_FAMILIES:
             raise ValueError(f"unknown diffusion family {self.family!r}")
-        if self.d1 < 0.0 or self.d2 < 0.0:
-            raise ValueError("d1, d2 must be nonnegative")
+        if not (0.0 <= self.d1 < math.inf and 0.0 <= self.d2 < math.inf):
+            raise ValueError("d1, d2 must be finite and nonnegative")
         if not (0.0 <= self.theta < 1.0):
             raise ValueError("theta must lie in [0, 1)")
         if self.family == "bounded" and self.theta != 0.0:
@@ -400,15 +401,19 @@ def sublinear_check(spec: DiffusionSpec):
     flat = weights == 0.0
     d2 = float(np.max(svals[flat])) if np.any(flat) else 0.0
     d1 = _required_growth_constant(svals, weights, d2)
-    if d1 > CONSTANT_CAP or d2 > CONSTANT_CAP:
+    if not (d1 <= CONSTANT_CAP and d2 <= CONSTANT_CAP):
         raise HypothesisViolation("sublinear check: constants exceed cap")
     return d1, d2
 
 
 def lipschitz_check(spec: DiffusionSpec) -> float:
-    """Largest sampled difference quotient of sigma."""
+    """Largest sampled difference quotient of sigma; raises
+    HypothesisViolation unless it is at most the constant cap."""
     u, v = pair_sample()
     gap = np.abs(u - v)
     keep = gap > 0.0
     d = np.abs(sigma_eval(spec, u[keep]) - sigma_eval(spec, v[keep]))
-    return float(np.max(d / gap[keep]))
+    d3 = float(np.max(d / gap[keep]))
+    if not d3 <= CONSTANT_CAP:
+        raise HypothesisViolation("Lipschitz check: constant exceeds cap")
+    return d3

@@ -102,10 +102,11 @@ def _ensemble_chunks(drift, diffusion, u0: Field, grid: Grid, ensemble: int,
         return
     for lo in range(0, ensemble, _CHUNK):
         hi = min(lo + _CHUNK, ensemble)
-        Xi = np.stack([
-            sample_noise(derive_path_seed(master_seed, i), grid.n_modes,
-                         grid.n_steps, grid.dt).increments
-            for i in range(lo, hi)])
+        Xi = np.empty((hi - lo, grid.n_modes, grid.n_steps))
+        for i in range(lo, hi):
+            Xi[i - lo] = sample_noise(derive_path_seed(master_seed, i),
+                                      grid.n_modes, grid.n_steps,
+                                      grid.dt).increments
         yield (lo, hi) + solve_l2_ensemble(u0, drift, diffusion, grid, Xi, threshold)
 
 

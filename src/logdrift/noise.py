@@ -55,31 +55,34 @@ def _gaussians(raw: np.ndarray) -> np.ndarray:
     return ndtri(u)
 
 
-def _mode_increments(seed: int, mode: int, n_steps: int, dt: float) -> np.ndarray:
-    """Increments for one mode via the integer-lattice bridge cascade.
+def _mode_increments(seed: int, n_modes: int, n_steps: int, dt: float) -> np.ndarray:
+    """Increments of modes 1..n_modes via the integer-lattice bridge cascade.
 
+    Mode j draws from its own stream Philox(SeedSequence([seed, j])).
     n_steps = m * 2^v with m odd: m root increments at step dt*2^v, then v
-    halving levels. Stream row layout is level-major (roots first, then each
-    level's offsets), so coarser runs consume a prefix of finer runs' rows.
+    halving levels, each run on all modes at once. Stream row layout is
+    level-major (roots first, then each level's offsets), so coarser runs
+    consume a prefix of finer runs' rows.
     """
     v = (n_steps & -n_steps).bit_length() - 1
     m = n_steps >> v
     delta0 = dt * 2.0 ** v
     sigma0 = math.sqrt(delta0)
     q0 = math.ldexp(1.0, math.frexp(sigma0)[1] - 27)
-    bits = np.random.Philox(np.random.SeedSequence([seed, mode]))
-    raw = bits.random_raw(n_steps)
-    z = _gaussians(raw[:m])
-    ints = np.rint(z * (sigma0 / q0)).astype(np.int64)
+    raw = np.empty((n_modes, n_steps), dtype=np.uint64)
+    for j in range(1, n_modes + 1):
+        raw[j - 1] = np.random.Philox(
+            np.random.SeedSequence([seed, j])).random_raw(n_steps)
+    z = _gaussians(raw)
+    ints = np.rint(z[:, :m] * (sigma0 / q0)).astype(np.int64)
     for level in range(1, v + 1):
         q = math.ldexp(q0, -level)
         sigma_off = math.sqrt(dt * 2.0 ** (v - level) / 2.0)
         lo = m << (level - 1)
-        z = _gaussians(raw[lo:2 * lo])
-        offs = np.rint(z * (sigma_off / q)).astype(np.int64)
-        kids = np.empty(2 * ints.size, dtype=np.int64)
-        kids[0::2] = ints + offs
-        kids[1::2] = ints - offs
+        offs = np.rint(z[:, lo:2 * lo] * (sigma_off / q)).astype(np.int64)
+        kids = np.empty((n_modes, 2 * lo), dtype=np.int64)
+        kids[:, 0::2] = ints + offs
+        kids[:, 1::2] = ints - offs
         ints = kids
         if np.max(np.abs(ints)) >= 2 ** 52:
             raise OverflowError("lattice coordinates left the exact-float range")
@@ -97,9 +100,7 @@ def sample_noise(seed: int, n_modes: int, n_steps: int, dt: float) -> NoiseReali
         raise ValueError("n_modes and n_steps must be >= 1")
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError("dt must be positive and finite")
-    out = np.empty((n_modes, n_steps))
-    for j in range(1, n_modes + 1):
-        out[j - 1] = _mode_increments(int(seed), j, n_steps, dt)
+    out = _mode_increments(int(seed), n_modes, n_steps, dt)
     out.flags.writeable = False
     return NoiseRealization(int(seed), n_modes, n_steps, dt, out)
 

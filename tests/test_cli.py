@@ -198,6 +198,14 @@ def test_contract_failure_exits_1_and_names_assertion(tmp_path, capsys):
     ("uniqueness", ["levels=4"], 2, "at least two levels"),
     ("moments", ["grid.n_modes=8", "grid.n_steps=16", "ensemble=30",
                  "threshold=nan"], 2, "expects a number, got 'nan'"),
+    # a non-positive threshold makes every path "blow up" at step 1, and an
+    # infinite diffusion bound turns the hypothesis constants into NaN
+    ("blowup-phase", ["grid.n_modes=8", "grid.n_steps=16", "ensemble=30",
+                      "threshold=-1"], 2, "threshold must be > 0"),
+    ("blowup-phase", ["grid.n_modes=8", "grid.n_steps=16", "ensemble=30",
+                      "threshold=0"], 2, "threshold must be > 0"),
+    ("hypothesis-check", ["diffusion.d1=inf"], 2,
+     "d1, d2 must be finite and nonnegative"),
 ])
 def test_scenario_limits_hold_for_accepted_configs(tmp_path, capsys, scenario,
                                                    lines, code, message):

@@ -221,3 +221,17 @@ def test_sigma_validation():
         DiffusionSpec("sublinear_power", d1=-1.0)
     with pytest.raises(HypothesisViolation):
         DiffusionSpec("lipschitz_custom", func=lambda u: np.sqrt(np.abs(u)), d3=1.0)
+    for d1, d2 in [(math.inf, 0.0), (1.0, math.inf), (math.nan, 0.0), (1.0, math.nan)]:
+        with pytest.raises(ValueError):
+            DiffusionSpec("sublinear_power", d1=d1, d2=d2, theta=0.5)
+
+
+def test_nan_constants_fail_the_cap():
+    # NaN fails every comparison, so a cap test written as "c > cap" would
+    # let a NaN constant through
+    c = DiffusionSpec("lipschitz_custom", func=lambda u: np.full_like(u, np.nan),
+                      d3=1.0)
+    with pytest.raises(HypothesisViolation):
+        sublinear_check(c)
+    with pytest.raises(HypothesisViolation):
+        lipschitz_check(c)

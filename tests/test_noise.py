@@ -38,6 +38,20 @@ GOLDEN_DIGESTS = [
      "959aa6db67a83f3d981b8142add8363b5435c119e915de81c44075bf1c191cbd"),
     ((909, 8, 64, 1.0 / 64.0),
      "003b9ac26765bcbc5bb928dbb32e287221b0e489d66dd45d2d2610fcc16a1221"),
+    # the benchmark's shapes, recorded with the per-mode cascade before the
+    # cascade ran across modes; the seeds are derive_path_seed(2024, 0) and
+    # derive_path_seed(0, 3)
+    ((5514401882974304769, 64, 256, 1.0 / 256.0),
+     "d21c36c5e61fcf07c5dddbb1be963ca53997d9a974530adf824e24848075595b"),
+    ((5514401882974304769, 64, 512, 1.0 / 256.0),
+     "6e1242dfcdea34c8c9db52c5b7bdd896d56b7a317e5ca01ecb83fb0584d181bc"),
+    ((6582426945856704739, 16, 2048, 4.0 / 2048.0),
+     "cdad86bf8db689f2d50e77ea43278cb066fdb5225d4c5a4c4667b18b45a7c3c6"),
+    # edge cases: one step (a root draw, no halving level) and one mode
+    ((31, 6, 1, 0.5),
+     "b634d0cd99141134635e7edf39a70b7d4f38583889c62b1089f5231b6a86b4c1"),
+    ((77, 1, 96, 1.0 / 96.0),
+     "3b2f92b6ba20e69af4c7af8adb5305cfd245903c20a9d6614f80f3b41721733f"),
 ]
 
 
