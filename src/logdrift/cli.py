@@ -646,11 +646,17 @@ def _fmt_cfg(v) -> str:
     return str(v)
 
 
+def _echo(cfg: dict) -> str:
+    """The resolved configuration as key=value lines, in the config-file
+    grammar."""
+    return "\n".join(f"{k}={_fmt_cfg(v)}" for k, v in sorted(cfg.items()))
+
+
 def run(cfg: dict) -> int:
     """Execute the resolved configuration; returns the process exit code."""
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    echo = "\n".join(f"{k}={_fmt_cfg(v)}" for k, v in sorted(cfg.items()))
+    echo = _echo(cfg)
     print(echo)
     (out / "resolved-config.txt").write_text(echo + "\n")
     failures = SCENARIOS[cfg["scenario"]].run(cfg, out)

@@ -295,7 +295,16 @@ class MollifiedDrift:
         # interpolate the smooth convolution only; the cutoff varies fast near
         # the support edge and is applied exactly at call time
         conv = _convolve_bump(spec, grid, n)
-        self._interp = PchipInterpolator(grid, conv, extrapolate=False)
+        # PCHIP's per-interval cubic, highest power first. scipy evaluates
+        # 0.0 + c3 + ...; c3 is a node value, summed from +0.0, so never -0.0
+        coef = PchipInterpolator(grid, conv, extrapolate=False).c.T.copy()
+        self._grid, self._coef, self._edge = grid, coef, edge
+        # every breakpoint is a multiple of FINE_STEP, so each fine bucket of
+        # [-edge, edge] lies in one interval; z = edge closes the last one
+        widths = np.rint(np.diff(grid) / FINE_STEP).astype(np.int64)
+        self._bucket = np.append(
+            np.repeat(np.arange(grid.size - 1, dtype=np.int32), widths),
+            np.int32(grid.size - 2))
         mids = 0.5 * (grid[1:] + grid[:-1])
         dense = np.sort(np.concatenate([grid, mids]))
         slopes = np.diff(self(dense)) / np.diff(dense)
@@ -303,8 +312,22 @@ class MollifiedDrift:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
-        out = self._interp(z) * cutoff(z, self.params.n)
-        out = np.where(np.isnan(out), 0.0, out)
+        out = np.zeros(z.shape)
+        inside = np.abs(z) <= self._edge  # false for NaN
+        zi = z[inside]
+        # z + edge can round up onto a bucket's left end, never below it
+        bucket = ((zi + self._edge) * (1.0 / FINE_STEP)).astype(np.intp)
+        k = self._bucket.take(bucket)
+        k -= zi < self._grid.take(k)
+        s = zi - self._grid.take(k)
+        c = self._coef.take(k, axis=0)
+        ss = s * s
+        vals = c[:, 3] + c[:, 2] * s + c[:, 1] * ss + c[:, 0] * (ss * s)
+        # the cutoff is exactly 1.0 on [-n, n]
+        tail = np.abs(zi) > self.params.n
+        if tail.any():
+            vals[tail] *= cutoff(zi[tail], self.params.n)
+        out[inside] = vals
         return out if out.ndim else float(out)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 
 
 @lru_cache(maxsize=64)
@@ -26,6 +27,14 @@ def sine_matrix(n: int) -> np.ndarray:
     B = np.sqrt(2.0) * np.sin(np.outer(idx, idx) * (np.pi / (n + 1)))
     B.setflags(write=False)
     return B
+
+
+def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real 1-d arrays by real FFTs of a fast
+    length, the same arithmetic as scipy.signal.fftconvolve."""
+    size = a.size + b.size - 1
+    m = next_fast_len(size, True)
+    return irfft(rfft(a, m) * rfft(b, m), m)[:size]
 
 
 def nodes(n: int) -> np.ndarray:

@@ -24,8 +24,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.signal import fftconvolve
 from scipy.special import beta as beta_fn, betainc
+
+from .fields import fft_convolve
 
 Coefficient = float | Callable[[np.ndarray], np.ndarray]
 
@@ -140,7 +141,7 @@ def singular_weights(n_steps: int, alpha: float, dt: float) -> tuple[np.ndarray,
 def _singular_convolve(phi: np.ndarray, wl: np.ndarray, wr: np.ndarray) -> np.ndarray:
     """Apply the lower-triangular product-integration operator to phi."""
     K = phi.size - 1
-    conv = np.convolve if K <= 1024 else lambda u, v: fftconvolve(u, v)
+    conv = np.convolve if K <= 1024 else fft_convolve
     # the shifted convolution picks up a spurious j = 0 term wr[k+1] phi_0
     # whenever k + 1 <= K; cancel it
     spurious = np.append(wr[1:], 0.0) * phi[0]

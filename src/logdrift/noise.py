@@ -4,11 +4,11 @@ Increments attach to sine modes: xi_{j,k} ~ N(0, dt), independent across
 (mode, step), addressed by (seed, mode, step). Each (seed, mode) pair owns a
 counter-based stream, and values are realized through a Brownian-bridge
 cascade on an integer lattice whose quantum is a power of two: children are
-parent +- offset in exact integer arithmetic, and the float conversions
-(integer times power-of-two quantum) are exact, so a run at 2 n_steps
-reproduces the coarser run's increments as bit-identical pairwise sums. The
-lattice quantization perturbs each increment by at most half a quantum
-(about 2^-27 relative), far below Monte Carlo resolution.
+parent +- offset in exact integer arithmetic (integral float64 values below
+2^53), and the scaling (integer times power-of-two quantum) is exact, so a
+run at 2 n_steps reproduces the coarser run's increments as bit-identical
+pairwise sums. The lattice quantization perturbs each increment by at most
+half a quantum (about 2^-27 relative), far below Monte Carlo resolution.
 """
 
 from __future__ import annotations
@@ -55,6 +55,63 @@ def _gaussians(raw: np.ndarray) -> np.ndarray:
     return ndtri(u)
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _stream_keys(seed: int, n_modes: int) -> np.ndarray:
+    """SeedSequence([seed, j]).generate_state(2, np.uint64) for j = 1..n_modes.
+
+    numpy's pool mixing, run on all modes at once: every mode's entropy is
+    the seed's little-endian 32-bit words followed by j, and the hash
+    constants advance the same way for every mode, so each step is one
+    uint32 array operation (wrapping mod 2^32, as the C code does).
+    """
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    words = [seed & _MASK32]
+    while seed >> 32 * len(words):
+        words.append(seed >> 32 * len(words) & _MASK32)
+    entropy = np.empty((len(words) + 1, n_modes), dtype=np.uint32)
+    entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[-1] = np.arange(1, n_modes + 1)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return r ^ r >> 16
+
+    pad = np.zeros(n_modes, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else pad)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(entropy)):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    hash_const = _INIT_B
+    state = np.empty((n_modes, 4), dtype=np.uint32)
+    for i in range(4):
+        value = pool[i] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state[:, i] = value ^ value >> 16
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
 def _mode_increments(seed: int, n_modes: int, n_steps: int, dt: float) -> np.ndarray:
     """Increments of modes 1..n_modes via the integer-lattice bridge cascade.
 
@@ -69,24 +126,35 @@ def _mode_increments(seed: int, n_modes: int, n_steps: int, dt: float) -> np.nda
     delta0 = dt * 2.0 ** v
     sigma0 = math.sqrt(delta0)
     q0 = math.ldexp(1.0, math.frexp(sigma0)[1] - 27)
+    # one generator per call, not per module: callers run on worker threads
+    bitgen = np.random.Philox(0)
+    zeros = np.zeros(4, dtype=np.uint64)
     raw = np.empty((n_modes, n_steps), dtype=np.uint64)
-    for j in range(1, n_modes + 1):
-        raw[j - 1] = np.random.Philox(
-            np.random.SeedSequence([seed, j])).random_raw(n_steps)
+    for j, key in enumerate(_stream_keys(seed, n_modes)):
+        # the state of a freshly keyed Philox: counter 0, empty buffer
+        bitgen.state = {"bit_generator": "Philox",
+                        "state": {"counter": zeros, "key": key},
+                        "buffer": zeros, "buffer_pos": 4,
+                        "has_uint32": 0, "uinteger": 0}
+        raw[j] = bitgen.random_raw(n_steps)
     z = _gaussians(raw)
-    ints = np.rint(z[:, :m] * (sigma0 / q0)).astype(np.int64)
+    # lattice coordinates are integral float64: every sum stays below 2^53
+    # (checked per level), so the cascade is exact
+    ints = np.rint(z[:, :m] * (sigma0 / q0))
     for level in range(1, v + 1):
         q = math.ldexp(q0, -level)
         sigma_off = math.sqrt(dt * 2.0 ** (v - level) / 2.0)
         lo = m << (level - 1)
-        offs = np.rint(z[:, lo:2 * lo] * (sigma_off / q)).astype(np.int64)
-        kids = np.empty((n_modes, 2 * lo), dtype=np.int64)
-        kids[:, 0::2] = ints + offs
-        kids[:, 1::2] = ints - offs
-        ints = kids
+        offs = z[:, lo:2 * lo] * (sigma_off / q)
+        np.rint(offs, out=offs)
+        kids = np.empty((n_modes, lo, 2))
+        np.add(ints, offs, out=kids[:, :, 0])
+        np.subtract(ints, offs, out=kids[:, :, 1])
+        ints = kids.reshape(n_modes, 2 * lo)
         if np.max(np.abs(ints)) >= 2 ** 52:
             raise OverflowError("lattice coordinates left the exact-float range")
-    return ints * math.ldexp(q0, -v)
+    # + 0.0 turns a -0.0 coordinate into the +0.0 an integer lattice gives
+    return (ints + 0.0) * math.ldexp(q0, -v)
 
 
 def sample_noise(seed: int, n_modes: int, n_steps: int, dt: float) -> NoiseRealization:

@@ -20,13 +20,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .coefficients import (
     DiffusionSpec, DriftSpec, MollifierParams, drift_eval, mollifier_levels,
     mollify, sigma_eval,
 )
-from .fields import Field, sine_matrix
+from .fields import Field, fft_convolve, sine_matrix
 from .noise import NoiseRealization, sample_noise
 
 __all__ = [
@@ -261,7 +260,7 @@ def coupled_uniqueness_experiment(u0: Field, drift_spec: DriftSpec, diffusion,
 
 def _lag_convolve(kernel: np.ndarray, series: np.ndarray) -> np.ndarray:
     if kernel.size > 1024:
-        return fftconvolve(kernel, series)[:series.size]
+        return fft_convolve(kernel, series)[:series.size]
     return np.convolve(kernel, series)[:series.size]
 
 

@@ -1,9 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from logdrift import cli
 from logdrift.cli import (
@@ -283,6 +286,78 @@ def test_every_accepted_config_exits_0_1_or_2(case):
             assert "\nFAIL " in summary.read_text()
         if code == 2:
             assert not summary.exists()
+
+
+def _floats(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, **kw).map(repr)
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+_CONFIG_VALUES = {
+    "grid.n_modes": _ints(4, 128),
+    "grid.T": _floats(1e-3, 10.0),
+    "grid.n_steps": _ints(1, 4096),
+    "drift.family": st.sampled_from(["log_linear", "log_power", "linear",
+                                     "polynomial", "none"]),
+    "drift.scale": _floats(-1e3, 1e3),
+    "drift.exponent": _floats(1.0, 5.0),
+    "drift.degree": _ints(1, 5),
+    "diffusion.family": st.sampled_from(["sublinear_power", "none"]),
+    "diffusion.d1": _floats(0.0, 1e3),
+    "diffusion.d2": _floats(0.0, 1e3),
+    "diffusion.theta": _floats(0.0, 0.99),
+    "u0": st.sampled_from(["zero", "mode:3,2.5", "random:1.5,7"]),
+    "ensemble": _ints(30, 10 ** 6),
+    "master_seed": _ints(0, 2 ** 64),
+    "p": _floats(1.0, 10.0),
+    "alpha": _floats(1e-3, 0.2),
+    "levels": st.sampled_from(["4,8,16", "1,2", "64"]),
+    "lambdas": st.sampled_from(["0.5,2,4", "3"]),
+    "epsilons": st.sampled_from(["0.5,0.1,0.02", "0.25"]),
+    "threshold": _floats(1e-6, math.inf),
+    "output_dir": st.sampled_from(["runs", "out dir/a"]),
+    "threads": _ints(1, 8),
+}
+
+
+@st.composite
+def _drawn_configs(draw):
+    lines = [f"scenario={draw(st.sampled_from(sorted(cli.SCENARIOS)))}"]
+    keys = draw(st.lists(st.sampled_from(sorted(_CONFIG_VALUES)),
+                         max_size=6, unique=True))
+    lines += [f"{k}={draw(_CONFIG_VALUES[k])}" for k in keys]
+    return lines
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_drawn_configs())
+def test_resolved_config_round_trips_through_its_echo(lines):
+    # resolved-config.txt, parsed as a config file, resolves to the same
+    # values of the same types
+    with tempfile.TemporaryDirectory() as tmp:
+        drawn, echoed = Path(tmp) / "drawn.cfg", Path(tmp) / "echo.cfg"
+        drawn.write_text("\n".join(lines) + "\n")
+        try:
+            first = resolve_config(_Args(config=str(drawn)), {})
+        except ConfigError:
+            assume(False)
+        echoed.write_text(cli._echo(first) + "\n")
+        second = resolve_config(_Args(config=str(echoed)), {})
+    assert {k: (type(v), repr(v)) for k, v in second.items()} == \
+        {k: (type(v), repr(v)) for k, v in first.items()}
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    code = "import sys, logdrift.cli; print('scipy.signal' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "False"
 
 
 def test_spread_of_equal_and_zero_estimates():

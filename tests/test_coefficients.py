@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
 from logdrift.coefficients import (
     DiffusionSpec,
@@ -22,6 +23,7 @@ from logdrift.coefficients import (
     sublinear_check,
     uniform_growth_check,
 )
+from logdrift.coefficients import _convolve_bump
 
 LOG_LINEAR = DriftSpec("log_linear")
 
@@ -145,6 +147,46 @@ def test_mollify_vanishes_outside_support():
     m = mollify(LOG_LINEAR, MollifierParams(n=4))
     assert m(6.0) == 0.0
     np.testing.assert_array_equal(m(np.array([6.0, 7.5, -9.0])), np.zeros(3))
+
+
+def _drift_probes(n: int, grid: np.ndarray) -> np.ndarray:
+    """Every breakpoint, both neighbours and the midpoints, the support
+    ends, points beyond them, +-inf, NaN and +-0."""
+    edge = n + 2.0
+    return np.concatenate([
+        grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+        0.5 * (grid[1:] + grid[:-1]),
+        [edge, -edge, edge + 1e-9, -edge - 0.5, 3.0 * edge, -1e300,
+         np.inf, -np.inf, np.nan, 0.0, -0.0, n, -n],
+        np.random.default_rng(n).normal(scale=edge / 2.0, size=2000)])
+
+
+@pytest.mark.parametrize("spec", [LOG_LINEAR, DriftSpec("log_power")],
+                         ids=["log_linear", "log_power"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32, 64])
+def test_mollified_drift_matches_pchip_bit_for_bit(spec, n):
+    # the table-indexed lookup against scipy's evaluation of the same cubic
+    m = mollify(spec, MollifierParams(n=n))
+    grid = m._grid
+    ref_interp = PchipInterpolator(grid, _convolve_bump(spec, grid, n),
+                                   extrapolate=False)
+
+    def reference(z):
+        out = ref_interp(z) * cutoff(z, n)
+        return np.where(np.isnan(out), 0.0, out)
+
+    z = _drift_probes(n, grid)
+    got, ref = m(z), reference(z)
+    assert got.shape == z.shape
+    np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+    block = z[: 6 * (z.size // 6)].reshape(6, -1)
+    np.testing.assert_array_equal(m(block).view(np.uint64),
+                                  reference(block).view(np.uint64))
+    for x in (0.0, -0.0, 0.3, -(n + 1.5), n + 2.0, np.nan, np.inf):
+        value = m(x)
+        assert type(value) is float
+        assert np.float64(value).view(np.uint64) == \
+            np.float64(reference(np.float64(x))).view(np.uint64)
 
 
 def test_mollify_matches_adaptive_quadrature():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from logdrift.fields import (
     Field,
     coeffs_to_values,
+    fft_convolve,
     nodes,
     simpson_weights,
     sine_matrix,
@@ -85,3 +87,14 @@ def test_dirichlet_boundary_is_implicit():
     for edge in (0.0, 1.0):
         val = np.sum(f.coeffs * np.sqrt(2.0) * np.sin(k * np.pi * edge))
         assert abs(val) < 1e-12
+
+
+@pytest.mark.parametrize("size", [1025, 1026, 1537, 2048, 2049, 4097, 8192])
+def test_fft_convolve_matches_scipy_signal_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    a = rng.standard_normal(size)
+    for b in (rng.standard_normal(size), rng.standard_normal(size // 3 + 1)):
+        ref = fftconvolve(a, b)
+        got = fft_convolve(a, b)
+        assert got.shape == ref.shape
+        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))

@@ -1,4 +1,6 @@
 import hashlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from logdrift.fields import nodes, values_to_coeffs
 from logdrift.heat_kernel import kernel_eval
 from logdrift.noise import (
+    _stream_keys,
     derive_path_seed,
     ito_isometry_convergence_check,
     sample_noise,
@@ -59,6 +62,44 @@ GOLDEN_DIGESTS = [
 def test_absolute_noise_bits_are_pinned(args, digest):
     real = sample_noise(*args)
     assert hashlib.sha256(real.increments.tobytes()).hexdigest() == digest
+
+
+# one to five little-endian 32-bit words
+KEY_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 96 + 5, 2 ** 128 + 7]
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_stream_keys_match_seed_sequence(seed):
+    ref = np.array([np.random.SeedSequence([seed, j]).generate_state(2, np.uint64)
+                    for j in range(1, 65)])
+    keys = _stream_keys(seed, 64)
+    assert keys.dtype == np.uint64
+    np.testing.assert_array_equal(keys, ref)
+
+
+def test_negative_seed_is_rejected():
+    with pytest.raises(ValueError):
+        sample_noise(-1, 4, 8, 0.1)
+    with pytest.raises(ValueError):
+        _stream_keys(-2 ** 40, 3)
+
+
+def test_concurrent_calls_match_serial_and_golden_bits():
+    # each call owns its generator; a shared one would interleave streams
+    cases = [args for args, _ in GOLDEN_DIGESTS] * 6
+    serial = [sample_noise(*args).increments for args in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(sample_noise, *args) for args in cases]
+            threaded = [f.result(timeout=60).increments for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    digests = dict(GOLDEN_DIGESTS)
+    for args, a, b in zip(cases, serial, threaded):
+        np.testing.assert_array_equal(a, b)
+        assert hashlib.sha256(b.tobytes()).hexdigest() == digests[args]
 
 
 def test_coarsen_requires_even_steps():
