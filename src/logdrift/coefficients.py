@@ -81,6 +81,12 @@ class DriftSpec:
                 raise ValueError("declared_constants must be 5 nonnegative reals")
             validate_declared_constants(self, cs)
 
+    @property
+    def odd(self) -> bool:
+        """Whether b(-z) = -b(z) for every z, by family."""
+        return self.family in ("log_linear", "log_power", "linear") or \
+            (self.family == "polynomial" and self.degree % 2 == 1)
+
 
 def drift_eval(spec: DriftSpec, z):
     """Evaluate b(z); z may be a scalar or an array."""
@@ -342,6 +348,10 @@ def _convolve_bump(spec: DriftSpec, xs: np.ndarray, n: int):
         nodes = a[:, None] + half[:, None] * (g[None, :] + 1.0)
         fvals = drift_eval(spec, xs[:, None] - nodes / n) * bump(nodes)
         total += half * (fvals @ w)
+    if spec.odd:
+        # the bump is even, so an odd drift's convolution is exactly 0 at 0,
+        # not quadrature roundoff
+        total[xs == 0.0] = 0.0
     return total
 
 

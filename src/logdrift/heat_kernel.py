@@ -4,14 +4,15 @@ The kernel is p_t(x, y) = sum_n 2 exp(-n^2 pi^2 t / 2) sin(n pi x) sin(n pi y),
 the transition density of the semigroup generated by (1/2) d^2/dx^2 with zero
 boundary values. Two dual evaluations are kept: the spectral series, efficient
 for t away from 0, and the method-of-images sum of Gaussians
-G_t(z) = exp(-z^2 / (2t)) / sqrt(2 pi t), efficient for small t. Both are
-exposed so they can be cross-checked; `kernel_eval` switches between them at
-`switch_time`.
+G_t(z) = exp(-z^2 / (2t)) / sqrt(2 pi t), efficient for small t. Each takes
+its term count from t and `TRUNCATION_TOL`. Both are exposed so they can be
+cross-checked; `kernel_eval` switches between them at `switch_time`.
 
 Derived estimates: kernel mass and L2 size, an integrated small-time
-increment estimate (the sup-over-space time-modulus integral), a spatial
-modulus majorant series, and a log-Jensen inequality check used by the
-moment arguments.
+increment estimate (the sup-over-space time-modulus integral, split between
+the two forms at `switch_time` as `kernel_eval` is), a spatial modulus
+majorant series, and a log-Jensen inequality check used by the moment
+arguments.
 """
 from __future__ import annotations
 
@@ -25,17 +26,16 @@ from .gronwall import log_plus
 
 SQRT_PI = math.sqrt(math.pi)
 
-# image charges on each side in the Gaussian form
-N_IMAGES = 5
-
-# spectral series: absolute tail target and hard cap on terms
+# absolute truncation target of both kernel forms; hard cap on series terms
 TRUNCATION_TOL = 1e-14
 MAX_MODES = 200_000
 # x grids of the sups in mass_and_l2_bounds and time_increment_estimate, and
-# the latter's (even) count of Simpson intervals in w = sqrt(r)
+# the latter's (even) count of Simpson intervals in w = sqrt(r) and w-nodes
+# per block of its mode form (INCREMENT_X_POINTS x 128 doubles, about 1 MB)
 MASS_X_POINTS = 513
 INCREMENT_X_POINTS = 1025
 INCREMENT_W_INTERVALS = 1200
+INCREMENT_W_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,25 @@ def kernel_series(t, x, y, params: KernelParams = DEFAULT_PARAMS) -> np.ndarray:
     return out if out.shape else float(out)
 
 
+def _image_pairs(t: float) -> int:
+    # with x, y in [0, 1] the nearest dropped charge (k = +-(K+1)) lies at
+    # least 2K from its argument; bounding its Gaussian at 2K - 1 leaves room
+    # for the rest of the dropped tail
+    peak = 1.0 / math.sqrt(2.0 * math.pi * t)
+    reach = math.sqrt(2.0 * t * max(0.0, math.log(peak / TRUNCATION_TOL)))
+    return max(1, math.ceil(0.5 * (1.0 + reach)))
+
+
 def kernel_images(t, x, y) -> np.ndarray:
-    """Image-charge form of p_t(x, y); accurate for small t."""
+    """Image-charge form of p_t(x, y); accurate for small t.
+
+    Sums the charges at 2k, k = -K..K, for the fewest pairs K >= 1 whose
+    dropped Gaussians all fall below TRUNCATION_TOL: one pair up to
+    t ~ 0.015, two below switch_time, five at t = 1.
+    """
     t, x, y = _check_txy(t, x, y)
-    k = 2.0 * np.arange(-N_IMAGES, N_IMAGES + 1)
+    K = _image_pairs(t)
+    k = 2.0 * np.arange(-K, K + 1)
     xb, yb = np.broadcast_arrays(x, y)
     norm = 1.0 / math.sqrt(2.0 * math.pi * t)
     d1 = np.subtract.outer(xb - yb, k)
@@ -156,15 +171,26 @@ def mass_and_l2_bounds(t: float, params: KernelParams = DEFAULT_PARAMS) -> tuple
     return float(mass.max()), float(l2sq.max())
 
 
-def _diag_images(s: float, xs: np.ndarray) -> np.ndarray:
-    """p_s(x, x) on an x grid via images, image count adapted to s."""
-    K = int(math.ceil(math.sqrt(22.5 * s))) + 1
-    k = 2.0 * np.arange(-K, K + 1)
-    norm = 1.0 / math.sqrt(2.0 * math.pi * s)
-    same = np.exp(-k * k / (2.0 * s)).sum()
-    d = np.subtract.outer(2.0 * xs, k)
-    refl = np.exp(-d * d / (2.0 * s)).sum(axis=-1)
-    return norm * (same - refl)
+def _increment_images(r: float, h: float, xs: np.ndarray) -> np.ndarray:
+    """[p_{2r} - 2 p_{2r+h} + p_{2r+2h}](x, x) on xs, in image form."""
+    return kernel_images(2.0 * r, xs, xs) - 2.0 * kernel_images(2.0 * r + h, xs, xs) \
+        + kernel_images(2.0 * r + 2.0 * h, xs, xs)
+
+
+def _increment_modes(rs: np.ndarray, h: float, xs: np.ndarray):
+    """The same second difference in mode form, one block of r at a time.
+
+    sum_n 2 sin^2(n pi x) e^{-n^2 pi^2 r} (1 - e^{-n^2 pi^2 h/2})^2 on xs
+    (rows) for INCREMENT_W_BLOCK values of rs (columns) per yielded array,
+    with the modes the smallest r needs. Every term is nonnegative, so the
+    sum has no cancellation.
+    """
+    n = np.arange(1, _series_mode_count(2.0 * float(rs.min()), DEFAULT_PARAMS) + 1)
+    lam = (n * math.pi) ** 2
+    sin2 = 2.0 * np.sin(np.outer(xs, n * math.pi)) ** 2
+    kap2 = np.expm1(-0.5 * lam * h)[:, None] ** 2
+    for lo in range(0, rs.size, INCREMENT_W_BLOCK):
+        yield sin2 @ (kap2 * np.exp(-np.outer(lam, rs[lo : lo + INCREMENT_W_BLOCK])))
 
 
 def time_increment_estimate(h: float, R: float = 3.0) -> float:
@@ -173,10 +199,11 @@ def time_increment_estimate(h: float, R: float = 3.0) -> float:
     Computes int_0^R sup_x [p_{2r} - 2 p_{2r+h} + p_{2r+2h}](x, x) dr, the
     quantity controlling the time modulus of stochastic convolutions over a
     horizon R. The integrand equals sum_n e_n(x)^2 e^{-pi^2 n^2 r}
-    (1 - e^{-pi^2 n^2 h / 2})^2 >= 0, and the diagonal second difference is
-    evaluated in image form. The 1/sqrt(r) endpoint singularity is removed
-    by the substitution r = w^2; at w = 0 the integrand tends to
-    1/sqrt(pi) exactly.
+    (1 - e^{-pi^2 n^2 h / 2})^2 >= 0. As in `kernel_eval`, nodes with
+    2r < switch_time take the second difference in image form; the rest sum
+    that mode form directly, as one matrix product per block of nodes. The
+    1/sqrt(r) endpoint singularity is removed by the substitution r = w^2; at
+    w = 0 the integrand tends to 1/sqrt(pi) exactly.
 
     The tail beyond R is bounded by exp(-pi^2 R)/3; R must make that at
     most 1e-12.
@@ -188,13 +215,14 @@ def time_increment_estimate(h: float, R: float = 3.0) -> float:
     n_w = INCREMENT_W_INTERVALS
     xs = np.linspace(0.0, 1.0, INCREMENT_X_POINTS)[1:-1]
     ws = np.linspace(0.0, math.sqrt(R), n_w + 1)
-    vals = np.empty(n_w + 1)
+    rs = ws * ws
+    split = int(np.searchsorted(2.0 * rs, DEFAULT_PARAMS.switch_time))
+    sup = np.zeros(n_w + 1)
+    for i in range(1, split):
+        sup[i] = _increment_images(rs[i], h, xs).max()
+    sup[split:] = np.concatenate([g.max(axis=0) for g in _increment_modes(rs[split:], h, xs)])
+    vals = 2.0 * ws * sup
     vals[0] = 1.0 / SQRT_PI
-    for i in range(1, n_w + 1):
-        r = ws[i] * ws[i]
-        g = _diag_images(2.0 * r, xs) - 2.0 * _diag_images(2.0 * r + h, xs) \
-            + _diag_images(2.0 * r + 2.0 * h, xs)
-        vals[i] = 2.0 * ws[i] * g.max()
     w_quad = simpson_weights(n_w + 1, ws[1] - ws[0])
     return float(vals @ w_quad)
 
@@ -232,15 +260,23 @@ def spatial_modulus_estimate(x: float, y: float, n_terms: int = 4_000_000,
     """
     if not (0 <= x <= 1 and 0 <= y <= 1):
         raise ValueError("x and y must lie in [0, 1]")
+    if R <= 0:
+        raise ValueError("R must be positive")
     if x == y:
         return 0.0
+    # 1 - e^{-lam R} is exactly 1.0 from n_one on, where lam R > 64 log 2
+    # (libm's expm1 returns -1.0 below -56 log 2), so only n < n_one take it
+    n_one = math.floor(math.sqrt(128.0 * math.log(2.0) / R) / math.pi) + 1
     total = 0.0
     chunk = 1_000_000
     for lo in range(1, n_terms + 1, chunk):
         n = np.arange(lo, min(lo + chunk, n_terms + 1), dtype=float)
-        lam = 0.5 * (math.pi * n) ** 2
-        dsin = np.abs(np.sin(n * math.pi * x) - np.sin(n * math.pi * y))
-        total += float((2.0 * dsin * (-np.expm1(-lam * R)) / lam).sum())
+        npi = n * math.pi
+        lam = 0.5 * npi ** 2
+        term = 2.0 * np.abs(np.sin(npi * x) - np.sin(npi * y))
+        head = max(0, min(n_one - lo, n.size))
+        term[:head] *= -np.expm1(-lam[:head] * R)
+        total += float((term / lam).sum())
     return total
 
 

@@ -189,6 +189,24 @@ def test_mollified_drift_matches_pchip_bit_for_bit(spec, n):
             np.float64(reference(np.float64(x))).view(np.uint64)
 
 
+@pytest.mark.parametrize("spec", [LOG_LINEAR, DriftSpec("log_power"),
+                                  DriftSpec("linear"),
+                                  DriftSpec("polynomial", degree=3)],
+                         ids=["log_linear", "log_power", "linear", "cubic"])
+def test_odd_mollified_drift_is_exactly_zero_at_zero(spec):
+    assert spec.odd
+    for n in (4, 8, 16, 32, 64):
+        m = mollify(spec, MollifierParams(n=n))
+        assert m(0.0) == 0.0
+        assert m(-0.0) == 0.0
+
+
+def test_oddness_is_by_family():
+    assert not DriftSpec("polynomial", degree=2).odd
+    assert not DriftSpec("custom_table", table_x=(-1.0, 1.0),
+                         table_y=(-1.0, 1.0)).odd
+
+
 def test_mollify_matches_adaptive_quadrature():
     n = 16
     m = mollify(LOG_LINEAR, MollifierParams(n=n))

@@ -6,7 +6,11 @@ import pytest
 from logdrift.fields import Field, nodes, simpson_weights
 from logdrift.heat_kernel import (
     DEFAULT_PARAMS,
+    INCREMENT_X_POINTS,
     KernelParams,
+    _image_pairs,
+    _increment_images,
+    _increment_modes,
     kernel_eval,
     kernel_images,
     kernel_series,
@@ -34,6 +38,12 @@ TIME_INCREMENT_VALUE_H005 = 0.07202624940089555
 TIME_INCREMENT_CLOSED_SERIES_H005 = 0.10451055779497216774
 SPATIAL_QUAD_ORACLE = {(0.5, 0.25): 0.18749999999999784,
                        (0.5, 0.5 - 2.0**-12): 0.00024408102034207912}
+# time_increment_estimate at the CLI's h = 0.1 * 2^-k, k = 0..6, as the
+# all-image-form integrand with five fixed image pairs gave them
+TIME_INCREMENT_IMAGE_FORM = (0.10236989771954967, 0.072026249400895553,
+                             0.050843359114814378, 0.035929874517733704,
+                             0.025400400436531557, 0.017958530428301572,
+                             0.012696744316519378)
 SPATIAL_MAJORANT_VALUE = {(0.5, 0.25): 0.3749998798523254,
                           (0.5, 0.5 - 2.0**-12): 0.0014486386569628374}
 
@@ -52,6 +62,32 @@ def test_series_and_images_agree_on_overlap():
         b = kernel_images(t, xs[:, None], xs[None, :])
         tol = 1e-10 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
         assert np.all(np.abs(a - b) <= tol)
+
+
+def _images_fixed(t, x, y, pairs=12):
+    k = 2.0 * np.arange(-pairs, pairs + 1)
+    d1 = np.subtract.outer(x - y, k)
+    d2 = np.subtract.outer(x + y, k)
+    return (np.exp(-d1 * d1 / (2.0 * t)) - np.exp(-d2 * d2 / (2.0 * t))).sum(axis=-1) \
+        / math.sqrt(2.0 * math.pi * t)
+
+
+def test_adaptive_images_match_a_fixed_twelve_pair_sum():
+    xs = np.linspace(0.0, 1.0, 41)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    for t in np.logspace(-5, 0, 26):
+        a = kernel_images(t, X, Y)
+        b = _images_fixed(t, X, Y)
+        scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        assert np.max(np.abs(a - b) / scale) <= 1e-15, t
+
+
+def test_image_pair_count_follows_t():
+    assert [_image_pairs(t) for t in (1e-5, 1e-3, 0.01)] == [1, 1, 1]
+    assert _image_pairs(0.049) == 2
+    assert _image_pairs(1.0) == 5
+    counts = [_image_pairs(t) for t in np.logspace(-5, 1, 60)]
+    assert counts == sorted(counts)
 
 
 def test_kernel_eval_dispatches_on_switch_time():
@@ -142,6 +178,24 @@ def test_time_increment_frozen_value_and_oracle_band():
     assert v >= time_increment_pointwise(0.5, 0.05)
 
 
+def test_time_increment_forms_agree_near_the_split():
+    # nodes with 2r < switch_time take the image form, the rest the mode form
+    xs = np.linspace(0.0, 1.0, INCREMENT_X_POINTS)[1:-1]
+    rs = 0.5 * DEFAULT_PARAMS.switch_time * np.linspace(0.8, 1.25, 10)
+    for h in (0.1, 0.0125, 0.0015625):
+        modes = np.hstack(list(_increment_modes(rs, h, xs)))
+        assert modes.shape == (xs.size, rs.size)
+        assert np.all(modes >= 0.0)
+        for j, r in enumerate(rs):
+            assert np.max(np.abs(modes[:, j] - _increment_images(r, h, xs))) <= 1e-13
+
+
+def test_time_increment_cli_values_match_the_image_form():
+    hs = [0.1 * 2.0 ** -k for k in range(7)]
+    for h, ref in zip(hs, TIME_INCREMENT_IMAGE_FORM):
+        assert time_increment_estimate(h) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 def test_time_increment_square_root_scaling():
     hs = [2.0**-k for k in (4, 6, 8)]
     vals = [time_increment_estimate(h) for h in hs]
@@ -154,6 +208,8 @@ def test_time_increment_validation():
         time_increment_estimate(0.0)
     with pytest.raises(ValueError):
         time_increment_estimate(0.05, R=1.0)  # tail bound above 1e-12
+    with pytest.raises(ValueError):
+        spatial_modulus_estimate(0.2, 0.7, R=0.0)
 
 
 def test_spatial_modulus_dominates_quadrature_oracle():
@@ -161,6 +217,19 @@ def test_spatial_modulus_dominates_quadrature_oracle():
         maj = spatial_modulus_estimate(*pair)
         assert maj == pytest.approx(SPATIAL_MAJORANT_VALUE[pair], rel=1e-9)
         assert maj >= oracle
+
+
+@pytest.mark.parametrize("R", [1e-4, 0.3, 3.0, 50.0])
+def test_spatial_modulus_matches_the_full_series_bit_for_bit(R):
+    # the saturation factor is skipped only where it is exactly 1.0
+    def full(x, y, n_terms):
+        n = np.arange(1, n_terms + 1, dtype=float)
+        lam = 0.5 * (math.pi * n) ** 2
+        dsin = np.abs(np.sin(n * math.pi * x) - np.sin(n * math.pi * y))
+        return float((2.0 * dsin * (-np.expm1(-lam * R)) / lam).sum())
+    for x, y in ((0.2, 0.7), (0.5 - 2.0**-9, 0.5 + 2.0**-9), (0.01, 0.999)):
+        assert spatial_modulus_estimate(x, y, n_terms=100_000, R=R) == \
+            full(x, y, 100_000)
 
 
 def test_spatial_modulus_degenerate_and_symmetry():
