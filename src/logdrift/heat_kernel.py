@@ -270,11 +270,10 @@ def spatial_modulus_estimate(x: float, y: float, n_terms: int = 4_000_000,
     total = 0.0
     chunk = 1_000_000
     for lo in range(1, n_terms + 1, chunk):
-        n = np.arange(lo, min(lo + chunk, n_terms + 1), dtype=float)
-        npi = n * math.pi
+        npi = np.arange(lo, min(lo + chunk, n_terms + 1), dtype=float) * math.pi
         lam = 0.5 * npi ** 2
         term = 2.0 * np.abs(np.sin(npi * x) - np.sin(npi * y))
-        head = max(0, min(n_one - lo, n.size))
+        head = max(0, min(n_one - lo, npi.size))
         term[:head] *= -np.expm1(-lam[:head] * R)
         total += float((term / lam).sum())
     return total
