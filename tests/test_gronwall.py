@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from logdrift.gronwall import (
     OracleConvergenceError,
     STABILITY_REFERENCE,
     _bound_series,
+    _singular_operator,
     check_domination,
     check_singular_growth_bound,
     check_vanishing_log_bound,
@@ -45,6 +47,83 @@ def test_singular_weights_reduce_to_trapezoid_at_alpha_zero():
     assert np.allclose(wl[1:], 0.125)
     assert np.allclose(wr[1:], 0.125)
     assert wl[0] == wr[0] == 0.0
+
+
+def _two_convolution_operator(phi, wl, wr):
+    """The product-integration operator as the wl lag plus the shifted wr
+    lag, less the spurious j = 0 term wr[k+1] phi_0 of the shifted lag."""
+    K = phi.size - 1
+    out = (np.convolve(phi, wl)[: K + 1] + np.convolve(phi, wr)[1 : K + 2]
+           - np.append(wr[1:], 0.0) * phi[0])
+    out[0] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5])
+@pytest.mark.parametrize("K", [16, 512, 2048])
+def test_singular_operator_matches_two_convolutions(K, alpha):
+    wl, wr = singular_weights(K, alpha, 1.0 / K)
+    apply, spurious = _singular_operator(wl, wr)
+    w = wl + np.append(wr[1:], 0.0)
+    rng = np.random.default_rng(K + int(4 * alpha))
+    for _ in range(3):
+        phi = rng.uniform(0.0, 1.0, K + 1) * rng.uniform(0.0, 1.0, K + 1) ** 4
+        got = apply(phi) - spurious * phi[0]
+        err = np.abs(got - _two_convolution_operator(phi, wl, wr))
+        scale = np.convolve(np.abs(phi), np.abs(w))[: K + 1]
+        assert got[0] == 0.0
+        if K <= 1024:
+            assert np.all(err <= 1e-13 * scale)
+        else:
+            # FFT rounding is global, not causal: early entries carry error
+            # of order eps times the largest entry
+            assert np.all(err <= 1e-13 * scale.max())
+
+
+@pytest.mark.parametrize("K", [16, 512, 1024])
+def test_direct_singular_operator_is_causal_bit_for_bit(K):
+    wl, wr = singular_weights(K, 0.5, 1.0 / K)
+    apply, _ = _singular_operator(wl, wr)
+    rng = np.random.default_rng(K)
+    phi = rng.uniform(0.0, 1.0, K + 1)
+    base = apply(phi)
+    for j in (1, 2, K // 2, K):
+        bumped = phi.copy()
+        bumped[j] = 1e38
+        assert np.array_equal(apply(bumped)[:j], base[:j])
+
+
+@pytest.mark.parametrize("nonlinearity", ["superlinear", "vanishing"])
+@pytest.mark.parametrize("c3,grid_dt", [(0.0, 1.0 / 256.0), (0.7, 1.0 / 256.0),
+                                        (0.7, 1.0 / 2048.0)])
+def test_oracle_keeps_the_initial_value_exactly(nonlinearity, c3, grid_dt):
+    M = 0.3 if nonlinearity == "vanishing" else 1.7
+    prob = GronwallProblem(M=lambda t: M + 0.2 * t, c1=0.4, c2=0.6, c3=c3,
+                           alpha=0.25, grid_dt=grid_dt)
+    assert volterra_oracle(prob, nonlinearity)[0] == M
+
+
+# sha256 of volterra_oracle(...).tobytes(), recorded with the merged
+# single-convolution operator; the last case runs the FFT path at K = 8192
+ORACLE_DIGESTS = [
+    ("superlinear", GronwallProblem(M=1.5, c1=0.8, c2=0.6, grid_dt=1.0 / 256.0),
+     "5810fb78c88ec71eb3b818dd8c1e0615a8e0804a40da3671f4824b2f35a19039"),
+    ("vanishing", GronwallProblem(M=0.2, c1=0.5, c2=0.7, c3=0.4, alpha=0.25,
+                                  grid_dt=1.0 / 512.0),
+     "ae5961906aeddf91f228c91e6990976cbc7b721003cc7525c3b0887c47806ef8"),
+    ("superlinear", GronwallProblem(M=1.2, c1=0.3, c2=0.4, c3=0.5, alpha=0.5,
+                                    grid_dt=1.0 / 512.0),
+     "d19d3764654fb65cb9c41cc72487e013f2cc3302608b9d19c989adc8edb56f73"),
+    (STABILITY_REFERENCE[1][0], STABILITY_REFERENCE[1][1].refined(),
+     "638458f5967279256c5bc72d3e360ed0f4a74056f8a97ebb8036e7fc2b38926d"),
+]
+
+
+@pytest.mark.parametrize("nonlinearity,prob,digest", ORACLE_DIGESTS,
+                         ids=["superlinear", "vanishing", "singular", "stability-fft"])
+def test_oracle_bits_are_pinned(nonlinearity, prob, digest):
+    f = volterra_oracle(prob, nonlinearity)
+    assert hashlib.sha256(f.tobytes()).hexdigest() == digest
 
 
 def test_oracle_reproduces_exponential_growth():
