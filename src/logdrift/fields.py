@@ -9,9 +9,12 @@ inverses of each other up to roundoff, and the discrete L2 norm
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
+
+DIRECT_CONVOLUTION_MAX_LAGS = 1024  # lag_convolver's switch to the FFT
 
 
 @lru_cache(maxsize=64)
@@ -29,12 +32,22 @@ def sine_matrix(n: int) -> np.ndarray:
     return B
 
 
-def fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two real 1-d arrays by real FFTs of a fast
-    length, the same arithmetic as scipy.signal.fftconvolve."""
-    size = a.size + b.size - 1
-    m = next_fast_len(size, True)
-    return irfft(rfft(a, m) * rfft(b, m), m)[:size]
+def lag_convolver(w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The lower-triangular lag convolution x -> (x * w)[:n] for x of w's
+    length n.
+
+    Up to DIRECT_CONVOLUTION_MAX_LAGS lags it is the direct np.convolve(x, w),
+    whose rounding is causal (entry k reads only x[0..k]). Above, it is
+    scipy.signal.fftconvolve's arithmetic, with the spectrum of w taken once
+    here; its rounding is not causal, since every entry carries error of order
+    eps * max|x|. The operand order is part of the bits: x goes first.
+    """
+    n = w.size
+    if n - 1 <= DIRECT_CONVOLUTION_MAX_LAGS:
+        return lambda x: np.convolve(x, w)[:n]
+    m = next_fast_len(2 * n - 1, True)
+    w_hat = rfft(w, m)
+    return lambda x: irfft(rfft(x, m) * w_hat, m)[:n]
 
 
 def nodes(n: int) -> np.ndarray:

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 from scipy.integrate import quad
 from scipy.special import beta as beta_fn, betainc
+
+from .fields import lag_convolver
 
 Coefficient = float | Callable[[np.ndarray], np.ndarray]
 
@@ -143,31 +144,21 @@ def _singular_operator(wl: np.ndarray, wr: np.ndarray
     oracle call.
 
     Row k >= 1 sums wl[k-j] phi_j + wr[k+1-j] phi_j over j = 0..k, which is
-    one full convolution with the merged kernel w[m] = wl[m] + wr[m+1]
+    one lag convolution with the merged kernel w[m] = wl[m] + wr[m+1]
     (wr[K+1] = 0), less the spurious j = 0 term wr[k+1] phi_0 of the shifted
     lag. Returns (apply, spurious): the operator is
-    apply(phi) - spurious * phi[0], with row 0 zero in both. Up to K = 1024
-    apply is the direct np.convolve, whose rounding is causal (entry k reads
-    only phi[0..k]); above it the spectrum of w is taken once here and each
-    call costs one rfft and one irfft.
+    apply(phi) - spurious * phi[0], with row 0 zero in both. apply is
+    fields.lag_convolver(w): direct and causal up to
+    fields.DIRECT_CONVOLUTION_MAX_LAGS steps, one FFT pair per call above.
     """
-    K = wl.size - 1
     spurious = np.append(wr[1:], 0.0)
-    w = wl + spurious
+    convolve = lag_convolver(wl + spurious)
     spurious[0] = 0.0
-    if K <= 1024:
-        def apply(phi: np.ndarray) -> np.ndarray:
-            out = np.convolve(phi, w)[: K + 1]
-            out[0] = 0.0
-            return out
-    else:
-        m = next_fast_len(2 * K + 1, True)
-        w_hat = rfft(w, m)
 
-        def apply(phi: np.ndarray) -> np.ndarray:
-            out = irfft(rfft(phi, m) * w_hat, m)[: K + 1]
-            out[0] = 0.0
-            return out
+    def apply(phi: np.ndarray) -> np.ndarray:
+        out = convolve(phi)
+        out[0] = 0.0
+        return out
     return apply, spurious
 
 
@@ -218,14 +209,14 @@ def volterra_oracle(prob: GronwallProblem, nonlinearity: str = "superlinear") ->
     between successive iterates has not fallen below 1e-10 within 10^4
     passes, or if an iterate leaves the finite range.
 
-    Above 1024 grid steps the singular term goes through an FFT, whose
-    rounding is not causal: every entry picks up absolute error of order
-    machine epsilon times the largest |phi|, late values included. On
-    problems whose solution climbs to about 1e38 that error swamps early
-    entries of order 1, and the iteration fails: the singular corpus
-    problem make_problem_corpus("singular", 100, 0)[39] at grid_dt = 1/2048
-    raises "Picard iterate left the finite range", while the direct
-    convolution converges to a maximum of 2.9e38.
+    Above fields.DIRECT_CONVOLUTION_MAX_LAGS grid steps the singular term
+    goes through an FFT, whose rounding is not causal: every entry picks up
+    absolute error of order machine epsilon times the largest |phi|, late
+    values included. On problems whose solution climbs to about 1e38 that
+    error swamps early entries of order 1, and the iteration fails: the
+    singular corpus problem make_problem_corpus("singular", 100, 0)[39] at
+    grid_dt = 1/2048 raises "Picard iterate left the finite range", while
+    the direct convolution converges to a maximum of 2.9e38.
     """
     g = _NONLINEARITIES[nonlinearity]
     ts = prob.times()

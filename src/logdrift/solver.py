@@ -25,7 +25,7 @@ from .coefficients import (
     DiffusionSpec, DriftSpec, MollifierParams, drift_eval, mollifier_levels,
     mollify, sigma_eval,
 )
-from .fields import Field, fft_convolve, sine_matrix
+from .fields import Field, lag_convolver, sine_matrix
 from .noise import NoiseRealization, sample_noise
 
 __all__ = [
@@ -258,12 +258,6 @@ def coupled_uniqueness_experiment(u0: Field, drift_spec: DriftSpec, diffusion,
     return {"levels": levels, "pairs": pairs, "sup_diffs": sup_diffs}
 
 
-def _lag_convolve(kernel: np.ndarray, series: np.ndarray) -> np.ndarray:
-    if kernel.size > 1024:
-        return fft_convolve(kernel, series)[:series.size]
-    return np.convolve(kernel, series)[:series.size]
-
-
 def factorization_check(alpha: float, grid: Grid, noise: NoiseRealization,
                         sigma_path: Optional[np.ndarray] = None) -> float:
     """Relative sup-t L2 gap between the direct stochastic convolution and its
@@ -304,8 +298,8 @@ def factorization_check(alpha: float, grid: Grid, noise: NoiseRealization,
     logE = -0.5 * (np.arange(1, N + 1) * np.pi) ** 2 * dt
     for j in range(N):
         Epow = np.exp(logE[j] * r)
-        Zj = _lag_convolve(g * Epow, GS[:, j])
-        Y[1:, j] = c * _lag_convolve(v * Epow, Zj)
+        Zj = lag_convolver(GS[:, j])(g * Epow)
+        Y[1:, j] = c * lag_convolver(Zj)(v * Epow)
     num = np.max(np.sqrt(np.sum((Y - V) ** 2, axis=1)))
     den = np.max(np.sqrt(np.sum(V * V, axis=1)))
     if den == 0.0:

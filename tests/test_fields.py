@@ -4,8 +4,9 @@ from scipy.signal import fftconvolve
 
 from logdrift.fields import (
     Field,
+    DIRECT_CONVOLUTION_MAX_LAGS,
     coeffs_to_values,
-    fft_convolve,
+    lag_convolver,
     nodes,
     simpson_weights,
     sine_matrix,
@@ -89,12 +90,28 @@ def test_dirichlet_boundary_is_implicit():
         assert abs(val) < 1e-12
 
 
-@pytest.mark.parametrize("size", [1025, 1026, 1537, 2048, 2049, 4097, 8192])
-def test_fft_convolve_matches_scipy_signal_bit_for_bit(size):
+@pytest.mark.parametrize("size", [1026, 1537, 2048, 2049, 4097, 8192])
+def test_lag_convolver_fft_path_matches_scipy_signal_bit_for_bit(size):
+    assert size - 1 > DIRECT_CONVOLUTION_MAX_LAGS
     rng = np.random.default_rng(size)
-    a = rng.standard_normal(size)
-    for b in (rng.standard_normal(size), rng.standard_normal(size // 3 + 1)):
-        ref = fftconvolve(a, b)
-        got = fft_convolve(a, b)
-        assert got.shape == ref.shape
-        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+    x, w = rng.standard_normal(size), rng.standard_normal(size)
+    ref = fftconvolve(x, w)[:size]
+    got = lag_convolver(w)(x)
+    assert got.shape == ref.shape
+    np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("size", [16, 1024, 1025])
+def test_lag_convolver_direct_path_is_causal_bit_for_bit(size):
+    assert size - 1 <= DIRECT_CONVOLUTION_MAX_LAGS
+    rng = np.random.default_rng(size)
+    x, w = rng.standard_normal(size), rng.standard_normal(size)
+    convolve = lag_convolver(w)
+    out = convolve(x)
+    np.testing.assert_array_equal(out.view(np.uint64),
+                                  np.convolve(x, w)[:size].view(np.uint64))
+    for j in (1, 2, size // 2, size - 1):
+        spiked = x.copy()
+        spiked[j] = 1e38
+        np.testing.assert_array_equal(convolve(spiked)[:j].view(np.uint64),
+                                      out[:j].view(np.uint64))
