@@ -347,7 +347,8 @@ def _convolve_bump(spec: DriftSpec, xs: np.ndarray, n: int):
         half = 0.5 * (b - a)
         nodes = a[:, None] + half[:, None] * (g[None, :] + 1.0)
         fvals = drift_eval(spec, xs[:, None] - nodes / n) * bump(nodes)
-        total += half * (fvals @ w)
+        # einsum, not BLAS's gemv, whose rounding follows its thread count
+        total += half * np.einsum("ij,j->i", fvals, w)
     if spec.odd:
         # the bump is even, so an odd drift's convolution is exactly 0 at 0,
         # not quadrature roundoff

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +203,36 @@ def test_odd_mollified_drift_is_exactly_zero_at_zero(spec):
         m = mollify(spec, MollifierParams(n=n))
         assert m(0.0) == 0.0
         assert m(-0.0) == 0.0
+
+
+TABLE_HASH_CHILD = (
+    "import hashlib\n"
+    "from logdrift.coefficients import (DriftSpec, MollifierParams,\n"
+    "                                   _convolve_bump, mollify)\n"
+    "h = hashlib.sha256()\n"
+    "for family in ('log_linear', 'log_power'):\n"
+    "    spec = DriftSpec(family)\n"
+    "    for n in (4, 8, 16, 32, 64):\n"
+    "        grid = mollify(spec, MollifierParams(n=n))._grid\n"
+    "        h.update(_convolve_bump(spec, grid, n).tobytes())\n"
+    "print(h.hexdigest())\n")
+
+
+def test_mollifier_tables_do_not_depend_on_blas_threads():
+    # a BLAS-scheduled reduction rounds by its thread count; this can only
+    # fail on a machine with at least two CPUs
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.run([sys.executable, "-c", TABLE_HASH_CHILD],
+                               env=env, capture_output=True, text=True,
+                               timeout=300)
+        assert child.returncode == 0, child.stderr
+        digests.append(child.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_oddness_is_by_family():

@@ -28,7 +28,7 @@ FACTORIZATION_512_REFERENCE = 0.034359202283835696
 # sha256 of the solve_path coefficients in test_solver_bits_are_pinned; they
 # fail when any bit of the scheme's output moves
 STOCHASTIC_COEFFS_SHA256 = (
-    "611d63f0286972ace7842844b433fd02574c0ed09100fe575d10419c646f04ba")
+    "75b0b520012ce4ec78f286a0e49097107e011d7ed33c682a6f63bb5810d7b173")
 BLOWUP_COEFFS_SHA256 = (
     "fef2e278b5fba7a0e0343c245b4b98e829e2008e25e690e6d6d131db90f91a23")
 
