@@ -33,14 +33,12 @@ def sine_matrix(n: int) -> np.ndarray:
 
 
 def lag_convolver(w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The lower-triangular lag convolution x -> (x * w)[:n] for x of w's
-    length n.
-
-    Up to DIRECT_CONVOLUTION_MAX_LAGS lags it is the direct np.convolve(x, w),
-    whose rounding is causal (entry k reads only x[0..k]). Above, it is
-    scipy.signal.fftconvolve's arithmetic, with the spectrum of w taken once
-    here; its rounding is not causal, since every entry carries error of order
-    eps * max|x|. The operand order is part of the bits: x goes first.
+    """x -> (x * w)[:n], the lower-triangular lag convolution by w, for x of
+    w's length n. Up to DIRECT_CONVOLUTION_MAX_LAGS lags it is the direct
+    np.convolve(x, w), whose rounding is causal (entry k reads only x[:k+1]);
+    above, scipy.signal.fftconvolve's arithmetic with w's spectrum taken once
+    here, which is not causal: every entry carries error of order
+    eps * max|x|. Operand order is part of the bits: x goes first.
     """
     n = w.size
     if n - 1 <= DIRECT_CONVOLUTION_MAX_LAGS:

@@ -262,6 +262,8 @@ def spatial_modulus_estimate(x: float, y: float, n_terms: int = 4_000_000,
         raise ValueError("x and y must lie in [0, 1]")
     if R <= 0:
         raise ValueError("R must be positive")
+    if n_terms < 1:
+        raise ValueError("n_terms must be >= 1")
     if x == y:
         return 0.0
     # 1 - e^{-lam R} is exactly 1.0 from n_one on, where lam R > 64 log 2

@@ -210,6 +210,9 @@ def test_time_increment_validation():
         time_increment_estimate(0.05, R=1.0)  # tail bound above 1e-12
     with pytest.raises(ValueError):
         spatial_modulus_estimate(0.2, 0.7, R=0.0)
+    for n_terms in (0, -1):
+        with pytest.raises(ValueError):
+            spatial_modulus_estimate(0.2, 0.7, n_terms=n_terms)
 
 
 def test_spatial_modulus_dominates_quadrature_oracle():
