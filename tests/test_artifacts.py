@@ -9,7 +9,7 @@ the failure message prints every artifact with its old and new digest, and
 the new lines ready to paste.
 
 The scenarios run in two child interpreters at once with BLAS pinned to one
-thread, as the benchmark runs them. The mollifier tables no longer go
+thread, as the benchmark runs them. The mollifier tables do not go
 through BLAS, so the artifacts also match at two OpenBLAS threads;
 `test_coefficients.py` pins that for the tables themselves.
 """

@@ -3,8 +3,8 @@ import pytest
 from scipy.signal import fftconvolve
 
 from logdrift.fields import (
-    Field,
     DIRECT_CONVOLUTION_MAX_LAGS,
+    Field,
     coeffs_to_values,
     lag_convolver,
     nodes,
