@@ -30,12 +30,14 @@ from .gronwall import (
     check_domination,
     make_problem_corpus,
     osgood_classifier,
+    vanishing_data_decay,
     volterra_oracle,
 )
 from .heat_kernel import (
     KernelParams,
     kernel_eval,
     log_jensen_bound_check,
+    mass_and_l2_bounds,
     semigroup_apply,
     spatial_modulus_estimate,
     time_increment_estimate,
@@ -75,9 +77,10 @@ __all__ = [
     "epsilon_split_report", "factorization_check", "growth_check",
     "ito_isometry_convergence_check", "kernel_eval", "lipschitz_check",
     "log_jensen_bound_check", "loglip_check", "make_problem_corpus",
-    "mc_sup_moment", "mollified_uniformity_report", "mollify",
-    "osgood_classifier", "restart_window_report", "sample_noise",
+    "mass_and_l2_bounds", "mc_sup_moment", "mollified_uniformity_report",
+    "mollify", "osgood_classifier", "restart_window_report", "sample_noise",
     "semigroup_apply", "sigma_eval", "solve_l2_ensemble", "solve_path",
     "spatial_modulus_estimate", "step", "sublinear_check",
-    "time_increment_estimate", "uniform_growth_check", "volterra_oracle",
+    "time_increment_estimate", "uniform_growth_check",
+    "vanishing_data_decay", "volterra_oracle",
 ]

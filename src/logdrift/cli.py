@@ -213,8 +213,12 @@ def _validate(cfg: dict) -> None:
             mollifier_levels(levels)
     except (ValueError, HypothesisViolation) as e:
         raise ConfigError(str(e))
-    _parse_list(cfg["lambdas"], float, "lambdas")
-    _parse_list(cfg["epsilons"], float, "epsilons")
+    for key in ("lambdas", "epsilons"):
+        # a zero or negative entry raises inside the report, and an infinite
+        # epsilon makes every split trivially feasible
+        if not all(math.isfinite(v) and v > 0.0
+                   for v in _parse_list(cfg[key], float, key)):
+            raise ConfigError(f"{key} entries must be finite and > 0")
     scenario = cfg["scenario"]
     if scenario == "uniqueness" and drift is None:
         raise ConfigError("the uniqueness scenario needs a drift family")

@@ -165,20 +165,5 @@ class Field:
             return float(np.sqrt(np.sum(self._coeffs**2)))
         return float(np.sqrt(np.sum(self._values**2) / (self.n + 1)))
 
-    def __sub__(self, other: "Field") -> "Field":
-        if self.n != other.n:
-            raise ValueError("node counts differ")
-        return Field(self.n, coeffs=self.coeffs - other.coeffs)
-
-    def __add__(self, other: "Field") -> "Field":
-        if self.n != other.n:
-            raise ValueError("node counts differ")
-        return Field(self.n, coeffs=self.coeffs + other.coeffs)
-
-    def __mul__(self, scalar: float) -> "Field":
-        return Field(self.n, coeffs=self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:
         return f"Field(n={self.n}, l2={self.l2_norm():.6g})"

@@ -320,27 +320,6 @@ def _bound_series(kind: str, prob: GronwallProblem,
     raise ValueError(f"unknown bound family {kind!r}")
 
 
-def superlinear_growth_bound(prob: GronwallProblem, t: float) -> float:
-    """The superlinear closed-form bound (see _bound_series) at t."""
-    return float(_bound_series("superlinear", prob, None)[prob.snap_index(t)])
-
-
-def check_vanishing_log_bound(prob: GronwallProblem, t: float) -> tuple[float, float]:
-    """(oracle value, vanishing-log bound) at t; see _bound_series."""
-    oracle = volterra_oracle(prob, "vanishing")
-    k = prob.snap_index(t)
-    return float(oracle[k]), float(_bound_series("vanishing", prob, oracle)[k])
-
-
-def check_singular_growth_bound(prob: GronwallProblem, t: float) -> tuple[float, float]:
-    """(oracle value, bound) at t with the smallest constant C for which
-    (C M + 1)^{exp(C t)} dominates the oracle on the whole grid; see
-    _bound_series."""
-    oracle = volterra_oracle(prob, "superlinear")
-    k = prob.snap_index(t)
-    return float(oracle[k]), float(_bound_series("singular", prob, oracle)[k])
-
-
 @dataclass(frozen=True)
 class DominationReport:
     kind: str

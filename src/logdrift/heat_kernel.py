@@ -227,28 +227,6 @@ def time_increment_estimate(h: float, R: float = 3.0) -> float:
     return float(vals @ w_quad)
 
 
-def time_increment_pointwise(x: float, h: float, R: float = 3.0) -> float:
-    """Closed mode sum of the time-increment integral at a single point x.
-
-    sum_n 2 sin^2(n pi x) (1 - e^{-pi^2 n^2 h/2})^2 (1 - e^{-pi^2 n^2 R})
-    / (pi^2 n^2), truncated where the summand's 1/n^2 envelope is spent.
-    Always a lower value than the sup-in-x integral.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    N = int(max(200_000, 20.0 / math.sqrt(h)))
-    total = 0.0
-    chunk = 1_000_000
-    for lo in range(1, N + 1, chunk):
-        n = np.arange(lo, min(lo + chunk, N + 1), dtype=float)
-        lam = 0.5 * (math.pi * n) ** 2
-        kap = -np.expm1(-lam * h)
-        term = 2.0 * np.sin(n * math.pi * x) ** 2 * kap * kap \
-            * (-np.expm1(-2.0 * lam * R)) / (2.0 * lam)
-        total += float(term.sum())
-    return total
-
-
 def spatial_modulus_estimate(x: float, y: float, n_terms: int = 4_000_000,
                              R: float = 3.0) -> float:
     """Majorant series for the spatial modulus of stochastic convolutions.

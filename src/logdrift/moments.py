@@ -88,18 +88,22 @@ class MomentReport:
         return math.isfinite(self.estimate)
 
 
-def _ensemble_chunks(drift, diffusion, u0: Field, grid: Grid, ensemble: int,
-                     master_seed: int, threshold: float):
-    """Solve the ensemble in path-index order, yielding per chunk
-    (lo, hi, l2, blown, blow_steps) for paths lo..hi-1.
+def _solve_ensemble(drift, diffusion, u0: Field, grid: Grid, ensemble: int,
+                    master_seed: int, threshold: float):
+    """Solve paths 0..ensemble-1 in index order; returns (l2, blown,
+    blow_steps) as solve_l2_ensemble does, one row per path.
 
-    Chunking only bounds memory. Without diffusion every path is the same
-    solve, so one solve is yielded for all paths; its single row broadcasts
-    over [lo, hi)."""
+    Path i runs on the noise seeded by derive_path_seed(master_seed, i),
+    drawn one _CHUNK of paths at a time to bound the resident noise. Without
+    diffusion every path is the same solve, so one solve is broadcast over
+    all rows."""
     if diffusion is None:
         Xi = np.zeros((1, grid.n_modes, grid.n_steps))
-        yield (0, ensemble) + solve_l2_ensemble(u0, drift, diffusion, grid, Xi, threshold)
-        return
+        return tuple(np.broadcast_to(a, (ensemble,) + a.shape[1:]) for a in
+                     solve_l2_ensemble(u0, drift, diffusion, grid, Xi, threshold))
+    l2 = np.empty((ensemble, grid.n_steps + 1))
+    blown = np.empty(ensemble, dtype=bool)
+    blow_steps = np.empty(ensemble, dtype=int)
     for lo in range(0, ensemble, _CHUNK):
         hi = min(lo + _CHUNK, ensemble)
         Xi = np.empty((hi - lo, grid.n_modes, grid.n_steps))
@@ -107,19 +111,9 @@ def _ensemble_chunks(drift, diffusion, u0: Field, grid: Grid, ensemble: int,
             Xi[i - lo] = sample_noise(derive_path_seed(master_seed, i),
                                       grid.n_modes, grid.n_steps,
                                       grid.dt).increments
-        yield (lo, hi) + solve_l2_ensemble(u0, drift, diffusion, grid, Xi, threshold)
-
-
-def _path_reductions(drift, diffusion, u0: Field, grid: Grid, ensemble: int,
-                     master_seed: int, threshold: float, terminal: bool):
-    """Per-path sup (or terminal) L2 norm and blow-up flags."""
-    out = np.empty(ensemble)
-    blown = np.zeros(ensemble, dtype=bool)
-    for lo, hi, l2, b, _ in _ensemble_chunks(drift, diffusion, u0, grid, ensemble,
-                                             master_seed, threshold):
-        blown[lo:hi] = b
-        out[lo:hi] = l2[:, -1] if terminal else np.max(l2, axis=1)
-    return out, blown
+        l2[lo:hi], blown[lo:hi], blow_steps[lo:hi] = solve_l2_ensemble(
+            u0, drift, diffusion, grid, Xi, threshold)
+    return l2, blown, blow_steps
 
 
 def _report_config(p: float, drift, diffusion, u0: Field, grid: Grid,
@@ -171,8 +165,9 @@ def mc_sup_moment(p: float, drift, diffusion, u0: Field, grid: Grid,
     """
     config = _report_config(p, drift, diffusion, u0, grid, ensemble,
                             master_seed, threshold)
-    values, blown = _path_reductions(drift, diffusion, u0, grid, ensemble,
-                                     master_seed, threshold, terminal)
+    l2, blown, _ = _solve_ensemble(drift, diffusion, u0, grid, ensemble,
+                                   master_seed, threshold)
+    values = l2[:, -1] if terminal else np.max(l2, axis=1)
     return _report(values, blown, grid.T, dict(config, terminal=terminal))
 
 
@@ -185,13 +180,12 @@ def _convolution_moment(p: float, sigma: float, grid: Grid, ensemble: int,
     """E[sup_t ||u(t)||^p] of the pure stochastic convolution: zero drift,
     zero data and constant diffusion sigma. Raises RuntimeError when a path
     breaches the blow-up threshold."""
-    sup, blown = _path_reductions(None, sigma, Field.zero(grid.n_modes), grid,
-                                  ensemble, master_seed,
-                                  DEFAULT_BLOWUP_THRESHOLD, False)
-    if blown.any():
+    rep = mc_sup_moment(p, None, sigma, Field.zero(grid.n_modes), grid,
+                        ensemble, master_seed)
+    if rep.blowup_fraction > 0.0:
         raise RuntimeError("a pure-convolution path breached the blow-up "
                            "threshold; the configuration is off scale")
-    return float(np.mean(sup ** p))
+    return rep.estimate
 
 
 def convolution_scaling_report(p: float, sigma_base: float,
@@ -318,16 +312,10 @@ def restart_window_report(p: float, drift, diffusion, u0: Field, grid: Grid,
     config = _report_config(p, drift, diffusion, u0, grid, ensemble,
                             master_seed, threshold)
     K = grid.n_steps
-    full = Grid(grid.n_modes, 2.0 * grid.T, 2 * K)
-    sup1 = np.empty(ensemble)
-    sup2 = np.empty(ensemble)
-    blown1 = np.zeros(ensemble, dtype=bool)
-    blown2 = np.zeros(ensemble, dtype=bool)
-    for lo, hi, l2, b, steps in _ensemble_chunks(drift, diffusion, u0, full, ensemble,
-                                                 master_seed, threshold):
-        sup1[lo:hi] = np.max(l2[:, :K + 1], axis=1)
-        sup2[lo:hi] = np.max(l2[:, K:], axis=1)
-        blown1[lo:hi] = b & (steps <= K)
-        blown2[lo:hi] = b
-    return (_report(sup1, blown1, grid.T, dict(config, window="first")),
-            _report(sup2, blown2, 2.0 * grid.T, dict(config, window="second")))
+    l2, blown, steps = _solve_ensemble(drift, diffusion, u0,
+                                       Grid(grid.n_modes, 2.0 * grid.T, 2 * K),
+                                       ensemble, master_seed, threshold)
+    return (_report(np.max(l2[:, :K + 1], axis=1), blown & (steps <= K),
+                    grid.T, dict(config, window="first")),
+            _report(np.max(l2[:, K:], axis=1), blown, 2.0 * grid.T,
+                    dict(config, window="second")))

@@ -258,8 +258,7 @@ def coupled_uniqueness_experiment(u0: Field, drift_spec: DriftSpec, diffusion,
     return {"levels": levels, "pairs": pairs, "sup_diffs": sup_diffs}
 
 
-def factorization_check(alpha: float, grid: Grid, noise: NoiseRealization,
-                        sigma_path: Optional[np.ndarray] = None) -> float:
+def factorization_check(alpha: float, grid: Grid, noise: NoiseRealization) -> float:
     """Relative sup-t L2 gap between the direct stochastic convolution and its
     two-stage form (sin(alpha pi)/pi) J^{alpha-1}(J_alpha sigma), both built
     from the same increments.
@@ -272,17 +271,8 @@ def factorization_check(alpha: float, grid: Grid, noise: NoiseRealization,
         raise ValueError("alpha must lie in (0, 1/4)")
     _check_noise(grid, noise)
     N, K, dt = grid.n_modes, grid.n_steps, grid.dt
-    B = sine_matrix(N)
-    inv_np1 = 1.0 / (N + 1)
     E, gamma = _propagators(N, dt)
-    if sigma_path is None:
-        S = noise.increments[:N].T.copy()  # sigma == 1: transform round trip skipped
-    else:
-        sp = np.asarray(sigma_path, dtype=float)
-        if sp.shape != (K, N):
-            raise ValueError("sigma_path must be (n_steps, n_x) nodal values")
-        S = ((sp * (noise.increments[:N].T @ B)) @ B) * inv_np1
-    GS = gamma * S  # (K, N)
+    GS = gamma * noise.increments[:N].T  # (K, N); sigma == 1 needs no transform
     # direct convolution: V_{k+1} = E (V_k) + GS_k
     V = np.zeros((K + 1, N))
     for k in range(K):

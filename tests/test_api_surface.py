@@ -1,0 +1,66 @@
+"""Every public function and class in the package is API or is used.
+
+A module-level public name that is neither exported nor called from the
+package itself is code that only tests reach; it belongs in the tests or
+in an ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import logdrift
+
+SRC = Path(logdrift.__file__).resolve().parent
+
+
+def _declared_all(tree: ast.Module) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _read_names(stmt: ast.stmt) -> set:
+    """Names that stmt reads, as a bare name or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Attribute)
+            or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def unreached_public_names(src: Path) -> list:
+    """Public module-level functions and classes of the package at src that
+    no __all__ lists and no other top-level statement of the package reads,
+    as module.name."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(src.glob("*.py"))}
+    exported = _declared_all(trees["__init__"])
+    reads = [(stmt, _read_names(stmt))
+             for tree in trees.values() for stmt in tree.body]
+    found = []
+    for module, tree in trees.items():
+        listed = exported | _declared_all(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_") \
+                    and node.name not in listed \
+                    and not any(node.name in names
+                                for stmt, names in reads if stmt is not node):
+                found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_every_public_name_is_exported_or_used_in_the_package():
+    assert unreached_public_names(SRC) == []
+
+
+def test_guard_flags_a_name_that_only_its_own_body_reads(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        'from .m import api\n__all__ = ["api"]\n')
+    (tmp_path / "m.py").write_text(
+        "def api():\n    return helper()\n\n\n"
+        "def helper():\n    return 1\n\n\n"
+        "def orphan(n):\n    return orphan(n - 1) if n else 0\n")
+    assert unreached_public_names(tmp_path) == ["m.orphan"]

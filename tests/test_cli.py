@@ -209,7 +209,14 @@ def test_contract_failure_exits_1_and_names_assertion(tmp_path, capsys):
                       "threshold=0"], 2, "threshold must be > 0"),
     ("hypothesis-check", ["diffusion.d1=inf"], 2,
      "d1, d2 must be finite and nonnegative"),
-])
+    # a non-positive entry would raise inside a report, an infinite epsilon
+    # would pass vacuously, and a NaN one would fail a check
+] + [("moments", ["grid.n_modes=8", "grid.n_steps=16", "ensemble=30",
+                  f"{key}={value}"], 2, f"{key} entries must be finite and > 0")
+     for key, value in [("lambdas", "-1"), ("lambdas", "0"), ("lambdas", "nan"),
+                        ("lambdas", "inf"), ("epsilons", "-0.5"),
+                        ("epsilons", "0"), ("epsilons", "nan"),
+                        ("epsilons", "inf")]])
 def test_scenario_limits_hold_for_accepted_configs(tmp_path, capsys, scenario,
                                                    lines, code, message):
     cfgfile = tmp_path / "c.cfg"
@@ -251,6 +258,8 @@ _EDGE_VALUES = {
            "random:-1,3", "zero"),
     "levels": ("4", "8,4", "4,4", "0,4"),
     "ensemble": ("-1", "10"),
+    "lambdas": _EDGE_FLOATS,
+    "epsilons": _EDGE_FLOATS,
 }
 
 

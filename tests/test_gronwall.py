@@ -11,13 +11,10 @@ from logdrift.gronwall import (
     _bound_series,
     _singular_operator,
     check_domination,
-    check_singular_growth_bound,
-    check_vanishing_log_bound,
     make_problem_corpus,
     osgood_classifier,
     singular_weights,
     superlinear_g,
-    superlinear_growth_bound,
     vanishing_data_decay,
     vanishing_g,
     volterra_oracle,
@@ -137,7 +134,7 @@ def test_oracle_reproduces_superlinear_double_exponential():
     f = volterra_oracle(prob, "superlinear")
     assert f[-1] == pytest.approx(TWO_TO_E, rel=5e-6)
     # the closed-form bound is the exact solution here: the inequality is sharp
-    bound = superlinear_growth_bound(prob, 1.0)
+    bound = _bound_series("superlinear", prob, None)[prob.snap_index(1.0)]
     assert bound == pytest.approx(TWO_TO_E, rel=1e-12)
     assert abs(f[-1] - bound) < 5e-6 * bound
 
@@ -182,34 +179,38 @@ def test_problem_validation():
 
 def test_superlinear_bound_preconditions():
     with pytest.raises(ValueError):
-        superlinear_growth_bound(GronwallProblem(M=0.5, c1=1.0), 1.0)
+        _bound_series("superlinear", GronwallProblem(M=0.5, c1=1.0), None)
     with pytest.raises(ValueError):
-        superlinear_growth_bound(GronwallProblem(M=2.0, c3=1.0, alpha=0.25), 1.0)
+        _bound_series("superlinear", GronwallProblem(M=2.0, c3=1.0, alpha=0.25),
+                      None)
 
 
 def test_superlinear_bound_classical_reduction():
     # c2 = 0 collapses the bound to M e^{c1 t}
     prob = GronwallProblem(M=3.0, c1=0.8, T=1.0, grid_dt=1.0 / 512.0)
-    assert superlinear_growth_bound(prob, 1.0) == pytest.approx(3.0 * math.exp(0.8), rel=1e-9)
-    assert superlinear_growth_bound(prob, 0.0) == pytest.approx(3.0)
+    bound = _bound_series("superlinear", prob, None)
+    assert bound[prob.snap_index(1.0)] == pytest.approx(3.0 * math.exp(0.8), rel=1e-9)
+    assert bound[prob.snap_index(0.0)] == pytest.approx(3.0)
 
 
 def test_vanishing_bound_constants_monotone_in_time():
     prob = GronwallProblem(M=0.2, c1=0.5, c2=0.7, c3=0.4, alpha=0.25, T=1.0)
-    pairs = [check_vanishing_log_bound(prob, t) for t in (0.25, 0.5, 1.0)]
-    bounds = [b for _, b in pairs]
-    assert bounds == sorted(bounds)
-    for orc, bnd in pairs:
-        assert orc <= bnd + 1e-9
+    oracle = volterra_oracle(prob, "vanishing")
+    bound = _bound_series("vanishing", prob, oracle)
+    ks = [prob.snap_index(t) for t in (0.25, 0.5, 1.0)]
+    assert [bound[k] for k in ks] == sorted(bound[k] for k in ks)
+    for k in ks:
+        assert oracle[k] <= bound[k] + 1e-9
 
 
 def test_singular_bound_bisection_minimality():
     prob = GronwallProblem(M=2.0, c1=0.4, c2=0.5, c3=0.6, alpha=0.5, T=1.0)
-    orc, bnd = check_singular_growth_bound(prob, 1.0)
-    assert orc <= bnd * (1.0 + 1e-6)
     f = volterra_oracle(prob, "superlinear")
+    bound = _bound_series("singular", prob, f)
+    k = prob.snap_index(1.0)
+    assert f[k] <= bound[k] * (1.0 + 1e-6)
     # the bound at t = 0 is C M(0) + 1, which gives back the constant found
-    C = (_bound_series("singular", prob, f)[0] - 1.0) / 2.0
+    C = (bound[0] - 1.0) / 2.0
     ts = prob.times()
 
     def dominates(c):

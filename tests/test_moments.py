@@ -123,6 +123,9 @@ def test_scaling_report_validation():
         convolution_scaling_report(10.0, 1.0, (0.0,), g, 30, 0)
     with pytest.raises(ValueError):
         convolution_scaling_report(10.0, 0.0, (2.0,), g, 30, 0)
+    # the ensemble floor of mc_sup_moment, which runs the convolution
+    with pytest.raises(ValueError):
+        convolution_scaling_report(10.0, 1.0, (2.0,), g, 29, 0)
 
 
 def test_epsilon_split_feasible_and_monotone():

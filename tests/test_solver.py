@@ -8,7 +8,7 @@ from logdrift.coefficients import (
     DiffusionSpec, DriftSpec, MollifierParams, mollify,
 )
 from logdrift.fields import Field
-from logdrift.noise import sample_noise
+from logdrift.noise import NoiseRealization, sample_noise
 from logdrift.solver import (
     Grid,
     coupled_uniqueness_experiment,
@@ -276,10 +276,11 @@ def test_factorization_identity_refines():
 def test_factorization_trivial_and_validation():
     g = Grid(n_modes=8, T=1.0, n_steps=32)
     noise = sample_noise(2, 8, 32, g.dt)
-    assert factorization_check(0.2, g, noise, sigma_path=np.zeros((32, 8))) == 0.0
+    silent = NoiseRealization(2, 8, 32, g.dt, np.zeros((8, 32)))
+    assert factorization_check(0.2, g, silent) == 0.0
     with pytest.raises(ValueError):
         factorization_check(0.3, g, noise)
     with pytest.raises(ValueError):
         factorization_check(0.0, g, noise)
     with pytest.raises(ValueError):
-        factorization_check(0.1, g, noise, sigma_path=np.zeros((5, 8)))
+        factorization_check(0.1, Grid(n_modes=8, T=1.0, n_steps=16), noise)
