@@ -14,7 +14,6 @@ from .coefficients import (
     DriftSpec,
     HypothesisViolation,
     MollifiedDrift,
-    MollifierParams,
     drift_eval,
     growth_check,
     lipschitz_check,
@@ -63,24 +62,22 @@ from .solver import (
     factorization_check,
     solve_l2_ensemble,
     solve_path,
-    step,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DiffusionSpec", "DriftSpec", "Field", "Grid", "GronwallProblem",
-    "HypothesisViolation", "KernelParams", "MollifiedDrift",
-    "MollifierParams", "MomentReport", "NoiseRealization", "Trajectory",
-    "check_domination", "convolution_scaling_report",
-    "coupled_uniqueness_experiment", "derive_path_seed", "drift_eval",
-    "epsilon_split_report", "factorization_check", "growth_check",
-    "ito_isometry_convergence_check", "kernel_eval", "lipschitz_check",
-    "log_jensen_bound_check", "loglip_check", "make_problem_corpus",
-    "mass_and_l2_bounds", "mc_sup_moment", "mollified_uniformity_report",
-    "mollify", "osgood_classifier", "restart_window_report", "sample_noise",
-    "semigroup_apply", "sigma_eval", "solve_l2_ensemble", "solve_path",
-    "spatial_modulus_estimate", "step", "sublinear_check",
-    "time_increment_estimate", "uniform_growth_check",
+    "HypothesisViolation", "KernelParams", "MollifiedDrift", "MomentReport",
+    "NoiseRealization", "Trajectory", "check_domination",
+    "convolution_scaling_report", "coupled_uniqueness_experiment",
+    "derive_path_seed", "drift_eval", "epsilon_split_report",
+    "factorization_check", "growth_check", "ito_isometry_convergence_check",
+    "kernel_eval", "lipschitz_check", "log_jensen_bound_check", "loglip_check",
+    "make_problem_corpus", "mass_and_l2_bounds", "mc_sup_moment",
+    "mollified_uniformity_report", "mollify", "osgood_classifier",
+    "restart_window_report", "sample_noise", "semigroup_apply", "sigma_eval",
+    "solve_l2_ensemble", "solve_path", "spatial_modulus_estimate",
+    "sublinear_check", "time_increment_estimate", "uniform_growth_check",
     "vanishing_data_decay", "volterra_oracle",
 ]

@@ -200,6 +200,9 @@ def _validate(cfg: dict) -> None:
         raise ConfigError("threads must be >= 1")
     if cfg["ensemble"] < 1:
         raise ConfigError("ensemble must be >= 1")
+    if cfg["master_seed"] < 0:
+        # noise seeds are nonnegative integers
+        raise ConfigError("master_seed must be >= 0")
     if cfg["threshold"] <= 0.0:
         # every norm would exceed it, so each path "blows up" at step 1
         raise ConfigError("threshold must be > 0")
@@ -220,8 +223,9 @@ def _validate(cfg: dict) -> None:
                    for v in _parse_list(cfg[key], float, key)):
             raise ConfigError(f"{key} entries must be finite and > 0")
     scenario = cfg["scenario"]
-    if scenario == "uniqueness" and drift is None:
-        raise ConfigError("the uniqueness scenario needs a drift family")
+    if scenario in ("moments", "uniqueness") and drift is None:
+        # both mollify the drift
+        raise ConfigError(f"the {scenario} scenario needs a drift family")
     if scenario == "uniqueness" and len(levels) < 2:
         raise ConfigError("the uniqueness scenario needs at least two levels")
     if scenario in ("moments", "blowup-phase") and \
@@ -243,7 +247,6 @@ def resolve_config(args, env) -> dict:
         raise ConfigError(f"unknown scenario {scenario!r} (known: {known})")
     cfg = dict(BASE_DEFAULTS)
     cfg.update(SCENARIO_DEFAULTS[scenario])
-    cfg["scenario"] = scenario
     if "LOGDRIFT_SEED" in env:
         cfg["master_seed"] = _coerce("master_seed", env["LOGDRIFT_SEED"])
     cfg.update(file_cfg)
@@ -472,9 +475,8 @@ def _run_moments(cfg: dict, out: Path) -> list:
                               threshold=cfg["threshold"]),
         lambda: restart_window_report(cfg["p"], drift, diffusion, u0, grid,
                                       ens, seed, threshold=cfg["threshold"]),
-        lambda: convolution_scaling_report(10.0, 1.0, lambdas, grid, ens,
-                                           seed),
-        lambda: epsilon_split_report(2.0, epsilons, 1.0, grid, ens, seed),
+        lambda: convolution_scaling_report(10.0, lambdas, grid, ens, seed),
+        lambda: epsilon_split_report(2.0, epsilons, grid, ens, seed),
         lambda: mollified_uniformity_report(levels, cfg["p"], drift,
                                             diffusion, u0, grid, ens, seed,
                                             threshold=cfg["threshold"]),

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import linprog
 
-from .gronwall import log_plus
+from .fields import log_plus
 
 CONSTANT_CAP = 1.0e6
 
@@ -236,17 +236,6 @@ QUAD_POINTS = 96
 GROWTH_LEVELS = (1, 2, 4, 8, 16, 32, 64)
 
 
-@dataclass(frozen=True)
-class MollifierParams:
-    """Mollification level n >= 1."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("mollifier level must be >= 1")
-
-
 def mollifier_levels(levels: Sequence[int]) -> list[int]:
     """The levels as a list of ints, checked to be >= 1 and strictly
     increasing, as level sweeps over mollified drifts need them."""
@@ -289,10 +278,11 @@ class MollifiedDrift:
     monotone cubic; evaluation outside [-(n+2), n+2] returns 0 exactly.
     """
 
-    def __init__(self, spec: DriftSpec, params: MollifierParams):
+    def __init__(self, spec: DriftSpec, n: int):
+        if n < 1:
+            raise ValueError("mollifier level must be >= 1")
         self.spec = spec
-        self.params = params
-        n = params.n
+        self.n = n
         edge = n + 2.0
         coarse = np.arange(-edge, edge + 0.5 * COARSE_STEP, COARSE_STEP)
         inner = min(1.0, edge)
@@ -330,9 +320,9 @@ class MollifiedDrift:
         ss = s * s
         vals = c[:, 3] + c[:, 2] * s + c[:, 1] * ss + c[:, 0] * (ss * s)
         # the cutoff is exactly 1.0 on [-n, n]
-        tail = np.abs(zi) > self.params.n
+        tail = np.abs(zi) > self.n
         if tail.any():
-            vals[tail] *= cutoff(zi[tail], self.params.n)
+            vals[tail] *= cutoff(zi[tail], self.n)
         out[inside] = vals
         return out if out.ndim else float(out)
 
@@ -356,8 +346,8 @@ def _convolve_bump(spec: DriftSpec, xs: np.ndarray, n: int):
     return total
 
 
-def mollify(spec: DriftSpec, params: MollifierParams) -> MollifiedDrift:
-    return MollifiedDrift(spec, params)
+def mollify(spec: DriftSpec, n: int) -> MollifiedDrift:
+    return MollifiedDrift(spec, n)
 
 
 def uniform_growth_check(spec: DriftSpec) -> float:
@@ -372,7 +362,7 @@ def uniform_growth_check(spec: DriftSpec) -> float:
     envelope = c1 * np.abs(zs) * log_plus(np.abs(zs))
     worst = 0.0
     for n in GROWTH_LEVELS:
-        bn = mollify(spec, MollifierParams(n=n))
+        bn = mollify(spec, n)
         excess = (np.abs(bn(zs)) - envelope) / (np.abs(zs) + 1.0)
         worst = max(worst, float(np.max(excess)))
     return max(worst, 0.0)

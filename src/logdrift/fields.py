@@ -53,6 +53,11 @@ def nodes(n: int) -> np.ndarray:
     return np.arange(1, n + 1) / (n + 1)
 
 
+def log_plus(z):
+    """log of max(1, |z|), elementwise."""
+    return np.log(np.maximum(1.0, np.abs(z)))
+
+
 def values_to_coeffs(values: np.ndarray) -> np.ndarray:
     n = values.shape[-1]
     return values @ sine_matrix(n) / (n + 1)
@@ -154,10 +159,6 @@ class Field:
         if self._coeffs is None:
             self._coeffs = values_to_coeffs(self._values)
         return self._coeffs
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return nodes(self.n)
 
     def l2_norm(self) -> float:
         # Parseval: sum(coeffs^2) == sum(values^2)/(n+1)

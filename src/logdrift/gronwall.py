@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import beta as beta_fn, betainc
 
-from .fields import lag_convolver
+from .fields import lag_convolver, log_plus
 
 Coefficient = float | Callable[[np.ndarray], np.ndarray]
 
@@ -37,11 +37,6 @@ OSGOOD_TAIL_RATIO = 0.75
 
 class OracleConvergenceError(RuntimeError):
     """Raised when Picard iteration fails to settle; never silently ignored."""
-
-
-def log_plus(z):
-    """log of max(1, |z|), elementwise."""
-    return np.log(np.maximum(1.0, np.abs(z)))
 
 
 def superlinear_g(x):

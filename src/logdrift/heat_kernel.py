@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, simpson_weights, nodes
-from .gronwall import log_plus
+from .fields import Field, log_plus, nodes, simpson_weights
 
 SQRT_PI = math.sqrt(math.pi)
 

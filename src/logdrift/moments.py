@@ -20,8 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .coefficients import (
-    DiffusionSpec, DriftSpec, MollifiedDrift, MollifierParams, mollifier_levels,
-    mollify,
+    DiffusionSpec, DriftSpec, MollifiedDrift, mollifier_levels, mollify,
 )
 from .fields import Field
 from .noise import derive_path_seed, sample_noise
@@ -52,7 +51,7 @@ def _describe(obj) -> str:
     if isinstance(obj, (DriftSpec, DiffusionSpec)):
         return repr(obj)
     if isinstance(obj, MollifiedDrift):
-        return f"mollified[n={obj.params.n}]:{obj.spec!r}"
+        return f"mollified[n={obj.n}]:{obj.spec!r}"
     return f"callable:{getattr(obj, '__name__', type(obj).__name__)}"
 
 
@@ -188,30 +187,27 @@ def _convolution_moment(p: float, sigma: float, grid: Grid, ensemble: int,
     return rep.estimate
 
 
-def convolution_scaling_report(p: float, sigma_base: float,
-                               lambdas: Sequence[float], grid: Grid,
-                               ensemble: int, master_seed: int):
+def convolution_scaling_report(p: float, lambdas: Sequence[float],
+                               grid: Grid, ensemble: int, master_seed: int):
     """Scaling skeleton of the pure stochastic convolution for p > 8.
 
-    With zero drift, zero initial data, and constant diffusion lam * sigma_base
-    under common noise seeds, LHS(lam) = E[sup_t ||u_lam(t)||^p] must follow
-    the exact power law LHS(lam)/LHS(1) = lam^p, and the ratio of LHS to
-    RHS(lam) = int_0^T ||lam sigma_base||^p dt is one lam-free constant.
+    With zero drift, zero initial data, and constant diffusion lam under
+    common noise seeds, LHS(lam) = E[sup_t ||u_lam(t)||^p] must follow the
+    exact power law LHS(lam)/LHS(1) = lam^p, and the ratio of LHS to
+    RHS(lam) = int_0^T ||lam||^p dt is one lam-free constant.
     Returns one row per requested lam with both diagnostics.
     """
     if p <= 8.0:
         raise ValueError("the scaling skeleton needs moment order p > 8")
-    if not sigma_base > 0.0:
-        raise ValueError("sigma_base must be positive")
     lam_list = [float(lam) for lam in lambdas]
     if any(lam <= 0.0 for lam in lam_list):
         raise ValueError("scaling factors must be positive")
-    base = _convolution_moment(p, sigma_base, grid, ensemble, master_seed)
-    norm1 = _constant_field_norm(grid, sigma_base)
+    base = _convolution_moment(p, 1.0, grid, ensemble, master_seed)
+    norm1 = _constant_field_norm(grid, 1.0)
     rows = []
     for lam in lam_list:
         left = base if lam == 1.0 else _convolution_moment(
-            p, lam * sigma_base, grid, ensemble, master_seed)
+            p, lam, grid, ensemble, master_seed)
         right = grid.T * (lam * norm1) ** p
         over_base = left / base
         rows.append({
@@ -225,11 +221,11 @@ def convolution_scaling_report(p: float, sigma_base: float,
     return rows
 
 
-def epsilon_split_report(p: float, epsilons: Sequence[float],
-                         sigma_value: float, grid: Grid, ensemble: int,
-                         master_seed: int):
+def epsilon_split_report(p: float, epsilons: Sequence[float], grid: Grid,
+                         ensemble: int, master_seed: int):
     """Feasibility of E[sup conv^p] <= eps E[sup||sigma||^p] + C int term
-    for moment orders p <= 8 and constant diffusion.
+    for moment orders p <= 8 and constant diffusion sigma = 1; every side
+    scales as sigma^p, so C_eps and feasibility hold for any sigma > 0.
 
     For each epsilon the smallest feasible constant is
     C_eps = max(0, (LHS - eps A) / B) with A = ||sigma||^p and
@@ -239,28 +235,17 @@ def epsilon_split_report(p: float, epsilons: Sequence[float],
     """
     if not 1.0 <= p <= 8.0:
         raise ValueError("the split holds for moment orders 1 <= p <= 8")
-    if sigma_value < 0.0:
-        raise ValueError("sigma_value must be nonnegative")
     eps_list = [float(e) for e in epsilons]
     if any(e <= 0.0 for e in eps_list):
         raise ValueError("epsilon values must be positive")
-    if sigma_value == 0.0:
-        left = 0.0
-        A = B = 0.0
-    else:
-        left = _convolution_moment(p, sigma_value, grid, ensemble, master_seed)
-        norm = _constant_field_norm(grid, sigma_value)
-        A = norm ** p
-        B = grid.T * norm ** p
+    left = _convolution_moment(p, 1.0, grid, ensemble, master_seed)
+    norm = _constant_field_norm(grid, 1.0)
+    A = norm ** p
+    B = grid.T * norm ** p
     rows = []
     for eps in eps_list:
         slack = left - eps * A
-        if slack <= 0.0:
-            c_eps = 0.0
-        elif B > 0.0:
-            c_eps = slack / B
-        else:
-            c_eps = math.inf
+        c_eps = 0.0 if slack <= 0.0 else slack / B
         rows.append({
             "epsilon": eps,
             "lhs": left,
@@ -285,7 +270,7 @@ def mollified_uniformity_report(levels: Sequence[int], p: float,
     levels = mollifier_levels(levels)
     rows = []
     for n in levels:
-        bn = mollify(drift_spec, MollifierParams(n=n))
+        bn = mollify(drift_spec, n)
         rep = mc_sup_moment(p, bn, diffusion, u0, grid, ensemble, master_seed,
                             threshold)
         if rep.blowup_fraction > 0.0:

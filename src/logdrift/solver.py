@@ -22,14 +22,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .coefficients import (
-    DiffusionSpec, DriftSpec, MollifierParams, drift_eval, mollifier_levels,
-    mollify, sigma_eval,
+    DiffusionSpec, DriftSpec, drift_eval, mollifier_levels, mollify,
+    sigma_eval,
 )
 from .fields import Field, lag_convolver, sine_matrix
 from .noise import NoiseRealization, sample_noise
 
 __all__ = [
-    "Grid", "Trajectory", "step", "solve_path", "solve_l2_ensemble",
+    "Grid", "Trajectory", "solve_path", "solve_l2_ensemble",
     "coupled_uniqueness_experiment", "factorization_check",
 ]
 
@@ -93,9 +93,7 @@ def _as_sigma(diffusion) -> Callable:
     if isinstance(diffusion, (int, float)):
         c = float(diffusion)
         return lambda u: np.full_like(u, c)
-    if callable(diffusion):
-        return diffusion
-    raise TypeError("diffusion must be None, a DiffusionSpec, a constant, or a callable")
+    raise TypeError("diffusion must be None, a DiffusionSpec, or a constant")
 
 
 def _propagators(n_modes: int, dt: float):
@@ -123,17 +121,6 @@ def _scheme(drift, diffusion, grid: Grid) -> Callable:
         return E * U + gamma * shat
 
     return advance
-
-
-def step(u: Field, drift, diffusion, xi: np.ndarray, grid: Grid) -> Field:
-    """Advance one time step; xi holds this step's modal increments."""
-    if u.n != grid.n_modes:
-        raise ValueError("field resolution does not match the grid")
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (grid.n_modes,):
-        raise ValueError("xi must have one increment per mode")
-    advance = _scheme(drift, diffusion, grid)
-    return Field.from_coeffs(advance(u.coeffs[None], xi[None])[0])
 
 
 def _check_noise(grid: Grid, noise: NoiseRealization):
@@ -243,7 +230,7 @@ def coupled_uniqueness_experiment(u0: Field, drift_spec: DriftSpec, diffusion,
     noise = sample_noise(seed, grid.n_modes, grid.n_steps, grid.dt)
     paths = []
     for n in levels:
-        bn = mollify(drift_spec, MollifierParams(n=n))
+        bn = mollify(drift_spec, n)
         traj = solve_path(u0, bn, diffusion, grid, noise, threshold=threshold)
         if traj.blown_up:
             raise RuntimeError(

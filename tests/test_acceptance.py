@@ -125,8 +125,7 @@ def test_criterion_07_additive_terminal_moment():
 
 def test_criterion_08_amplitude_scaling_law():
     grid = Grid(n_modes=16, T=1.0, n_steps=128)
-    rows = convolution_scaling_report(10.0, 1.0, (0.5, 2.0, 4.0), grid,
-                                      100, 777)
+    rows = convolution_scaling_report(10.0, (0.5, 2.0, 4.0), grid, 100, 777)
     worst = max(r["power_rel_err"] for r in rows)
     assert worst <= 1e-12, f"power-law relative error {worst:.3e}"
     ratios = [r["ratio"] for r in rows]

@@ -2,10 +2,11 @@
 
 A module-level public name that is neither exported nor called from the
 package itself is code that only tests reach; it belongs in the tests or
-in an ``__all__``.
+in an ``__all__``. Conversely, every name an ``__all__`` lists is bound.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import logdrift
@@ -54,6 +55,19 @@ def unreached_public_names(src: Path) -> list:
 
 def test_every_public_name_is_exported_or_used_in_the_package():
     assert unreached_public_names(SRC) == []
+
+
+def test_every_all_entry_is_bound_in_its_module():
+    # a stale entry would otherwise surface only on a star import
+    unbound = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "logdrift" if path.stem == "__init__" \
+            else f"logdrift.{path.stem}"
+        module = importlib.import_module(name)
+        unbound += [f"{name}.{entry}"
+                    for entry in getattr(module, "__all__", ())
+                    if not hasattr(module, entry)]
+    assert unbound == []
 
 
 def test_guard_flags_a_name_that_only_its_own_body_reads(tmp_path):

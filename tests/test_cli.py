@@ -157,6 +157,20 @@ def test_env_seed_used_by_main(tmp_path, monkeypatch, capsys):
     assert "master_seed=90210" in (out / "resolved-config.txt").read_text()
 
 
+@pytest.mark.parametrize("scenario,flags,env", [
+    ("isometry", ["--seed", "-1"], {}),
+    ("factorization", [], {"LOGDRIFT_SEED": "-1"})], ids=["flag", "env"])
+def test_negative_seed_exits_2(tmp_path, monkeypatch, capsys, scenario,
+                               flags, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    out = tmp_path / "run"
+    assert cli.main(["--scenario", scenario, *flags,
+                     "--output-dir", str(out)]) == 2
+    assert "master_seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_contract_failure_exits_1_and_names_assertion(tmp_path, capsys):
     # a critical drift from moderate data never reaches the threshold, so
     # the blow-up scenario's contract must fail honestly
@@ -216,7 +230,16 @@ def test_contract_failure_exits_1_and_names_assertion(tmp_path, capsys):
      for key, value in [("lambdas", "-1"), ("lambdas", "0"), ("lambdas", "nan"),
                         ("lambdas", "inf"), ("epsilons", "-0.5"),
                         ("epsilons", "0"), ("epsilons", "nan"),
-                        ("epsilons", "inf")]])
+                        ("epsilons", "inf")]]
+    # a negative seed is a config error in every scenario, not a traceback
+    # from the noise layer
+    + [(scenario, ["grid.n_modes=8", "grid.n_steps=16", "ensemble=30",
+                   "master_seed=-1"], 2, "master_seed must be >= 0")
+       for scenario in sorted(cli.SCENARIOS)]
+    # the moments scenario mollifies the drift, so it needs one
+    + [("moments", ["grid.n_modes=8", "grid.n_steps=16", "ensemble=30",
+                    "drift.family=none"], 2,
+        "the moments scenario needs a drift family")])
 def test_scenario_limits_hold_for_accepted_configs(tmp_path, capsys, scenario,
                                                    lines, code, message):
     cfgfile = tmp_path / "c.cfg"
@@ -258,6 +281,8 @@ _EDGE_VALUES = {
            "random:-1,3", "zero"),
     "levels": ("4", "8,4", "4,4", "0,4"),
     "ensemble": ("-1", "10"),
+    "master_seed": ("-1", "0"),
+    "drift.family": ("none", "log_linear"),
     "lambdas": _EDGE_FLOATS,
     "epsilons": _EDGE_FLOATS,
 }

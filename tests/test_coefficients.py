@@ -13,7 +13,6 @@ from logdrift.coefficients import (
     DiffusionSpec,
     DriftSpec,
     HypothesisViolation,
-    MollifierParams,
     bump,
     cutoff,
     drift_eval,
@@ -142,13 +141,13 @@ def test_cutoff_profile():
 
 
 def test_mollify_preserves_affine_inside_plateau():
-    m = mollify(DriftSpec("linear"), MollifierParams(n=8))
+    m = mollify(DriftSpec("linear"), 8)
     xs = np.linspace(-7.0, 7.0, 101)
     assert np.max(np.abs(m(xs) - xs)) < 1e-12
 
 
 def test_mollify_vanishes_outside_support():
-    m = mollify(LOG_LINEAR, MollifierParams(n=4))
+    m = mollify(LOG_LINEAR, 4)
     assert m(6.0) == 0.0
     np.testing.assert_array_equal(m(np.array([6.0, 7.5, -9.0])), np.zeros(3))
 
@@ -170,7 +169,7 @@ def _drift_probes(n: int, grid: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32, 64])
 def test_mollified_drift_matches_pchip_bit_for_bit(spec, n):
     # the table-indexed lookup against scipy's evaluation of the same cubic
-    m = mollify(spec, MollifierParams(n=n))
+    m = mollify(spec, n)
     grid = m._grid
     ref_interp = PchipInterpolator(grid, _convolve_bump(spec, grid, n),
                                    extrapolate=False)
@@ -200,20 +199,19 @@ def test_mollified_drift_matches_pchip_bit_for_bit(spec, n):
 def test_odd_mollified_drift_is_exactly_zero_at_zero(spec):
     assert spec.odd
     for n in (4, 8, 16, 32, 64):
-        m = mollify(spec, MollifierParams(n=n))
+        m = mollify(spec, n)
         assert m(0.0) == 0.0
         assert m(-0.0) == 0.0
 
 
 TABLE_HASH_CHILD = (
     "import hashlib\n"
-    "from logdrift.coefficients import (DriftSpec, MollifierParams,\n"
-    "                                   _convolve_bump, mollify)\n"
+    "from logdrift.coefficients import DriftSpec, _convolve_bump, mollify\n"
     "h = hashlib.sha256()\n"
     "for family in ('log_linear', 'log_power'):\n"
     "    spec = DriftSpec(family)\n"
     "    for n in (4, 8, 16, 32, 64):\n"
-    "        grid = mollify(spec, MollifierParams(n=n))._grid\n"
+    "        grid = mollify(spec, n)._grid\n"
     "        h.update(_convolve_bump(spec, grid, n).tobytes())\n"
     "print(h.hexdigest())\n")
 
@@ -243,7 +241,7 @@ def test_oddness_is_by_family():
 
 def test_mollify_matches_adaptive_quadrature():
     n = 16
-    m = mollify(LOG_LINEAR, MollifierParams(n=n))
+    m = mollify(LOG_LINEAR, n)
     for x in (0.001, 0.3, 5.0, 15.5, 17.2):
         direct = quad(lambda y: drift_eval(LOG_LINEAR, y) * bump(n * (x - y)) * n,
                       x - 1.0 / n, x + 1.0 / n,
@@ -254,7 +252,7 @@ def test_mollify_matches_adaptive_quadrature():
 
 def test_mollify_converges_pointwise():
     target = drift_eval(LOG_LINEAR, 5.0)
-    errs = [abs(mollify(LOG_LINEAR, MollifierParams(n=n))(5.0) - target)
+    errs = [abs(mollify(LOG_LINEAR, n)(5.0) - target)
             for n in (4, 8, 16, 32)]
     assert all(a > b for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 1e-4
@@ -266,13 +264,13 @@ def test_mollify_moving_argument_convergence():
     errs = []
     for n in (4, 8, 16, 32, 64):
         xk = x + 1.0 / n ** 3
-        errs.append(abs(mollify(LOG_LINEAR, MollifierParams(n=n))(xk) - target))
+        errs.append(abs(mollify(LOG_LINEAR, n)(xk) - target))
     assert errs[-1] < 1e-4
     assert errs[-1] < errs[0]
 
 
 def test_mollify_lipschitz_bound_holds_on_samples():
-    m = mollify(LOG_LINEAR, MollifierParams(n=8))
+    m = mollify(LOG_LINEAR, 8)
     rng = np.random.default_rng(7)
     xs = rng.uniform(-10.5, 10.5, size=400)
     ys = rng.uniform(-10.5, 10.5, size=400)
@@ -290,7 +288,7 @@ def test_uniform_growth_constant_finite_across_levels():
 
 def test_mollifier_params_validation():
     with pytest.raises(ValueError):
-        MollifierParams(n=0)
+        mollify(LOG_LINEAR, 0)
 
 
 def test_sigma_families():

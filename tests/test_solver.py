@@ -4,9 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from logdrift.coefficients import (
-    DiffusionSpec, DriftSpec, MollifierParams, mollify,
-)
+from logdrift.coefficients import DiffusionSpec, DriftSpec, mollify
 from logdrift.fields import Field
 from logdrift.noise import NoiseRealization, sample_noise
 from logdrift.solver import (
@@ -15,7 +13,6 @@ from logdrift.solver import (
     factorization_check,
     solve_l2_ensemble,
     solve_path,
-    step,
 )
 
 CRITICAL = DriftSpec("log_linear")
@@ -57,7 +54,9 @@ def test_pure_semigroup_decay():
 def test_every_mode_decays_by_exact_factor():
     g = Grid(n_modes=8, T=1.0, n_steps=100)
     u = Field.random_l2(8, norm=2.0, seed=1)
-    out = step(u, None, None, np.zeros(8), g)
+    one_step = Grid(8, g.dt, 1)
+    silent = NoiseRealization(0, 8, 1, one_step.dt, np.zeros((8, 1)))
+    out = solve_path(u, None, None, one_step, silent).final()
     E = np.exp(-0.5 * (np.arange(1, 9) * np.pi) ** 2 * g.dt)
     np.testing.assert_array_equal(out.coeffs, E * u.coeffs)
 
@@ -145,7 +144,7 @@ def _sha256(a: np.ndarray) -> str:
 def test_solver_bits_are_pinned():
     g = Grid(n_modes=16, T=0.5, n_steps=128)
     traj = solve_path(Field.random_l2(16, 3.0, seed=4),
-                      mollify(CRITICAL, MollifierParams(n=16)), BOUNDED, g,
+                      mollify(CRITICAL, 16), BOUNDED, g,
                       sample_noise(31, 16, 128, g.dt))
     assert traj.coeffs.shape == (129, 16)
     assert _sha256(traj.coeffs) == STOCHASTIC_COEFFS_SHA256
@@ -253,8 +252,7 @@ def test_deterministic_mollified_levels_approach_reference():
     ref = solve_path(u0, CRITICAL, None, fine)
     finals = []
     for n in (8, 64):
-        from logdrift.coefficients import MollifierParams, mollify
-        traj = solve_path(u0, mollify(CRITICAL, MollifierParams(n=n)), None, g)
+        traj = solve_path(u0, mollify(CRITICAL, n), None, g)
         finals.append(traj.final().coeffs)
     ref_final = ref.final().coeffs
     errs = [float(np.sqrt(np.sum((f - ref_final) ** 2))) for f in finals]
