@@ -60,8 +60,8 @@ class DriftSpec:
             raise ValueError(f"unknown drift family {self.family!r}")
         if not np.isfinite(self.scale):
             raise ValueError("scale must be finite")
-        if self.family == "log_power" and self.exponent < 1.0:
-            raise ValueError("log_power exponent must be >= 1")
+        if self.family == "log_power" and not 1.0 <= self.exponent < math.inf:
+            raise ValueError("log_power exponent must be finite and >= 1")
         if self.family == "polynomial" and self.degree < 1:
             raise ValueError("polynomial degree must be >= 1")
         if self.family == "custom_table":
@@ -188,11 +188,15 @@ def loglip_check(spec: DriftSpec):
 
     Solved as a linear program (minimize c3+c4+c5 subject to the sampled
     inequalities, all constants in [0, cap]). Infeasibility at the cap is
-    how discontinuous or super-log-Lipschitz drifts surface.
+    how discontinuous or super-log-Lipschitz drifts surface; a drift whose
+    sampled differences leave the float range raises as well.
     """
     u, v = pair_sample()
     t1, t2, t3 = loglip_terms(u, v)
     d = np.abs(drift_eval(spec, u) - drift_eval(spec, v))
+    if not np.all(np.isfinite(d)):
+        raise HypothesisViolation("log-Lipschitz check: a sampled drift "
+                                  "difference is not finite")
     keep = d > 0.0
     if not np.any(keep):
         return 0.0, 0.0, 0.0
@@ -291,6 +295,9 @@ class MollifiedDrift:
         # interpolate the smooth convolution only; the cutoff varies fast near
         # the support edge and is applied exactly at call time
         conv = _convolve_bump(spec, grid, n)
+        if not np.all(np.isfinite(conv)):
+            raise HypothesisViolation(f"mollified drift at level n={n} is not "
+                                      "finite on its lookup grid")
         # PCHIP's per-interval cubic, highest power first. scipy evaluates
         # 0.0 + c3 + ...; c3 is a node value, summed from +0.0, so never -0.0
         coef = PchipInterpolator(grid, conv, extrapolate=False).c.T.copy()

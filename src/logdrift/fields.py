@@ -121,7 +121,7 @@ class Field:
 
     @classmethod
     def zero(cls, n: int) -> "Field":
-        return cls(n, coeffs=np.zeros(n))
+        return cls.from_coeffs(np.zeros(n))
 
     @classmethod
     def mode(cls, n: int, k: int, amplitude: float = 1.0) -> "Field":
@@ -132,7 +132,7 @@ class Field:
             raise ValueError("amplitude must be finite")
         c = np.zeros(n)
         c[k - 1] = amplitude
-        return cls(n, coeffs=c)
+        return cls.from_coeffs(c)
 
     @classmethod
     def random_l2(cls, n: int, norm: float, seed: int) -> "Field":
@@ -146,7 +146,7 @@ class Field:
         rng = np.random.default_rng(seed)
         c = rng.standard_normal(n) / np.arange(1, n + 1)
         c *= norm / np.sqrt(np.sum(c * c))
-        return cls(n, coeffs=c)
+        return cls.from_coeffs(c)
 
     @property
     def values(self) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Gronwall-type comparison bounds with logarithmic nonlinearities.
 
-Everything here revolves around one scalar Volterra inequality on [0, T]:
+Everything here revolves around one scalar Volterra inequality on [0, 1]
+with constant coefficients:
 
-    f(t) <= M(t) + int_0^t c1(s) f(s) ds + int_0^t c2(s) g(f(s)) ds
-                 + int_0^t (t-s)^{-alpha} c3(s) f(s) ds,
+    f(t) <= M + int_0^t c1 f(s) ds + int_0^t c2 g(f(s)) ds
+              + int_0^t (t-s)^{-alpha} c3 f(s) ds,
 
 where g is either the superlinear x log_+ x or the vanishing-data
 x log_+(1/x). An independent oracle computes the maximal solution of the
@@ -27,8 +28,6 @@ from scipy.integrate import quad
 from scipy.special import beta as beta_fn, betainc
 
 from .fields import lag_convolver, log_plus
-
-Coefficient = float | Callable[[np.ndarray], np.ndarray]
 
 MAX_PICARD_ITERATIONS = 10_000
 PICARD_TOL = 1e-10
@@ -59,59 +58,37 @@ _NONLINEARITIES = {"superlinear": superlinear_g, "vanishing": vanishing_g}
 
 @dataclass
 class GronwallProblem:
-    """Data of one Volterra inequality.
+    """Data of one Volterra inequality on [0, 1].
 
-    M is the nondecreasing forcing (constant or callable on [0, T]); c1, c2,
-    c3 are nonnegative bounded coefficients (constants or callables); alpha
-    in [0, 1/2] is the kernel singularity; the oracle and all bounds are
-    evaluated on the uniform grid with spacing grid_dt.
+    M is the constant forcing; c1, c2, c3 are the constant coefficients, all
+    finite and nonnegative; alpha in [0, 1/2] is the kernel singularity; the
+    oracle and all bounds are evaluated on the uniform grid with spacing
+    grid_dt.
     """
 
-    M: Coefficient
-    c1: Coefficient = 0.0
-    c2: Coefficient = 0.0
-    c3: Coefficient = 0.0
+    M: float
+    c1: float = 0.0
+    c2: float = 0.0
+    c3: float = 0.0
     alpha: float = 0.0
-    T: float = 1.0
     grid_dt: float = 1.0 / 256.0
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 0.5:
             raise ValueError("alpha must lie in [0, 1/2]")
-        if self.T <= 0 or self.grid_dt <= 0 or self.grid_dt > self.T:
-            raise ValueError("need 0 < grid_dt <= T")
-        ts = self.times()
-        for name in ("c1", "c2", "c3"):
-            if np.any(_sample(getattr(self, name), ts) < 0):
-                raise ValueError(f"{name} must be nonnegative")
-        mv = _sample(self.M, ts)
-        if np.any(mv < 0):
-            raise ValueError("M must be nonnegative")
-        if np.any(np.diff(mv) < -1e-12 * max(1.0, float(np.max(np.abs(mv))))):
-            raise ValueError("M must be nondecreasing")
+        if not 0.0 < self.grid_dt <= 1.0:
+            raise ValueError("need 0 < grid_dt <= 1")
+        for name in ("M", "c1", "c2", "c3"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and nonnegative")
 
     def times(self) -> np.ndarray:
-        n = max(1, round(self.T / self.grid_dt))
-        return np.linspace(0.0, self.T, n + 1)
-
-    def snap_index(self, t: float) -> int:
-        if not 0.0 <= t <= self.T * (1 + 1e-12):
-            raise ValueError("t outside [0, T]")
-        ts = self.times()
-        return int(round(t / (ts[1] - ts[0])))
+        return np.linspace(0.0, 1.0, max(1, round(1.0 / self.grid_dt)) + 1)
 
     def refined(self) -> "GronwallProblem":
         """The same problem on the halved grid."""
         return dataclasses.replace(self, grid_dt=self.grid_dt / 2.0)
-
-
-def _sample(c: Coefficient, ts: np.ndarray) -> np.ndarray:
-    if callable(c):
-        out = np.asarray(c(ts), dtype=float)
-        if out.shape != ts.shape:
-            raise ValueError("coefficient callable must map the grid to the grid")
-        return out
-    return np.full_like(ts, float(c))
 
 
 def singular_weights(n_steps: int, alpha: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -216,24 +193,20 @@ def volterra_oracle(prob: GronwallProblem, nonlinearity: str = "superlinear") ->
     g = _NONLINEARITIES[nonlinearity]
     ts = prob.times()
     dt = ts[1] - ts[0]
-    Mv = _sample(prob.M, ts)
-    c1v = _sample(prob.c1, ts)
-    c2v = _sample(prob.c2, ts)
-    c3v = _sample(prob.c3, ts)
-    use_singular = bool(np.any(c3v > 0))
-    forcing = Mv
-    if use_singular:
+    c1, c2, c3 = prob.c1, prob.c2, prob.c3
+    forcing = Mv = np.full_like(ts, prob.M)
+    if c3 > 0:
         wl, wr = singular_weights(ts.size - 1, prob.alpha, dt)
         corr0, corr1 = _startup_corrections(ts.size - 1, prob.alpha, dt, wl, wr)
         singular, spurious = _singular_operator(wl, wr)
-        # every iterate keeps f[0] = M(0), so phi[0] is fixed for the call
-        forcing = Mv + (corr0 - spurious) * (c3v[0] * Mv[0])
+        # every iterate keeps f[0] = M, so phi[0] is fixed for the call
+        forcing = Mv + (corr0 - spurious) * (c3 * prob.M)
     f = Mv.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(MAX_PICARD_ITERATIONS):
-            fn = forcing + _cumtrapz(c1v * f + c2v * g(f), dt)
-            if use_singular:
-                phi = c3v * f
+            fn = forcing + _cumtrapz(c1 * f + c2 * g(f), dt)
+            if c3 > 0:
+                phi = c3 * f
                 fn += singular(phi)
                 fn += corr1 * phi[1]
             if not np.all(np.isfinite(fn)):
@@ -254,41 +227,39 @@ def _bound_series(kind: str, prob: GronwallProblem,
     oracle is the problem's Volterra oracle on the same grid; the
     superlinear family does not read it.
 
-    superlinear: M(t)^{exp(C2(t))} * exp(exp(C2(t)) * int_0^t c1 e^{-C2}),
-      C2 = int c2. Requires M(0) >= 1 so the power is monotone in its base,
+    superlinear: M^{exp(C2(t))} * exp(exp(C2(t)) * int_0^t c1 e^{-C2}),
+      C2 = int c2. Requires M >= 1 so the power is monotone in its base,
       and c3 == 0.
-    vanishing: C(t) M(t) + C(t) int_0^t f log_+(1/f), f the oracle and
+    vanishing: C(t) M + C(t) int_0^t f log_+(1/f), f the oracle and
       C(t) = max(C1, C3) e^{C2 t}, with the three increasing constants of
       the iterated inequality. One substitution of the inequality into its
       own singular term, Fubini on the double kernel (Beta(1-alpha, 1-alpha)
-      moment), then classical Gronwall on the linear part give, with the
-      sups of c1, c2, c3:
+      moment), then classical Gronwall on the linear part give:
         C1(t) = 1 + c3 t^{1-alpha}/(1-alpha)
         C2(t) = c1 C1(t) + c3^2 B(1-alpha, 1-alpha) t^{1-2 alpha}
         C3(t) = c2 C1(t)
-    singular: (C M(t) + 1)^{exp(C t)} with the smallest dominating constant
+    singular: (C M + 1)^{exp(C t)} with the smallest dominating constant
       C. Domination over the whole grid is monotone in C, so the least
       feasible C is found by bisection in [1, 1e6] (comparisons in log space
       to dodge overflow). Raises if even the upper endpoint fails.
     """
     ts = prob.times()
     dt = ts[1] - ts[0]
-    Mv = _sample(prob.M, ts)
+    Mv = np.full_like(ts, prob.M)
     if kind == "superlinear":
-        if Mv[0] < 1.0:
-            raise ValueError("bound requires M(0) >= 1")
-        if np.any(_sample(prob.c3, ts) > 0):
+        if prob.M < 1.0:
+            raise ValueError("bound requires M >= 1")
+        if prob.c3 > 0:
             raise ValueError("singular coefficient not covered by this bound")
-        C2 = _cumtrapz(_sample(prob.c2, ts), dt)
-        inner = _cumtrapz(_sample(prob.c1, ts) * np.exp(-C2), dt)
+        C2 = _cumtrapz(np.full_like(ts, prob.c2), dt)
+        inner = _cumtrapz(prob.c1 * np.exp(-C2), dt)
         E = np.exp(C2)
         return Mv**E * np.exp(E * inner)
     if kind == "vanishing":
-        c1v, c2v, c3v = (float(_sample(c, ts).max()) for c in (prob.c1, prob.c2, prob.c3))
         a = prob.alpha
-        C1 = 1.0 + c3v * ts ** (1.0 - a) / (1.0 - a)
-        C2 = c1v * C1 + c3v**2 * float(beta_fn(1.0 - a, 1.0 - a)) * ts ** (1.0 - 2.0 * a)
-        C3 = c2v * C1
+        C1 = 1.0 + prob.c3 * ts ** (1.0 - a) / (1.0 - a)
+        C2 = prob.c1 * C1 + prob.c3**2 * float(beta_fn(1.0 - a, 1.0 - a)) * ts ** (1.0 - 2.0 * a)
+        C3 = prob.c2 * C1
         C = np.maximum(C1, C3) * np.exp(C2 * ts)
         return C * (Mv + _cumtrapz(vanishing_g(oracle), dt))
     if kind == "singular":
@@ -365,7 +336,7 @@ def vanishing_data_decay(eps_values: Sequence[float],
     sups = []
     for eps in eps_values:
         prob = GronwallProblem(M=float(eps), c1=0.25, c2=0.5, c3=0.25,
-                               alpha=0.5, T=1.0, grid_dt=grid_dt)
+                               alpha=0.5, grid_dt=grid_dt)
         sups.append(float(volterra_oracle(prob, "vanishing").max()))
     return np.asarray(sups)
 
@@ -456,8 +427,7 @@ def make_problem_corpus(kind: str, count: int, seed: int) -> list[GronwallProble
             M = float(rng.uniform(1.0, 5.0))
         else:
             raise ValueError(f"unknown corpus kind {kind!r}")
-        out.append(GronwallProblem(M=M, c1=c1, c2=c2, c3=c3, alpha=alpha,
-                                   T=1.0))
+        out.append(GronwallProblem(M=M, c1=c1, c2=c2, c3=c3, alpha=alpha))
     return out
 
 
@@ -466,9 +436,9 @@ def make_problem_corpus(kind: str, count: int, seed: int) -> list[GronwallProble
 # the startup singularity is corrected, and the 1e-6 sup-norm stability
 # target is absolute.
 STABILITY_REFERENCE = (
-    ("superlinear", GronwallProblem(M=1.5, c1=0.8, c2=0.6, T=1.0, grid_dt=1.0 / 4096.0)),
+    ("superlinear", GronwallProblem(M=1.5, c1=0.8, c2=0.6, grid_dt=1.0 / 4096.0)),
     ("vanishing", GronwallProblem(M=0.2, c1=0.5, c2=0.7, c3=0.4, alpha=0.25,
-                                  T=1.0, grid_dt=1.0 / 4096.0)),
+                                  grid_dt=1.0 / 4096.0)),
     ("superlinear", GronwallProblem(M=1.2, c1=0.3, c2=0.4, c3=0.5, alpha=0.5,
-                                    T=1.0, grid_dt=1.0 / 32768.0)),
+                                    grid_dt=1.0 / 32768.0)),
 )

@@ -33,21 +33,6 @@ class NoiseRealization:
     dt: float
     increments: np.ndarray  # (n_modes, n_steps), row j-1 holds mode j
 
-    def modal_paths(self) -> np.ndarray:
-        """W^j at the grid times, including t = 0: shape (n_modes, n_steps+1)."""
-        out = np.zeros((self.n_modes, self.n_steps + 1))
-        np.cumsum(self.increments, axis=1, out=out[:, 1:])
-        return out
-
-    def coarsened(self) -> "NoiseRealization":
-        """The same path on the twice-coarser grid (exact pairwise sums)."""
-        if self.n_steps % 2:
-            raise ValueError("cannot coarsen an odd number of steps")
-        pair = self.increments[:, 0::2] + self.increments[:, 1::2]
-        pair.flags.writeable = False
-        return NoiseRealization(self.seed, self.n_modes, self.n_steps // 2,
-                                2.0 * self.dt, pair)
-
 
 def _gaussians(raw: np.ndarray) -> np.ndarray:
     # strictly inside (0,1) and exactly symmetric under k -> 2^53-1-k

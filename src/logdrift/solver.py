@@ -71,9 +71,6 @@ class Trajectory:
     blowup_time: Optional[float]
     coeffs: np.ndarray         # (computed steps + 1, n_modes)
 
-    def final(self) -> Field:
-        return Field.from_coeffs(self.coeffs[-1])
-
 
 def _as_drift(drift) -> Optional[Callable]:
     if drift is None:

@@ -3,15 +3,24 @@
 A module-level public name that is neither exported nor called from the
 package itself is code that only tests reach; it belongs in the tests or
 in an ``__all__``. Conversely, every name an ``__all__`` lists is bound.
+A public method or property that no statement of the package reads is
+test-only code as well, exported class or not.
 """
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import logdrift
 
 SRC = Path(logdrift.__file__).resolve().parent
+
+# members kept although the package does not read them yet, with the reason
+UNREAD_MEMBERS_KEPT = {
+    "solver.Grid.stiffness": "the per-run metrics file (ROADMAP item 5) "
+                             "will report it",
+}
 
 
 def _declared_all(tree: ast.Module) -> set:
@@ -53,8 +62,40 @@ def unreached_public_names(src: Path) -> list:
     return found
 
 
+def _attribute_reads(node: ast.AST) -> Counter:
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute)
+                   and isinstance(n.ctx, ast.Load))
+
+
+def unread_public_members(src: Path) -> list:
+    """Public methods and properties of the classes of the package at src
+    that no statement of the package reads as an attribute outside their
+    own body, as module.Class.name."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(src.glob("*.py"))}
+    reads = sum((_attribute_reads(tree) for tree in trees.values()),
+                Counter())
+    found = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) \
+                        and not node.name.startswith("_") \
+                        and reads[node.name] <= _attribute_reads(node)[node.name]:
+                    found.append(f"{module}.{cls.name}.{node.name}")
+    return sorted(found)
+
+
 def test_every_public_name_is_exported_or_used_in_the_package():
     assert unreached_public_names(SRC) == []
+
+
+def test_every_public_member_is_read_in_the_package():
+    # an allowlisted member that the package starts to read leaves the list
+    assert unread_public_members(SRC) == sorted(UNREAD_MEMBERS_KEPT)
 
 
 def test_every_all_entry_is_bound_in_its_module():
@@ -78,3 +119,18 @@ def test_guard_flags_a_name_that_only_its_own_body_reads(tmp_path):
         "def helper():\n    return 1\n\n\n"
         "def orphan(n):\n    return orphan(n - 1) if n else 0\n")
     assert unreached_public_names(tmp_path) == ["m.orphan"]
+
+
+def test_guard_flags_a_member_that_only_its_own_body_reads(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        'from .m import Api\n__all__ = ["Api"]\n')
+    (tmp_path / "m.py").write_text(
+        "class Api:\n"
+        "    def run(self):\n        return self.size + self._helper()\n\n"
+        "    @property\n    def size(self):\n        return 1\n\n"
+        "    def _helper(self):\n        return 2\n\n"
+        "    def orphan(self, n):\n"
+        "        return self.orphan(n - 1) if n else 0\n\n"
+        "    def written(self):\n        return 3\n\n\n"
+        "def use(api):\n    api.written = None\n    return api.run()\n")
+    assert unread_public_members(tmp_path) == ["m.Api.orphan", "m.Api.written"]

@@ -239,7 +239,33 @@ def test_contract_failure_exits_1_and_names_assertion(tmp_path, capsys):
     # the moments scenario mollifies the drift, so it needs one
     + [("moments", ["grid.n_modes=8", "grid.n_steps=16", "ensemble=30",
                     "drift.family=none"], 2,
-        "the moments scenario needs a drift family")])
+        "the moments scenario needs a drift family")]
+    # a drift that overflows on the pair sample is a named log-Lipschitz
+    # failure, not a linprog traceback
+    + [("hypothesis-check", lines, 1,
+        "FAIL drift log-Lipschitz hypothesis: log-Lipschitz check: a sampled "
+        "drift difference is not finite")
+       for lines in (["drift.family=polynomial", "drift.degree=400"],
+                     ["drift.scale=1e308"],
+                     ["drift.family=log_power", "drift.exponent=300"])]
+    # an infinite exponent overflowed every path to NaN, which passed
+    + [("blowup-phase", ["grid.n_modes=8", "grid.n_steps=16", "ensemble=30",
+                         "drift.exponent=inf"], 2,
+        "log_power exponent must be finite and >= 1")]
+    # a mollified table that leaves the float range is a named failure, not
+    # an interpolation traceback
+    + [(scenario, ["grid.n_modes=8", "grid.n_steps=16", "ensemble=30"]
+        + drift, 1,
+        f"FAIL {check}: mollified drift at level n=4 is not finite on its "
+        "lookup grid")
+       for scenario, check in (("moments", "moment reports"),
+                               ("uniqueness", "uniqueness experiment"))
+       for drift in (["drift.scale=1e308"],
+                     ["drift.family=polynomial", "drift.degree=400"])]
+    # an infinite p sends every norm below 1 to 0, a vacuous pass
+    + [(scenario, ["grid.n_modes=8", "grid.n_steps=16", "ensemble=30",
+                   "p=inf"], 2, "a finite p >= 1.0")
+       for scenario in ("moments", "blowup-phase")])
 def test_scenario_limits_hold_for_accepted_configs(tmp_path, capsys, scenario,
                                                    lines, code, message):
     cfgfile = tmp_path / "c.cfg"

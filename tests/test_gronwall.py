@@ -95,8 +95,8 @@ def test_direct_singular_operator_is_causal_bit_for_bit(K):
                                         (0.7, 1.0 / 2048.0)])
 def test_oracle_keeps_the_initial_value_exactly(nonlinearity, c3, grid_dt):
     M = 0.3 if nonlinearity == "vanishing" else 1.7
-    prob = GronwallProblem(M=lambda t: M + 0.2 * t, c1=0.4, c2=0.6, c3=c3,
-                           alpha=0.25, grid_dt=grid_dt)
+    prob = GronwallProblem(M=M, c1=0.4, c2=0.6, c3=c3, alpha=0.25,
+                           grid_dt=grid_dt)
     assert volterra_oracle(prob, nonlinearity)[0] == M
 
 
@@ -124,44 +124,36 @@ def test_oracle_bits_are_pinned(nonlinearity, prob, digest):
 
 
 def test_oracle_reproduces_exponential_growth():
-    prob = GronwallProblem(M=2.0, c1=1.0, T=1.0, grid_dt=1.0 / 2048.0)
+    prob = GronwallProblem(M=2.0, c1=1.0, grid_dt=1.0 / 2048.0)
     f = volterra_oracle(prob)
     assert f[-1] == pytest.approx(TWO_E, rel=5e-8)
 
 
 def test_oracle_reproduces_superlinear_double_exponential():
-    prob = GronwallProblem(M=2.0, c2=1.0, T=1.0, grid_dt=1.0 / 2048.0)
+    prob = GronwallProblem(M=2.0, c2=1.0, grid_dt=1.0 / 2048.0)
     f = volterra_oracle(prob, "superlinear")
     assert f[-1] == pytest.approx(TWO_TO_E, rel=5e-6)
     # the closed-form bound is the exact solution here: the inequality is sharp
-    bound = _bound_series("superlinear", prob, None)[prob.snap_index(1.0)]
+    bound = _bound_series("superlinear", prob, None)[-1]
     assert bound == pytest.approx(TWO_TO_E, rel=1e-12)
     assert abs(f[-1] - bound) < 5e-6 * bound
 
 
 def test_oracle_reproduces_singular_resolvent():
-    prob = GronwallProblem(M=1.0, c3=1.0, alpha=0.5, T=1.0, grid_dt=1.0 / 2048.0)
+    prob = GronwallProblem(M=1.0, c3=1.0, alpha=0.5, grid_dt=1.0 / 2048.0)
     f = volterra_oracle(prob)
     assert f[-1] == pytest.approx(SINGULAR_RESOLVENT_AT_1, rel=5e-6)
 
 
 def test_oracle_is_monotone_and_dominates_forcing():
-    prob = GronwallProblem(M=1.5, c1=0.7, c2=0.9, c3=0.3, alpha=0.25, T=1.0)
+    prob = GronwallProblem(M=1.5, c1=0.7, c2=0.9, c3=0.3, alpha=0.25)
     f = volterra_oracle(prob)
     assert np.all(np.diff(f) >= -1e-12)
     assert np.all(f >= 1.5 - 1e-12)
 
 
-def test_oracle_callable_coefficients_bracketed_by_constants():
-    lo = volterra_oracle(GronwallProblem(M=1.0, c1=1.0, T=1.0))
-    var = volterra_oracle(GronwallProblem(M=1.0, c1=lambda t: 1.0 + 0.5 * t, T=1.0))
-    hi = volterra_oracle(GronwallProblem(M=1.0, c1=1.5, T=1.0))
-    assert np.all(var >= lo - 1e-12)
-    assert np.all(var <= hi + 1e-12)
-
-
 def test_oracle_divergence_raises():
-    prob = GronwallProblem(M=5.0, c2=80.0, T=1.0, grid_dt=1.0 / 128.0)
+    prob = GronwallProblem(M=5.0, c2=80.0, grid_dt=1.0 / 128.0)
     with pytest.raises(OracleConvergenceError):
         volterra_oracle(prob, "superlinear")
 
@@ -172,9 +164,18 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         GronwallProblem(M=1.0, c1=-0.1)
     with pytest.raises(ValueError):
-        GronwallProblem(M=lambda t: 1.0 - t)  # decreasing forcing
-    with pytest.raises(ValueError):
-        GronwallProblem(M=1.0, T=-1.0)
+        GronwallProblem(M=1.0, grid_dt=2.0)
+
+
+@pytest.mark.parametrize("name,value", [("M", math.nan), ("c1", math.inf),
+                                        ("c3", -0.5)])
+def test_problem_rejects_a_coefficient_that_is_not_finite_and_nonnegative(
+        name, value):
+    # a NaN coefficient would compare False against 0 and slip through
+    coefficients = dict(M=1.0, c1=0.5, c2=0.5, c3=0.5, alpha=0.25)
+    coefficients[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+        GronwallProblem(**coefficients)
 
 
 def test_superlinear_bound_preconditions():
@@ -187,29 +188,28 @@ def test_superlinear_bound_preconditions():
 
 def test_superlinear_bound_classical_reduction():
     # c2 = 0 collapses the bound to M e^{c1 t}
-    prob = GronwallProblem(M=3.0, c1=0.8, T=1.0, grid_dt=1.0 / 512.0)
+    prob = GronwallProblem(M=3.0, c1=0.8, grid_dt=1.0 / 512.0)
     bound = _bound_series("superlinear", prob, None)
-    assert bound[prob.snap_index(1.0)] == pytest.approx(3.0 * math.exp(0.8), rel=1e-9)
-    assert bound[prob.snap_index(0.0)] == pytest.approx(3.0)
+    assert bound[-1] == pytest.approx(3.0 * math.exp(0.8), rel=1e-9)
+    assert bound[0] == pytest.approx(3.0)
 
 
 def test_vanishing_bound_constants_monotone_in_time():
-    prob = GronwallProblem(M=0.2, c1=0.5, c2=0.7, c3=0.4, alpha=0.25, T=1.0)
+    prob = GronwallProblem(M=0.2, c1=0.5, c2=0.7, c3=0.4, alpha=0.25)
     oracle = volterra_oracle(prob, "vanishing")
     bound = _bound_series("vanishing", prob, oracle)
-    ks = [prob.snap_index(t) for t in (0.25, 0.5, 1.0)]
+    ks = [round(t / prob.grid_dt) for t in (0.25, 0.5, 1.0)]
     assert [bound[k] for k in ks] == sorted(bound[k] for k in ks)
     for k in ks:
         assert oracle[k] <= bound[k] + 1e-9
 
 
 def test_singular_bound_bisection_minimality():
-    prob = GronwallProblem(M=2.0, c1=0.4, c2=0.5, c3=0.6, alpha=0.5, T=1.0)
+    prob = GronwallProblem(M=2.0, c1=0.4, c2=0.5, c3=0.6, alpha=0.5)
     f = volterra_oracle(prob, "superlinear")
     bound = _bound_series("singular", prob, f)
-    k = prob.snap_index(1.0)
-    assert f[k] <= bound[k] * (1.0 + 1e-6)
-    # the bound at t = 0 is C M(0) + 1, which gives back the constant found
+    assert f[-1] <= bound[-1] * (1.0 + 1e-6)
+    # the bound at t = 0 is C M + 1, which gives back the constant found
     C = (bound[0] - 1.0) / 2.0
     ts = prob.times()
 

@@ -27,7 +27,6 @@ def test_refinement_with_odd_root_count():
     fine = sample_noise(42, 4, 6 * 64, 1.0 / 384.0)
     pair = fine.increments[:, 0::2] + fine.increments[:, 1::2]
     np.testing.assert_array_equal(pair, coarse.increments)
-    np.testing.assert_array_equal(fine.coarsened().increments, coarse.increments)
 
 
 # sha256 of increments.tobytes(), recorded before any rewrite of the
@@ -102,11 +101,6 @@ def test_concurrent_calls_match_serial_and_golden_bits():
         assert hashlib.sha256(b.tobytes()).hexdigest() == digests[args]
 
 
-def test_coarsen_requires_even_steps():
-    with pytest.raises(ValueError):
-        sample_noise(1, 2, 9, 0.1).coarsened()
-
-
 def test_mode_extension_keeps_shared_rows():
     base = sample_noise(42, 8, 128, 1.0 / 128.0)
     wide = sample_noise(42, 16, 128, 1.0 / 128.0)
@@ -130,14 +124,6 @@ def test_determinism_and_immutability():
     assert not a.increments.flags.writeable
     with pytest.raises(ValueError):
         a.increments[0, 0] = 0.0
-
-
-def test_modal_paths_start_at_zero_and_accumulate():
-    real = sample_noise(5, 3, 10, 0.1)
-    paths = real.modal_paths()
-    assert paths.shape == (3, 11)
-    np.testing.assert_array_equal(paths[:, 0], np.zeros(3))
-    np.testing.assert_allclose(np.diff(paths, axis=1), real.increments, rtol=0, atol=1e-15)
 
 
 def test_sample_noise_validation():

@@ -56,9 +56,9 @@ def test_every_mode_decays_by_exact_factor():
     u = Field.random_l2(8, norm=2.0, seed=1)
     one_step = Grid(8, g.dt, 1)
     silent = NoiseRealization(0, 8, 1, one_step.dt, np.zeros((8, 1)))
-    out = solve_path(u, None, None, one_step, silent).final()
+    out = solve_path(u, None, None, one_step, silent).coeffs[-1]
     E = np.exp(-0.5 * (np.arange(1, 9) * np.pi) ** 2 * g.dt)
-    np.testing.assert_array_equal(out.coeffs, E * u.coeffs)
+    np.testing.assert_array_equal(out, E * u.coeffs)
 
 
 def test_linear_drift_first_order_convergence():
@@ -134,7 +134,6 @@ def test_kept_coeffs_match_l2_series():
     assert traj.coeffs.shape == (g.n_steps + 1, 16)
     for row, norm in zip(traj.coeffs, traj.l2_series):
         assert abs(Field.from_coeffs(row).l2_norm() - norm) < 1e-12
-    np.testing.assert_array_equal(traj.final().coeffs, traj.coeffs[-1])
 
 
 def _sha256(a: np.ndarray) -> str:
@@ -253,8 +252,8 @@ def test_deterministic_mollified_levels_approach_reference():
     finals = []
     for n in (8, 64):
         traj = solve_path(u0, mollify(CRITICAL, n), None, g)
-        finals.append(traj.final().coeffs)
-    ref_final = ref.final().coeffs
+        finals.append(traj.coeffs[-1])
+    ref_final = ref.coeffs[-1]
     errs = [float(np.sqrt(np.sum((f - ref_final) ** 2))) for f in finals]
     assert errs[1] < 1e-3
     assert errs[1] <= errs[0]
