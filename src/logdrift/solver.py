@@ -8,8 +8,11 @@ State lives in sine-mode coefficients. One step reads, mode by mode,
 where bhat is the transform of the nodal drift values, shat the transform of
 sigma(u) times the nodal back-transform of the modal noise increments, and
 gamma_j = sqrt((1 - exp(-j^2 pi^2 dt)) / (j^2 pi^2 dt)) matches the additive
-case's per-step modal variance exactly. The semigroup factor is exact, so
-there is no stability restriction; dt * (pi^2 n_modes^2 / 2) is recorded as a
+case's per-step modal variance exactly. For a constant sigma the
+back-and-forth transform is the identity (the sine matrix squares to
+(n_modes + 1) I), so shat = sigma * xi, the modal increments scaled; with no
+diffusion the noise term is absent. The semigroup factor is exact, so there
+is no stability restriction; dt * (pi^2 n_modes^2 / 2) is recorded as a
 stiffness diagnostic only.
 """
 
@@ -82,17 +85,6 @@ def _as_drift(drift) -> Optional[Callable]:
     raise TypeError("drift must be None, a DriftSpec, or a callable")
 
 
-def _as_sigma(diffusion) -> Callable:
-    if diffusion is None:
-        return lambda u: np.zeros_like(u)
-    if isinstance(diffusion, DiffusionSpec):
-        return lambda u: sigma_eval(diffusion, u)
-    if isinstance(diffusion, (int, float)):
-        c = float(diffusion)
-        return lambda u: np.full_like(u, c)
-    raise TypeError("diffusion must be None, a DiffusionSpec, or a constant")
-
-
 def _propagators(n_modes: int, dt: float):
     lam2 = (np.arange(1, n_modes + 1) * np.pi) ** 2 * dt  # j^2 pi^2 dt
     E = np.exp(-0.5 * lam2)
@@ -102,20 +94,30 @@ def _propagators(n_modes: int, dt: float):
 
 def _scheme(drift, diffusion, grid: Grid) -> Callable:
     """The exponential-Euler step advance(U, xi) on (P, N) coefficient rows;
-    xi holds the rows' (P, N) modal increments of the step."""
+    xi holds the rows' (P, N) modal increments of the step. Nodal values
+    U @ B are formed only when the drift or a DiffusionSpec reads them."""
     drift_fn = _as_drift(drift)
-    sigma_fn = _as_sigma(diffusion)
+    if isinstance(diffusion, (int, float)):
+        diffusion = float(diffusion)
+    elif not (diffusion is None or isinstance(diffusion, DiffusionSpec)):
+        raise TypeError("diffusion must be None, a DiffusionSpec, or a constant")
+    spec = diffusion if isinstance(diffusion, DiffusionSpec) else None
+    nodal = drift_fn is not None or spec is not None
     B = sine_matrix(grid.n_modes)
     inv_np1 = 1.0 / (grid.n_modes + 1)
     E, gamma = _propagators(grid.n_modes, grid.dt)
     dt = grid.dt
 
     def advance(U, xi):
-        vals = U @ B
+        vals = U @ B if nodal else None
         if drift_fn is not None:
             U = U + dt * ((drift_fn(vals) @ B) * inv_np1)
-        shat = ((sigma_fn(vals) * (xi @ B)) @ B) * inv_np1
-        return E * U + gamma * shat
+        if spec is not None:
+            shat = ((sigma_eval(spec, vals) * (xi @ B)) @ B) * inv_np1
+            return E * U + gamma * shat
+        if diffusion is None:
+            return E * U
+        return E * U + gamma * (diffusion * xi)
 
     return advance
 

@@ -9,6 +9,7 @@ from logdrift.fields import Field
 from logdrift.noise import NoiseRealization, sample_noise
 from logdrift.solver import (
     Grid,
+    _propagators,
     coupled_uniqueness_experiment,
     factorization_check,
     solve_l2_ensemble,
@@ -27,7 +28,7 @@ FACTORIZATION_512_REFERENCE = 0.034359202283835696
 STOCHASTIC_COEFFS_SHA256 = (
     "75b0b520012ce4ec78f286a0e49097107e011d7ed33c682a6f63bb5810d7b173")
 BLOWUP_COEFFS_SHA256 = (
-    "fef2e278b5fba7a0e0343c245b4b98e829e2008e25e690e6d6d131db90f91a23")
+    "33340371b4cee0124da117ae7e5a585e402b3f40949832d46f99f2fefeec656a")
 
 
 def test_grid_properties_and_validation():
@@ -94,6 +95,17 @@ def test_trajectory_linear_in_sigma_under_common_noise():
     base = solve_path(Field.zero(16), None, 1.0, g, noise)
     doubled = solve_path(Field.zero(16), None, 2.0, g, noise)
     np.testing.assert_array_equal(2.0 * base.coeffs, doubled.coeffs)
+
+
+def test_constant_sigma_matches_its_diffusion_spec_under_a_drift():
+    # a constant sigma skips the nodal round trip that the spec form takes
+    g = Grid(n_modes=16, T=0.5, n_steps=128)
+    noise = sample_noise(41, 16, 128, g.dt)
+    u0 = Field.random_l2(16, 2.0, seed=6)
+    const = solve_path(u0, CRITICAL, 0.7, g, noise).coeffs
+    spec = DiffusionSpec("sublinear_power", d1=0.0, d2=0.7, theta=0.5)
+    nodal = solve_path(u0, CRITICAL, spec, g, noise).coeffs
+    assert np.max(np.abs(const - nodal)) <= 1e-12 * np.max(np.abs(nodal))
 
 
 def test_noise_coupling_bitwise_reproducible():
@@ -182,6 +194,8 @@ def test_solver_input_validation():
         solve_path(Field.zero(8), None, 1.0, g, bad)
     with pytest.raises(TypeError):
         solve_path(Field.zero(8), 3.5, None, g)
+    with pytest.raises(TypeError):
+        solve_path(Field.zero(8), None, lambda u: u, g, sample_noise(1, 8, 16, g.dt))
 
 
 def test_ensemble_freezes_blown_rows():
@@ -268,6 +282,19 @@ def test_factorization_identity_refines():
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] == pytest.approx(FACTORIZATION_512_REFERENCE, rel=1e-9)
     assert errs[2] < 0.10
+
+
+def test_factorization_recurrence_is_the_solvers_convolution():
+    # factorization_check's direct side, V[k+1] = E V[k] + gamma xi_k, is the
+    # solver's pure stochastic convolution bit for bit
+    g = Grid(n_modes=32, T=1.0, n_steps=256)
+    noise = sample_noise(909, 32, 256, g.dt)
+    E, gamma = _propagators(32, g.dt)
+    V = np.zeros((g.n_steps + 1, 32))
+    for k in range(g.n_steps):
+        V[k + 1] = E * V[k] + gamma * noise.increments[:, k]
+    traj = solve_path(Field.zero(32), None, 1.0, g, noise)
+    np.testing.assert_array_equal(traj.coeffs, V)
 
 
 def test_factorization_trivial_and_validation():
