@@ -40,11 +40,6 @@ class DriftSpec:
     linear:       b(z) = scale * z.
     polynomial:   b(z) = scale * z**degree.
     custom_table: piecewise-linear interpolation of (table_x, table_y).
-
-    declared_constants, when given, is (c1, c2, c3, c4, c5): growth constants
-    |b(z)| <= c1 |z| log+|z| + c2 and log-Lipschitz constants
-    |b(u)-b(v)| <= c3 |u-v| log+(1/|u-v|) + c4 log+(|u| v |v|) |u-v| + c5 |u-v|.
-    They are validated against the standard samples at construction.
     """
 
     family: str
@@ -53,7 +48,6 @@ class DriftSpec:
     degree: int = 2
     table_x: Optional[tuple] = None
     table_y: Optional[tuple] = None
-    declared_constants: Optional[tuple] = None
 
     def __post_init__(self):
         if self.family not in DRIFT_FAMILIES:
@@ -75,11 +69,6 @@ class DriftSpec:
                 raise ValueError("table entries must be finite")
             if np.any(np.diff(xs) <= 0):
                 raise ValueError("table_x must be strictly increasing")
-        if self.declared_constants is not None:
-            cs = tuple(float(c) for c in self.declared_constants)
-            if len(cs) != 5 or any(c < 0 for c in cs):
-                raise ValueError("declared_constants must be 5 nonnegative reals")
-            validate_declared_constants(self, cs)
 
     @property
     def odd(self) -> bool:
@@ -210,22 +199,6 @@ def loglip_check(spec: DriftSpec):
         raise HypothesisViolation("log-Lipschitz check: no constants below the cap fit")
     c3, c4, c5 = (float(max(x, 0.0)) for x in res.x)
     return c3, c4, c5
-
-
-def validate_declared_constants(spec: DriftSpec, cs) -> None:
-    """Declared (c1..c5) must satisfy both sampled inequalities pointwise."""
-    c1, c2, c3, c4, c5 = cs
-    zs = standard_sample()
-    lhs = np.abs(drift_eval(spec, zs))
-    rhs = c1 * np.abs(zs) * log_plus(np.abs(zs)) + c2
-    if np.any(lhs > rhs * (1.0 + 1e-12) + 1e-12):
-        raise HypothesisViolation("declared growth constants do not cover the sample")
-    u, v = pair_sample()
-    t1, t2, t3 = loglip_terms(u, v)
-    d = np.abs(drift_eval(spec, u) - drift_eval(spec, v))
-    rhs = c3 * t1 + c4 * t2 + c5 * t3
-    if np.any(d > rhs * (1.0 + 1e-12) + 1e-12):
-        raise HypothesisViolation("declared log-Lipschitz constants do not cover the sample")
 
 
 # ---------------------------------------------------------------------------

@@ -110,14 +110,6 @@ def test_loglip_check_flags_jump():
         loglip_check(step)
 
 
-def test_declared_constants_gate():
-    DriftSpec("log_linear", declared_constants=(1.0, 0.37, 1.0, 1.2, 0.7))
-    with pytest.raises(HypothesisViolation):
-        DriftSpec("log_linear", declared_constants=(0.5, 0.1, 0.1, 0.1, 0.1))
-    with pytest.raises(ValueError):
-        DriftSpec("log_linear", declared_constants=(1.0, -0.1, 1.0, 1.0, 1.0))
-
-
 def test_bump_shape_and_mass():
     mass, _ = quad(bump, -1.0, 1.0, epsabs=1e-13, epsrel=1e-13)
     assert mass == pytest.approx(1.0, abs=1e-10)

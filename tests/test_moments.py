@@ -107,7 +107,7 @@ def test_moment_input_validation():
 
 
 _SPEC_TEXT = ("DriftSpec(family='log_linear', scale=1.0, exponent=2.0, "
-              "degree=2, table_x=None, table_y=None, declared_constants=None)")
+              "degree=2, table_x=None, table_y=None)")
 
 
 def test_fingerprint_text_of_every_coefficient_form():
