@@ -281,10 +281,6 @@ class MollifiedDrift:
         self._bucket = np.append(
             np.repeat(np.arange(grid.size - 1, dtype=np.int32), widths),
             np.int32(grid.size - 2))
-        mids = 0.5 * (grid[1:] + grid[:-1])
-        dense = np.sort(np.concatenate([grid, mids]))
-        slopes = np.diff(self(dense)) / np.diff(dense)
-        self.lipschitz = float(np.max(np.abs(slopes)))
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)

@@ -4,7 +4,8 @@ A module-level public name that is neither exported nor called from the
 package itself is code that only tests reach; it belongs in the tests or
 in an ``__all__``. Conversely, every name an ``__all__`` lists is bound.
 A public method or property that no statement of the package reads is
-test-only code as well, exported class or not.
+test-only code as well, exported class or not, and so is a public attribute
+that a method assigns as ``self.name`` and nothing reads.
 """
 
 import ast
@@ -89,6 +90,30 @@ def unread_public_members(src: Path) -> list:
     return sorted(found)
 
 
+def unread_public_attributes(src: Path) -> list:
+    """Public instance attributes that a method of a class of the package at
+    src assigns as self.name and that no statement of the package reads as
+    an attribute, as module.Class.name."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(src.glob("*.py"))}
+    reads = sum((_attribute_reads(tree) for tree in trees.values()),
+                Counter())
+    found = set()
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Store) \
+                        and isinstance(node.value, ast.Name) \
+                        and node.value.id == "self" \
+                        and not node.attr.startswith("_") \
+                        and not reads[node.attr]:
+                    found.add(f"{module}.{cls.name}.{node.attr}")
+    return sorted(found)
+
+
 def test_every_public_name_is_exported_or_used_in_the_package():
     assert unreached_public_names(SRC) == []
 
@@ -96,6 +121,10 @@ def test_every_public_name_is_exported_or_used_in_the_package():
 def test_every_public_member_is_read_in_the_package():
     # an allowlisted member that the package starts to read leaves the list
     assert unread_public_members(SRC) == sorted(UNREAD_MEMBERS_KEPT)
+
+
+def test_every_public_attribute_is_read_in_the_package():
+    assert unread_public_attributes(SRC) == []
 
 
 def test_every_all_entry_is_bound_in_its_module():
@@ -134,3 +163,16 @@ def test_guard_flags_a_member_that_only_its_own_body_reads(tmp_path):
         "    def written(self):\n        return 3\n\n\n"
         "def use(api):\n    api.written = None\n    return api.run()\n")
     assert unread_public_members(tmp_path) == ["m.Api.orphan", "m.Api.written"]
+
+
+def test_guard_flags_an_attribute_that_nothing_reads(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        'from .m import Api\n__all__ = ["Api"]\n')
+    (tmp_path / "m.py").write_text(
+        "class Api:\n"
+        "    def __init__(self):\n"
+        "        self.size, self._cache = 1, {}\n"
+        "        self.orphan = 2\n"
+        "        self._private = 3\n\n"
+        "    def run(self):\n        return self.size\n")
+    assert unread_public_attributes(tmp_path) == ["m.Api.orphan"]
