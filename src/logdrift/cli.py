@@ -234,6 +234,11 @@ def _validate(cfg: dict) -> None:
         # an infinite p sends every norm below 1 to 0, a vacuous pass
         raise ConfigError(f"the {scenario} scenario needs ensemble >= "
                           f"{MIN_ENSEMBLE} and a finite p >= {MIN_ORDER}")
+    if scenario == "isometry" and cfg["ensemble"] < MIN_ENSEMBLE:
+        # too few paths can collapse the sample standard error (about 5e-9
+        # at one path), and no estimate is then within 3 of them
+        raise ConfigError(f"the isometry scenario needs ensemble >= "
+                          f"{MIN_ENSEMBLE}")
     if scenario == "factorization" and \
             not 0.0 < cfg["alpha"] < MAX_FACTORIZATION_ALPHA:
         raise ConfigError("the factorization scenario needs 0 < alpha < "

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from logdrift import cli
+from logdrift.coefficients import MAX_MOLLIFIER_LEVEL
 from logdrift.cli import (
     ConfigError,
     list_scenarios,
@@ -265,7 +266,15 @@ def test_contract_failure_exits_1_and_names_assertion(tmp_path, capsys):
     # an infinite p sends every norm below 1 to 0, a vacuous pass
     + [(scenario, ["grid.n_modes=8", "grid.n_steps=16", "ensemble=30",
                    "p=inf"], 2, "a finite p >= 1.0")
-       for scenario in ("moments", "blowup-phase")])
+       for scenario in ("moments", "blowup-phase")]
+    # one path always missed the 3-SE rule, an exit 1 for any noise
+    + [("isometry", ["ensemble=1"], 2, "ensemble >= 30")]
+    # a level table grows linearly in the level, so a large level ran out of
+    # memory instead of exiting
+    + [(scenario, ["grid.n_modes=8", "grid.n_steps=16", "ensemble=30",
+                   f"levels=4,{MAX_MOLLIFIER_LEVEL + 1}"], 2,
+        f"levels must be >= 1 and <= {MAX_MOLLIFIER_LEVEL}")
+       for scenario in ("moments", "uniqueness")])
 def test_scenario_limits_hold_for_accepted_configs(tmp_path, capsys, scenario,
                                                    lines, code, message):
     cfgfile = tmp_path / "c.cfg"

@@ -14,12 +14,14 @@ from logdrift.coefficients import (
     DriftSpec,
     FINE_STEP,
     HypothesisViolation,
+    MAX_MOLLIFIER_LEVEL,
     bump,
     cutoff,
     drift_eval,
     growth_check,
     lipschitz_check,
     loglip_check,
+    mollifier_levels,
     mollify,
     pair_sample,
     sigma_eval,
@@ -285,6 +287,11 @@ def test_uniform_growth_constant_finite_across_levels():
 def test_mollifier_params_validation():
     with pytest.raises(ValueError):
         mollify(LOG_LINEAR, 0)
+    with pytest.raises(ValueError):
+        mollify(LOG_LINEAR, MAX_MOLLIFIER_LEVEL + 1)
+    with pytest.raises(ValueError):
+        mollifier_levels([4, MAX_MOLLIFIER_LEVEL + 1])
+    assert mollifier_levels([1, MAX_MOLLIFIER_LEVEL])[-1] == MAX_MOLLIFIER_LEVEL
 
 
 def test_sigma_families():
