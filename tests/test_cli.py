@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from logdrift import cli
-from logdrift.coefficients import MAX_MOLLIFIER_LEVEL
 from logdrift.cli import (
     ConfigError,
     list_scenarios,
@@ -18,6 +17,7 @@ from logdrift.cli import (
     resolve_config,
     write_csv,
 )
+from logdrift.coefficients import MAX_MOLLIFIER_LEVEL
 
 
 class _Args:

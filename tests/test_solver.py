@@ -195,7 +195,8 @@ def test_solver_input_validation():
     with pytest.raises(TypeError):
         solve_path(Field.zero(8), 3.5, None, g)
     with pytest.raises(TypeError):
-        solve_path(Field.zero(8), None, lambda u: u, g, sample_noise(1, 8, 16, g.dt))
+        solve_path(Field.zero(8), None, lambda u: u, g,
+                   sample_noise(1, 8, 16, g.dt))
 
 
 def test_ensemble_freezes_blown_rows():
