@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from logdrift import heat_kernel
 from logdrift.fields import Field, nodes, simpson_weights
 from logdrift.heat_kernel import (
     DEFAULT_PARAMS,
@@ -226,6 +227,26 @@ def test_time_increment_validation():
             spatial_modulus_estimate(0.2, 0.7, n_terms=n_terms)
 
 
+def test_heat_kernel_names_nan_and_non_integer_arguments():
+    # each raised by accident before ("cannot convert float NaN to integer",
+    # a TypeError from range) or, for the semigroup, returned a NaN field
+    f = Field.random_l2(15, 1.0, seed=2)
+    with pytest.raises(ValueError, match="t must be a nonnegative number"):
+        semigroup_apply(math.nan, f)
+    with pytest.raises(ValueError, match="R must be a positive number"):
+        spatial_modulus_estimate(0.2, 0.7, R=math.nan)
+    with pytest.raises(ValueError, match="n_terms must be an integer"):
+        spatial_modulus_estimate(0.2, 0.7, n_terms=2.5)
+    for R in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="R must be finite and positive"):
+            time_increment_estimate(0.05, R=R)
+    with pytest.raises(ValueError, match="h must be finite and positive"):
+        time_increment_estimate(math.nan)
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="t must be finite and positive"):
+            mass_and_l2_bounds(t)
+
+
 def test_spatial_modulus_dominates_quadrature_oracle():
     for pair, oracle in SPATIAL_QUAD_ORACLE.items():
         maj = spatial_modulus_estimate(*pair)
@@ -233,17 +254,72 @@ def test_spatial_modulus_dominates_quadrature_oracle():
         assert maj >= oracle
 
 
+def _full_series(x, y, n_terms, R):
+    n = np.arange(1, n_terms + 1, dtype=float)
+    lam = 0.5 * (math.pi * n) ** 2
+    dsin = np.abs(np.sin(n * math.pi * x) - np.sin(n * math.pi * y))
+    return float((2.0 * dsin * (-np.expm1(-lam * R)) / lam).sum())
+
+
 @pytest.mark.parametrize("R", [1e-4, 0.3, 3.0, 50.0])
 def test_spatial_modulus_matches_the_full_series_bit_for_bit(R):
-    # the saturation factor is skipped only where it is exactly 1.0
-    def full(x, y, n_terms):
-        n = np.arange(1, n_terms + 1, dtype=float)
-        lam = 0.5 * (math.pi * n) ** 2
-        dsin = np.abs(np.sin(n * math.pi * x) - np.sin(n * math.pi * y))
-        return float((2.0 * dsin * (-np.expm1(-lam * R)) / lam).sum())
-    for x, y in ((0.2, 0.7), (0.5 - 2.0**-9, 0.5 + 2.0**-9), (0.01, 0.999)):
+    # pairs without a small dyadic denominator sum the series; the saturation
+    # factor is skipped only where it is exactly 1.0
+    for x, y in ((0.2, 0.7), (0.01, 0.999)):
         assert spatial_modulus_estimate(x, y, n_terms=100_000, R=R) == \
-            full(x, y, 100_000)
+            _full_series(x, y, 100_000, R)
+
+
+@pytest.mark.parametrize("R", [1e-4, 0.3, 3.0, 50.0])
+def test_spatial_modulus_closed_form_matches_the_series(R):
+    # dyadic pairs take the closed form: the same truncated sum, rounded
+    # differently; n_terms runs below P, at P, past P and not a multiple of P
+    pairs = {(0.5 - 2.0**-9, 0.5 + 2.0**-9): 2**10, (0.25, 0.5): 8,
+             (0.4375, 0.5625): 32, (3 / 64, 0.5 + 2.0**-9): 2**10,
+             (0.5 - 2.0**-13, 0.5 + 2.0**-13): 2**14}
+    for (x, y), P in pairs.items():
+        for n_terms in (1, 7, P - 1, P, P + 1, 1000, 100_000):
+            ref = _full_series(x, y, n_terms, R)
+            got = spatial_modulus_estimate(x, y, n_terms=n_terms, R=R)
+            assert abs(got - ref) <= 1e-12 * abs(ref) + 1e-15, (x, y, n_terms)
+
+
+def test_spatial_modulus_closed_form_matches_an_mpmath_sum():
+    import mpmath
+    x, y, n_terms = 0.5 - 2.0**-7, 0.5 + 2.0**-7, 3000
+    with mpmath.workdps(40):
+        mx, my = mpmath.mpf(x), mpmath.mpf(y)
+        for R in (0.3, 3.0):
+            ref = mpmath.fsum(
+                2 * abs(mpmath.sinpi(n * mx) - mpmath.sinpi(n * my))
+                * -mpmath.expm1(-(n * mpmath.pi) ** 2 / 2 * R)
+                / ((n * mpmath.pi) ** 2 / 2) for n in range(1, n_terms + 1))
+            got = spatial_modulus_estimate(x, y, n_terms=n_terms, R=R)
+            assert abs(got - ref) <= 1e-14 * ref
+
+
+def test_cli_separations_take_the_closed_form(monkeypatch):
+    # a return to the summed series would show as a 4,000,000-term loop
+    summed, periods = [], []
+    series, tail = heat_kernel._majorant_sum, heat_kernel._periodic_tail
+
+    def counted_series(amplitude, head, n_terms, R):
+        summed.append(n_terms)
+        return series(amplitude, head, n_terms, R)
+
+    def counted_tail(a, P, n_one, n_terms):
+        periods.append(P)
+        return tail(a, P, n_one, n_terms)
+
+    monkeypatch.setattr(heat_kernel, "_majorant_sum", counted_series)
+    monkeypatch.setattr(heat_kernel, "_periodic_tail", counted_tail)
+    for k in range(3, 13):
+        sep = 2.0**-k
+        spatial_modulus_estimate(0.5 - sep / 2.0, 0.5 + sep / 2.0)
+    # x = 1/2 - 2^-(k+1) has D = 2^(k+1), so P = 2^(k+2); at R = 3 only
+    # n = 1 takes the saturation factor
+    assert periods == [2 ** (k + 2) for k in range(3, 13)]
+    assert summed == [1] * 10
 
 
 def test_spatial_modulus_degenerate_and_symmetry():
