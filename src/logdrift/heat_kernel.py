@@ -269,7 +269,7 @@ def spatial_modulus_estimate(x: float, y: float, n_terms: int = 4_000_000,
     if D > MODULUS_MAX_DENOMINATOR:
         return _majorant_sum(
             lambda n, npi: 2.0 * np.abs(np.sin(npi * x) - np.sin(npi * y)),
-            n_one - 1, n_terms, R)
+            n_one, n_terms, R)
     # a_r for r = 1..min(P, n_terms), each sine argument reduced exactly, as
     # the integer (r p) mod P, before it is scaled by pi/D
     P = 2 * D
@@ -277,7 +277,7 @@ def spatial_modulus_estimate(x: float, y: float, n_terms: int = 4_000_000,
     p, q = px * (D // dx), py * (D // dy)
     a = 2.0 * np.abs(np.sin(math.pi * (r * p % P) / D) - np.sin(math.pi * (r * q % P) / D))
     head = _majorant_sum(lambda n, npi: a[(n - 1) % P],
-                         n_one - 1, min(n_terms, n_one - 1), R)
+                         n_one, min(n_terms, n_one - 1), R)
     return head + _periodic_tail(a, P, n_one, n_terms)
 
 
@@ -298,10 +298,10 @@ def _periodic_tail(a: np.ndarray, P: int, n_one: int, n_terms: int) -> float:
     return float((a * trig).sum()) * 2.0 / (math.pi * P) ** 2
 
 
-def _majorant_sum(amplitude, head: int, n_terms: int, R: float) -> float:
+def _majorant_sum(amplitude, n_one: int, n_terms: int, R: float) -> float:
     """sum_{n=1..n_terms} amplitude(n) * s_n / lam_n, lam_n = (n pi)^2 / 2, with
-    s_n = 1 - e^{-lam_n R} for n <= head and 1 beyond, a chunk of terms at a
-    time; amplitude(n, n pi) returns a fresh array."""
+    s_n = 1 - e^{-lam_n R} for n < n_one and 1 from n_one on, a chunk of
+    terms at a time; amplitude(n, n pi) returns a fresh array."""
     total = 0.0
     chunk = 1_000_000
     for lo in range(1, n_terms + 1, chunk):
@@ -309,8 +309,8 @@ def _majorant_sum(amplitude, head: int, n_terms: int, R: float) -> float:
         npi = n * math.pi
         lam = 0.5 * npi ** 2
         term = amplitude(n, npi)
-        k = max(0, min(head + 1 - lo, n.size))
-        term[:k] *= -np.expm1(-lam[:k] * R)
+        head = max(0, min(n_one - lo, n.size))
+        term[:head] *= -np.expm1(-lam[:head] * R)
         total += float((term / lam).sum())
     return total
 

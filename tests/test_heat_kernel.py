@@ -303,9 +303,9 @@ def test_cli_separations_take_the_closed_form(monkeypatch):
     summed, periods = [], []
     series, tail = heat_kernel._majorant_sum, heat_kernel._periodic_tail
 
-    def counted_series(amplitude, head, n_terms, R):
+    def counted_series(amplitude, n_one, n_terms, R):
         summed.append(n_terms)
-        return series(amplitude, head, n_terms, R)
+        return series(amplitude, n_one, n_terms, R)
 
     def counted_tail(a, P, n_one, n_terms):
         periods.append(P)
