@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
-DIRECT_CONVOLUTION_MAX_LAGS = 1024  # lag_convolver's switch to the FFT
+DIRECT_CONVOLUTION_MAX_LAGS = 1024  # lag_convolver's FFT switch; the oracle's piece size
 
 
 @lru_cache(maxsize=64)

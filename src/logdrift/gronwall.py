@@ -7,10 +7,10 @@ with constant coefficients:
               + int_0^t (t-s)^{-alpha} c3 f(s) ds,
 
 where g is either the superlinear x log_+ x or the vanishing-data
-x log_+(1/x). An independent oracle computes the maximal solution of the
-corresponding integral EQUALITY by Picard iteration (product integration
-for the weakly singular kernel), and each closed-form bound is then a
-machine-checkable domination statement against that oracle.
+x log_+(1/x). An independent oracle marches the maximal solution of the
+corresponding integral EQUALITY forward in Picard-solved pieces (product
+integration for the weakly singular kernel), and each closed-form bound is
+then a machine-checkable domination statement against that oracle.
 
 The Osgood classifier decides whether 1/b integrates at infinity for a
 positive drift b, separating drifts that admit global comparison solutions
@@ -27,7 +27,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import beta as beta_fn, betainc
 
-from .fields import lag_convolver, log_plus
+from .fields import DIRECT_CONVOLUTION_MAX_LAGS, lag_convolver, log_plus
 
 MAX_PICARD_ITERATIONS = 10_000
 PICARD_TOL = 1e-10
@@ -110,30 +110,6 @@ def singular_weights(n_steps: int, alpha: float, dt: float) -> tuple[np.ndarray,
     return wl, wr
 
 
-def _singular_operator(wl: np.ndarray, wr: np.ndarray
-                       ) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
-    """The lower-triangular product-integration operator, built once per
-    oracle call.
-
-    Row k >= 1 sums wl[k-j] phi_j + wr[k+1-j] phi_j over j = 0..k, which is
-    one lag convolution with the merged kernel w[m] = wl[m] + wr[m+1]
-    (wr[K+1] = 0), less the spurious j = 0 term wr[k+1] phi_0 of the shifted
-    lag. Returns (apply, spurious): the operator is
-    apply(phi) - spurious * phi[0], with row 0 zero in both. apply is
-    fields.lag_convolver(w): direct and causal up to
-    fields.DIRECT_CONVOLUTION_MAX_LAGS steps, one FFT pair per call above.
-    """
-    spurious = np.append(wr[1:], 0.0)
-    convolve = lag_convolver(wl + spurious)
-    spurious[0] = 0.0
-
-    def apply(phi: np.ndarray) -> np.ndarray:
-        out = convolve(phi)
-        out[0] = 0.0
-        return out
-    return apply, spurious
-
-
 def _startup_corrections(n_steps: int, alpha: float, dt: float,
                          wl: np.ndarray, wr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Replace the first-interval weights by an s^{1-alpha} interpolation.
@@ -176,48 +152,72 @@ def _cumtrapz(vals: np.ndarray, dt: float) -> np.ndarray:
 def volterra_oracle(prob: GronwallProblem, nonlinearity: str = "superlinear") -> np.ndarray:
     """Maximal solution of the integral equality on the problem grid.
 
-    Picard iteration from f0 = M; regular terms by trapezoid, singular term
-    by product integration. Raises OracleConvergenceError if the sup-distance
-    between successive iterates has not fallen below 1e-10 within 10^4
-    passes, or if an iterate leaves the finite range.
-
-    Above fields.DIRECT_CONVOLUTION_MAX_LAGS grid steps the singular term
-    goes through an FFT, whose rounding is not causal: every entry picks up
-    absolute error of order machine epsilon times the largest |phi|, late
-    values included. On problems whose solution climbs to about 1e38 that
-    error swamps early entries of order 1, and the iteration fails: the
-    singular corpus problem make_problem_corpus("singular", 100, 0)[39] at
-    grid_dt = 1/2048 raises "Picard iterate left the finite range", while
-    the direct convolution converges to a maximum of 2.9e38.
+    Regular terms by trapezoid, singular term by product integration: one
+    lag convolution with the merged kernel w[m] = wl[m] + wr[m+1]
+    (wr[K+1] = 0), its spurious node-0 term wr[k+1] phi_0 moved into the
+    forcing. The system is lower triangular, so the oracle marches forward
+    (after Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6,
+    1985): a span of at most fields.DIRECT_CONVOLUTION_MAX_LAGS steps is one
+    piece, solved by Picard iteration with direct, causal convolutions; a
+    longer span marches its first half, adds that half's singular history to
+    the second through one fields.lag_convolver call, whose FFT rounding
+    thus falls only on rows after its sources, then marches the second half.
+    Raises OracleConvergenceError if a piece's successive iterates are not
+    within PICARD_TOL in sup-norm after MAX_PICARD_ITERATIONS passes, or if
+    an iterate leaves the finite range.
     """
     g = _NONLINEARITIES[nonlinearity]
     ts = prob.times()
     dt = ts[1] - ts[0]
     c1, c2, c3 = prob.c1, prob.c2, prob.c3
-    forcing = Mv = np.full_like(ts, prob.M)
+    f = np.full_like(ts, prob.M)
+    rhs = f.copy()  # forcing plus the singular history of finished pieces
     if c3 > 0:
         wl, wr = singular_weights(ts.size - 1, prob.alpha, dt)
         corr0, corr1 = _startup_corrections(ts.size - 1, prob.alpha, dt, wl, wr)
-        singular, spurious = _singular_operator(wl, wr)
+        spurious = np.append(wr[1:], 0.0)
+        w = wl + spurious
+        spurious[0] = 0.0
         # every iterate keeps f[0] = M, so phi[0] is fixed for the call
-        forcing = Mv + (corr0 - spurious) * (c3 * prob.M)
-    f = Mv.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
+        rhs += (corr0 - spurious) * (c3 * prob.M)
+    area = 0.0  # trapezoid integral of c1 f + c2 g(f) up to the finished row
+
+    def solve(a: int, b: int) -> None:
+        nonlocal area
+        f[a + 1:b + 1] = f[a]
+        piece = f[a:b + 1]
+        base = rhs[a + 1:b + 1] + area
+        if c3 > 0:
+            convolve = lag_convolver(w[:b - a + 1])
         for _ in range(MAX_PICARD_ITERATIONS):
-            fn = forcing + _cumtrapz(c1 * f + c2 * g(f), dt)
+            fn = base + _cumtrapz(c1 * piece + c2 * g(piece), dt)[1:]
             if c3 > 0:
-                phi = c3 * f
-                fn += singular(phi)
-                fn += corr1 * phi[1]
+                fn += convolve(c3 * piece)[1:]
+                fn += corr1[a + 1:b + 1] * (c3 * f[1])
             if not np.all(np.isfinite(fn)):
                 raise OracleConvergenceError("Picard iterate left the finite range")
-            delta = float(np.max(np.abs(fn - f)))
-            f = fn
+            delta = float(np.max(np.abs(fn - piece[1:])))
+            piece[1:] = fn
             if delta < PICARD_TOL:
-                return f
-    raise OracleConvergenceError(
-        f"no convergence within {MAX_PICARD_ITERATIONS} Picard passes (last delta {delta:.3e})"
-    )
+                area += _cumtrapz(c1 * piece + c2 * g(piece), dt)[-1]
+                return
+        raise OracleConvergenceError(f"no convergence within {MAX_PICARD_ITERATIONS} "
+                                     f"Picard passes (last delta {delta:.3e})")
+
+    def march(a: int, b: int) -> None:
+        if b - a <= DIRECT_CONVOLUTION_MAX_LAGS:
+            return solve(a, b)
+        m = (a + b) // 2
+        march(a, m)
+        if c3 > 0:
+            sources = np.zeros(b - a + 1)
+            sources[:m - a] = c3 * f[a:m]
+            rhs[m + 1:b + 1] += lag_convolver(w[:b - a + 1])(sources)[m + 1 - a:]
+        march(m, b)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        march(0, ts.size - 1)
+    return f
 
 
 def _bound_series(kind: str, prob: GronwallProblem,
