@@ -360,8 +360,8 @@ def osgood_classifier(drift: Callable[[float], float], z0: float) -> OsgoodRepor
     positive on the sampled range; b values overflowing to inf contribute 0,
     consistent with a convergent tail.
     """
-    if z0 <= 0:
-        raise ValueError("z0 must be positive")
+    if not (math.isfinite(z0) and z0 > 0):
+        raise ValueError("z0 must be finite and positive")
     w0 = math.log(z0)
     if w0 > 300.0:
         raise ValueError("z0 too large to build shells")

@@ -66,7 +66,7 @@ def _check_txy(t, x, y):
         raise ValueError("t must be positive")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(x < 0) or np.any(x > 1) or np.any(y < 0) or np.any(y > 1):
+    if not (np.all((x >= 0) & (x <= 1)) and np.all((y >= 0) & (y <= 1))):
         raise ValueError("x and y must lie in [0, 1]")
     return float(t), x, y
 

@@ -270,3 +270,7 @@ def test_osgood_classifier_validation():
         osgood_classifier(lambda z: z, 0.0)
     with pytest.raises(ValueError):
         osgood_classifier(lambda z: -z, 2.0)
+    for z0 in (math.nan, math.inf, -1.0):
+        # a NaN z0 once compared False everywhere and grew the shells forever
+        with pytest.raises(ValueError, match="z0 must be finite and positive"):
+            osgood_classifier(lambda z: z, z0)

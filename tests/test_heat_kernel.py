@@ -120,6 +120,11 @@ def test_kernel_input_validation():
         kernel_eval(-0.1, 0.5, 0.5)
     with pytest.raises(ValueError):
         kernel_eval(0.1, 1.5, 0.5)
+    # NaN compares False against both ends of [0, 1]
+    for x, y in ((math.nan, 0.5), (0.5, math.nan), (np.array([0.2, math.nan]), 0.5)):
+        for kernel in (kernel_eval, kernel_series, kernel_images):
+            with pytest.raises(ValueError, match=r"x and y must lie in \[0, 1\]"):
+                kernel(0.1, x, y)
 
 
 def test_semigroup_identity_and_contraction():
