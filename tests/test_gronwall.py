@@ -49,11 +49,11 @@ def test_singular_weights_reduce_to_trapezoid_at_alpha_zero():
     assert wl[0] == wr[0] == 0.0
 
 
-def _dense_oracle(prob, nonlinearity):
-    """The oracle's discrete system solved with dense lower-triangular
-    matrices built entry by entry: trapezoid T and product integration W,
-    node 0 of row k weighing wl[k] + corr0[k], node j >= 1 wl[k-j] +
-    wr[k-j+1], and node 1 also corr1[k]."""
+def _dense_oracle(prob):
+    """The superlinear oracle's discrete system solved with dense
+    lower-triangular matrices built entry by entry: trapezoid T and product
+    integration W, node 0 of row k weighing wl[k] + corr0[k], node j >= 1
+    wl[k-j] + wr[k-j+1], and node 1 also corr1[k]."""
     ts = prob.times()
     K, dt = ts.size - 1, ts[1] - ts[0]
     wl, wr = singular_weights(K, prob.alpha, dt)
@@ -67,10 +67,9 @@ def _dense_oracle(prob, nonlinearity):
         W[k, 1] += corr1[k]
         T[k, :k + 1] = dt
         T[k, 0] = T[k, k] = dt / 2.0
-    g = superlinear_g if nonlinearity == "superlinear" else vanishing_g
     f = np.full(K + 1, prob.M)
     for _ in range(MAX_PICARD_ITERATIONS):
-        fn = prob.M + T @ (prob.c1 * f + prob.c2 * g(f)) + W @ (prob.c3 * f)
+        fn = prob.M + T @ (prob.c1 * f + prob.c2 * superlinear_g(f)) + W @ (prob.c3 * f)
         delta = np.max(np.abs(fn - f))
         f = fn
         if delta < PICARD_TOL:
@@ -85,13 +84,13 @@ def test_oracle_matches_dense_reference(K, alpha):
     prob = GronwallProblem(M=1.5, c1=0.7, c2=0.9, c3=0.8, alpha=alpha,
                            grid_dt=1.0 / K)
     got = volterra_oracle(prob, "superlinear")
-    want = _dense_oracle(prob, "superlinear")
+    want = _dense_oracle(prob)
     assert np.max(np.abs(got - want) / want) < 1e-10
 
 
 def test_oracle_converges_where_a_whole_grid_fft_failed():
-    # a singular corpus problem whose solution climbs to about 3e38; FFT
-    # rounding on early rows of order 1 once made Picard leave the finite range
+    # a singular corpus problem whose solution climbs to about 3e38: rounding
+    # of order eps times the late rows must not reach early rows of order 1
     prob = dataclasses.replace(make_problem_corpus("singular", 100, 0)[39],
                                grid_dt=1.0 / 2048.0)
     f = volterra_oracle(prob, "superlinear")
@@ -271,6 +270,6 @@ def test_osgood_classifier_validation():
     with pytest.raises(ValueError):
         osgood_classifier(lambda z: -z, 2.0)
     for z0 in (math.nan, math.inf, -1.0):
-        # a NaN z0 once compared False everywhere and grew the shells forever
+        # NaN compares False against both guards; unchecked, the shells never end
         with pytest.raises(ValueError, match="z0 must be finite and positive"):
             osgood_classifier(lambda z: z, z0)
