@@ -7,6 +7,11 @@ feasible constants on fixed sample sets, and flag families whose required
 growth constant keeps climbing decade over decade at the top of the sampled
 range. Mollified drifts are precomputed on a lookup grid and evaluated by
 monotone cubic interpolation, so they are cheap, Lipschitz, and deterministic.
+
+The module itself imports only numpy. The monotone cubic is a numpy port of
+scipy's PCHIP, so the tables do not depend on the installed scipy, and
+``loglip_check`` imports ``scipy.optimize`` for its linear program on first
+call.
 """
 
 from __future__ import annotations
@@ -16,8 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import linprog
 
 from .fields import log_plus
 
@@ -180,6 +183,10 @@ def loglip_check(spec: DriftSpec):
     how discontinuous or super-log-Lipschitz drifts surface; a drift whose
     sampled differences leave the float range raises as well.
     """
+    # loaded on first call: scipy.optimize would add half again to the
+    # package's import time
+    from scipy.optimize import linprog
+
     u, v = pair_sample()
     t1, t2, t3 = loglip_terms(u, v)
     d = np.abs(drift_eval(spec, u) - drift_eval(spec, v))
@@ -212,7 +219,7 @@ FINE_STEP = 1.0 / 1024.0
 QUAD_POINTS = 96
 GROWTH_LEVELS = (1, 2, 4, 8, 16, 32, 64)
 # the largest mollification level. Building a level-n table takes time and
-# memory linear in n (about 800 MB peak RSS and 1.6 s at n = 1024), so a
+# memory linear in n (about 420 MB peak RSS and 0.8 s at n = 1024), so a
 # level far above this would exhaust memory instead of exiting
 MAX_MOLLIFIER_LEVEL = 1024
 
@@ -278,10 +285,11 @@ class MollifiedDrift:
         if not np.all(np.isfinite(conv)):
             raise HypothesisViolation(f"mollified drift at level n={n} is not "
                                       "finite on its lookup grid")
-        # PCHIP's per-interval cubic, highest power first. scipy evaluates
-        # 0.0 + c3 + ...; c3 is a node value, summed from +0.0, so never -0.0
-        coef = PchipInterpolator(grid, conv, extrapolate=False).c.T.copy()
-        self._grid, self._coef, self._edge = grid, coef, edge
+        # each interval's monotone cubic, highest power first. __call__ starts
+        # its sum at c3, scipy's PPoly (the tests' reference) at 0.0 + c3;
+        # they agree because c3, a node value summed from +0.0, is never -0.0
+        self._coef = _pchip_coefficients(grid, conv)
+        self._grid, self._edge = grid, edge
         # every breakpoint is a multiple of FINE_STEP, so each fine bucket of
         # [-edge, edge] lies in one interval; z = edge closes the last one
         widths = np.rint(np.diff(grid) / FINE_STEP).astype(np.int64)
@@ -310,6 +318,44 @@ class MollifiedDrift:
         return out if out.ndim else float(out)
 
 
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-interval cubic of the monotone (PCHIP) interpolant of y on the
+    strictly increasing x (at least three nodes), highest power first, one
+    row per interval: scipy's ``PchipInterpolator(x, y).c.T``, bit for bit.
+
+    Interior slopes are the weighted harmonic mean of Fritsch and Butland
+    (SIAM J. Sci. Stat. Comput. 5, 1984), zero where the secants change sign
+    or vanish; the end slopes are the shape-preserving one-sided three-point
+    formula. The arithmetic follows scipy 1.17's ``_find_derivatives``,
+    ``_edge_case`` and ``CubicHermiteSpline`` operation for operation.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    # the flat nodes divide by zero here and are discarded
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    d = np.concatenate([[_pchip_end_slope(h[0], h[1], m[0], m[1])],
+                        np.where(flat, 0.0, inner),
+                        [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])]])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.column_stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope from the end interval (h0, m0) and
+    its neighbour (h1, m1), zeroed where its sign disagrees with m0 and
+    capped at 3 m0 where the secants change sign."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
 def _convolve_bump(spec: DriftSpec, xs: np.ndarray, n: int):
     """int_{-1}^{1} b(x - s/n) bump(s) ds on each x, split at the s where the
     drift argument crosses zero (the log kink sits there)."""
@@ -318,10 +364,17 @@ def _convolve_bump(spec: DriftSpec, xs: np.ndarray, n: int):
     total = np.zeros_like(xs)
     for a, b in ((-np.ones_like(split), split), (split, np.ones_like(split))):
         half = 0.5 * (b - a)
+        # where n|x| >= 1 one half has zero width: its term is 0 times a sum,
+        # finite unless b overflows at its one argument x - sign(x)/n. Each
+        # family's |b| grows with |z| where it can overflow, and the live
+        # half reaches larger |z|, so it is not finite then either. Adding a
+        # zero to a total that starts at +0.0 changes no bit
+        live = half > 0.0
+        half, a = half[live], a[live]
         nodes = a[:, None] + half[:, None] * (g[None, :] + 1.0)
-        fvals = drift_eval(spec, xs[:, None] - nodes / n) * bump(nodes)
+        fvals = drift_eval(spec, xs[live, None] - nodes / n) * bump(nodes)
         # einsum, not BLAS's gemv, whose rounding follows its thread count
-        total += half * np.einsum("ij,j->i", fvals, w)
+        total[live] += half * np.einsum("ij,j->i", fvals, w)
     if spec.odd:
         # the bump is even, so an odd drift's convolution is exactly 0 at 0,
         # not quadrature roundoff

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import beta as beta_fn, betainc
 
 from .fields import DIRECT_CONVOLUTION_MAX_LAGS, lag_convolver, log_plus
@@ -360,6 +359,9 @@ def osgood_classifier(drift: Callable[[float], float], z0: float) -> OsgoodRepor
     positive on the sampled range; b values overflowing to inf contribute 0,
     consistent with a convergent tail.
     """
+    # loaded on first call: no CLI scenario calls this function
+    from scipy.integrate import quad
+
     if not (math.isfinite(z0) and z0 > 0):
         raise ValueError("z0 must be finite and positive")
     w0 = math.log(z0)

@@ -419,14 +419,17 @@ def test_resolved_config_round_trips_through_its_echo(lines):
         {k: (type(v), repr(v)) for k, v in first.items()}
 
 
-def test_cli_import_leaves_scipy_signal_out():
-    code = "import sys, logdrift.cli; print('scipy.signal' in sys.modules)"
+def test_cli_import_leaves_scipy_signal_interpolate_optimize_integrate_out():
+    # each serves one call site and imports there, on first use
+    code = ("import sys, logdrift.cli; print(sorted(m for m in ("
+            "'scipy.signal', 'scipy.interpolate', 'scipy.optimize', "
+            "'scipy.integrate') if m in sys.modules))")
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120,
                          env=dict(os.environ, PYTHONPATH=path))
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_spread_of_equal_and_zero_estimates():

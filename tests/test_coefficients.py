@@ -29,7 +29,7 @@ from logdrift.coefficients import (
     sublinear_check,
     uniform_growth_check,
 )
-from logdrift.coefficients import _convolve_bump
+from logdrift.coefficients import _convolve_bump, _pchip_coefficients
 
 LOG_LINEAR = DriftSpec("log_linear")
 
@@ -197,6 +197,60 @@ def test_odd_mollified_drift_is_exactly_zero_at_zero(spec):
         m = mollify(spec, n)
         assert m(0.0) == 0.0
         assert m(-0.0) == 0.0
+
+
+def _random_pchip_case(seed: int):
+    """Uneven nodes and values on a few levels, so that runs of equal values
+    (zero secants) and secant sign changes are common."""
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(1e-3, 2.0, size=300))
+    y = rng.integers(-2, 3, size=300) * 10.0 ** rng.integers(-3, 4, size=300)
+    return x, y
+
+
+# each case reaches the branch of the slope rule it is named after; the end
+# slope asserted is the first interval's
+PCHIP_CASES = {
+    "harmonic_mean_uneven": ([0.0, 0.3, 1.0, 1.1, 2.5],
+                             [0.0, 1.0, 1.5, 4.0, 4.2], None),
+    "sign_changes": ([0.0, 1.0, 2.0, 3.5, 4.0, 6.0],
+                     [0.0, 1.0, 0.0, 2.0, -1.0, 3.0], None),
+    "zero_slopes": ([0.0, 1.0, 2.0, 2.5, 4.0],
+                    [1.0, 1.0, 2.0, 2.0, 2.0], 0.0),
+    # (3 * 1 - 5) / 2 disagrees in sign with the first secant, 1
+    "end_slope_zeroed": ([0.0, 1.0, 2.0], [0.0, 1.0, 6.0], 0.0),
+    # (3 * 1 + 10) / 2 exceeds 3 times the first secant, which the next
+    # secant, -10, opposes
+    "end_slope_capped": ([0.0, 1.0, 2.0], [0.0, 1.0, -9.0], 3.0),
+    "end_slope_kept": ([0.0, 2.0, 3.0], [0.0, 2.0, 2.5], 4.0 / 3.0),
+    "random_0": _random_pchip_case(0) + (None,),
+    "random_1": _random_pchip_case(1) + (None,),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PCHIP_CASES))
+def test_pchip_coefficients_match_scipy_bit_for_bit(case):
+    x, y, first_slope = PCHIP_CASES[case]
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    coef = _pchip_coefficients(x, y)
+    ref = np.ascontiguousarray(PchipInterpolator(x, y).c.T)
+    assert coef.shape == ref.shape == (x.size - 1, 4)
+    np.testing.assert_array_equal(coef.view(np.uint64), ref.view(np.uint64))
+    if first_slope is not None:
+        assert coef[0, 2] == pytest.approx(first_slope, rel=1e-15)
+
+
+def test_pchip_random_cases_reach_every_slope_branch():
+    for seed in (0, 1):
+        x, y = _random_pchip_case(seed)
+        m = np.diff(y) / np.diff(x)
+        d = _pchip_coefficients(x, y)[:, 2]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | \
+            (m[:-1] == 0)
+        assert np.any(np.sign(m[1:]) * np.sign(m[:-1]) < 0)
+        assert np.any(m == 0.0)
+        assert np.all(d[1:][flat] == 0.0)
+        assert np.all(d[1:][~flat] != 0.0)
 
 
 TABLE_HASH_CHILD = (
