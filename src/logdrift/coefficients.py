@@ -326,12 +326,13 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Interior slopes are the weighted harmonic mean of Fritsch and Butland
     (SIAM J. Sci. Stat. Comput. 5, 1984), zero where the secants change sign
     or vanish; the end slopes are the shape-preserving one-sided three-point
-    formula. The arithmetic follows scipy 1.17's ``_find_derivatives``,
-    ``_edge_case`` and ``CubicHermiteSpline`` operation for operation.
+    formula. The float arithmetic follows scipy 1.17's
+    ``_find_derivatives``, ``_edge_case`` and ``CubicHermiteSpline``
+    operation for operation.
     """
     h = np.diff(x)
     m = np.diff(y) / h
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    flat = np.sign(m[1:]) * np.sign(m[:-1]) <= 0.0
     w1 = 2 * h[1:] + h[:-1]
     w2 = h[1:] + 2 * h[:-1]
     # the flat nodes divide by zero here and are discarded
@@ -347,13 +348,12 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _pchip_end_slope(h0, h1, m0, m1):
     """One-sided three-point end slope from the end interval (h0, m0) and
     its neighbour (h1, m1), zeroed where its sign disagrees with m0 and
-    capped at 3 m0 where the secants change sign."""
+    capped at 3 m0. scipy caps only where m0 and m1 differ in sign; with
+    equal signs |d| < 2 |m0|, so the cap cannot bind there."""
     d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
     if np.sign(d) != np.sign(m0):
         return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
+    return 3.0 * m0 if abs(d) > 3.0 * abs(m0) else d
 
 
 def _convolve_bump(spec: DriftSpec, xs: np.ndarray, n: int):

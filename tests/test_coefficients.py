@@ -245,8 +245,7 @@ def test_pchip_random_cases_reach_every_slope_branch():
         x, y = _random_pchip_case(seed)
         m = np.diff(y) / np.diff(x)
         d = _pchip_coefficients(x, y)[:, 2]
-        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | \
-            (m[:-1] == 0)
+        flat = np.sign(m[1:]) * np.sign(m[:-1]) <= 0.0
         assert np.any(np.sign(m[1:]) * np.sign(m[:-1]) < 0)
         assert np.any(m == 0.0)
         assert np.all(d[1:][flat] == 0.0)
