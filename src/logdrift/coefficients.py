@@ -335,7 +335,7 @@ def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     flat = np.sign(m[1:]) * np.sign(m[:-1]) <= 0.0
     w1 = 2 * h[1:] + h[:-1]
     w2 = h[1:] + 2 * h[:-1]
-    # the flat nodes divide by zero here and are discarded
+    # a flat node may divide by zero here; np.where discards its value
     with np.errstate(divide="ignore", invalid="ignore"):
         inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
     d = np.concatenate([[_pchip_end_slope(h[0], h[1], m[0], m[1])],

@@ -420,7 +420,8 @@ def test_resolved_config_round_trips_through_its_echo(lines):
 
 
 def test_cli_import_leaves_scipy_signal_interpolate_optimize_integrate_out():
-    # each serves one call site and imports there, on first use
+    # the package never needs scipy.signal; the other three load at their
+    # one call site each, on first use
     code = ("import sys, logdrift.cli; print(sorted(m for m in ("
             "'scipy.signal', 'scipy.interpolate', 'scipy.optimize', "
             "'scipy.integrate') if m in sys.modules))")
