@@ -4,9 +4,11 @@ deterministic execution, CSV artifacts.
 Every run resolves one configuration (defaults, then the config file, then
 flags; LOGDRIFT_SEED sits between defaults and the file), echoes it verbatim,
 executes one scenario, and writes CSV tables plus a summary into the output
-directory. Exit status 0 means every contract in the scenario held, 1 names
-the failed assertions, 2 means the configuration itself was rejected. Floats
-are written with 17 significant digits so reruns are byte-identical.
+directory. The checks that reject a configuration are the ones that build
+its grid, coefficients, initial field and lists, and the scenario runs on
+what they built. Exit status 0 means every contract in the scenario held, 1
+names the failed assertions, 2 means the configuration itself was rejected.
+Floats are written with 17 significant digits so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -173,29 +175,20 @@ def parse_u0(text: str, n_modes: int) -> Field:
                       "(use zero | mode:k,amp | random:norm,seed)")
 
 
-def _drift_from(cfg: dict) -> Optional[DriftSpec]:
-    family = cfg["drift.family"]
-    if family == "none":
-        return None
-    return DriftSpec(family=family, scale=cfg["drift.scale"],
-                     exponent=cfg["drift.exponent"],
-                     degree=cfg["drift.degree"])
+class _Inputs(NamedTuple):
+    """The configuration's parsed objects, built once per run."""
+    grid: Grid
+    drift: Optional[DriftSpec]
+    diffusion: Optional[DiffusionSpec]
+    u0: Field
+    levels: list
+    lambdas: list
+    epsilons: list
 
 
-def _diffusion_from(cfg: dict) -> Optional[DiffusionSpec]:
-    family = cfg["diffusion.family"]
-    if family == "none":
-        return None
-    return DiffusionSpec(family=family, d1=cfg["diffusion.d1"],
-                         d2=cfg["diffusion.d2"], theta=cfg["diffusion.theta"])
-
-
-def _grid_from(cfg: dict) -> Grid:
-    return Grid(n_modes=cfg["grid.n_modes"], T=cfg["grid.T"],
-                n_steps=cfg["grid.n_steps"])
-
-
-def _validate(cfg: dict) -> None:
+def _inputs(cfg: dict) -> _Inputs:
+    """The parsed objects of cfg; raises ConfigError for any value the
+    scenario cannot run with."""
     if cfg["threads"] < 1:
         raise ConfigError("threads must be >= 1")
     if cfg["ensemble"] < 1:
@@ -206,23 +199,31 @@ def _validate(cfg: dict) -> None:
     if cfg["threshold"] <= 0.0:
         # every norm would exceed it, so each path "blows up" at step 1
         raise ConfigError("threshold must be > 0")
+    scenario = cfg["scenario"]
     try:
-        grid = _grid_from(cfg)
-        drift = _drift_from(cfg)
-        _diffusion_from(cfg)
-        parse_u0(cfg["u0"], grid.n_modes)
+        grid = Grid(n_modes=cfg["grid.n_modes"], T=cfg["grid.T"],
+                    n_steps=cfg["grid.n_steps"])
+        drift = None if cfg["drift.family"] == "none" else DriftSpec(
+            family=cfg["drift.family"], scale=cfg["drift.scale"],
+            exponent=cfg["drift.exponent"], degree=cfg["drift.degree"])
+        diffusion = None if cfg["diffusion.family"] == "none" else \
+            DiffusionSpec(family=cfg["diffusion.family"],
+                          d1=cfg["diffusion.d1"], d2=cfg["diffusion.d2"],
+                          theta=cfg["diffusion.theta"])
+        u0 = parse_u0(cfg["u0"], grid.n_modes)
         levels = _parse_list(cfg["levels"], int, "levels")
-        if cfg["scenario"] in ("moments", "uniqueness"):
+        if scenario in ("moments", "uniqueness"):
             mollifier_levels(levels)
     except (ValueError, HypothesisViolation) as e:
         raise ConfigError(str(e))
+    positive = []
     for key in ("lambdas", "epsilons"):
+        values = _parse_list(cfg[key], float, key)
         # a zero or negative entry raises inside the report, and an infinite
         # epsilon makes every split trivially feasible
-        if not all(math.isfinite(v) and v > 0.0
-                   for v in _parse_list(cfg[key], float, key)):
+        if not all(math.isfinite(v) and v > 0.0 for v in values):
             raise ConfigError(f"{key} entries must be finite and > 0")
-    scenario = cfg["scenario"]
+        positive.append(values)
     if scenario in ("moments", "uniqueness") and drift is None:
         # both mollify the drift
         raise ConfigError(f"the {scenario} scenario needs a drift family")
@@ -243,6 +244,7 @@ def _validate(cfg: dict) -> None:
             not 0.0 < cfg["alpha"] < MAX_FACTORIZATION_ALPHA:
         raise ConfigError("the factorization scenario needs 0 < alpha < "
                           f"{MAX_FACTORIZATION_ALPHA}")
+    return _Inputs(grid, drift, diffusion, u0, levels, *positive)
 
 
 def resolve_config(args, env) -> dict:
@@ -264,7 +266,7 @@ def resolve_config(args, env) -> dict:
         cfg["output_dir"] = args.output_dir
     if args.threads is not None:
         cfg["threads"] = args.threads
-    _validate(cfg)
+    _inputs(cfg)
     return cfg
 
 
@@ -288,6 +290,11 @@ def write_csv(path: Path, header: list, rows: list) -> None:
             f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _write_records(path: Path, records: list) -> None:
+    """Dicts whose keys, in order, are the CSV columns: one row each."""
+    write_csv(path, list(records[0]), [r.values() for r in records])
+
+
 def _spread(values) -> float:
     """max/min of nonnegative values: 1 when all are equal, inf when only
     the smallest is 0."""
@@ -306,7 +313,7 @@ def _ordered_map(fn: Callable, items, threads: int) -> list:
         return list(ex.map(fn, items))
 
 
-def _run_kernel_estimates(cfg: dict, out: Path) -> list:
+def _run_kernel_estimates(cfg: dict, inputs: _Inputs, out: Path) -> list:
     failures = []
     threads = cfg["threads"]
     xs = np.linspace(0.0, 1.0, 19)[1:-1]
@@ -352,7 +359,7 @@ def _run_kernel_estimates(cfg: dict, out: Path) -> list:
     return failures
 
 
-def _run_gronwall_suite(cfg: dict, out: Path) -> list:
+def _run_gronwall_suite(cfg: dict, inputs: _Inputs, out: Path) -> list:
     failures = []
     count = cfg["ensemble"]
     rows = []
@@ -386,11 +393,10 @@ def _run_gronwall_suite(cfg: dict, out: Path) -> list:
     return failures
 
 
-def _run_hypothesis_check(cfg: dict, out: Path) -> list:
+def _run_hypothesis_check(cfg: dict, inputs: _Inputs, out: Path) -> list:
     failures = []
     rows = []
-    drift = _drift_from(cfg)
-    diffusion = _diffusion_from(cfg)
+    drift, diffusion = inputs.drift, inputs.diffusion
     if drift is not None:
         try:
             c1, c2 = growth_check(drift)
@@ -418,22 +424,20 @@ def _run_hypothesis_check(cfg: dict, out: Path) -> list:
     return failures
 
 
-def _run_uniqueness(cfg: dict, out: Path) -> list:
+def _run_uniqueness(cfg: dict, inputs: _Inputs, out: Path) -> list:
     failures = []
-    grid = _grid_from(cfg)
-    levels = _parse_list(cfg["levels"], int, "levels")
-    u0 = parse_u0(cfg["u0"], grid.n_modes)
     try:
         res = coupled_uniqueness_experiment(
-            u0, _drift_from(cfg), _diffusion_from(cfg), grid,
-            cfg["master_seed"], levels, threshold=cfg["threshold"])
+            inputs.u0, inputs.drift, inputs.diffusion, inputs.grid,
+            cfg["master_seed"], inputs.levels, threshold=cfg["threshold"])
     except (RuntimeError, HypothesisViolation) as e:
-        write_csv(out / "uniqueness.csv",
-                  ["level_lo", "level_hi", "sup_diff"], [])
-        return [f"uniqueness experiment: {e}"]
+        failures.append(f"uniqueness experiment: {e}")
+        res = {"pairs": [], "sup_diffs": []}
     rows = [(a, b, d) for (a, b), d in zip(res["pairs"], res["sup_diffs"])]
     write_csv(out / "uniqueness.csv",
               ["level_lo", "level_hi", "sup_diff"], rows)
+    if failures:
+        return failures
     diffs = res["sup_diffs"]
     tail = diffs[-3:] if len(diffs) >= 3 else diffs
     if any(b >= a for a, b in zip(tail, tail[1:])):
@@ -445,11 +449,9 @@ def _run_uniqueness(cfg: dict, out: Path) -> list:
     return failures
 
 
-def _run_blowup_phase(cfg: dict, out: Path) -> list:
-    grid = _grid_from(cfg)
-    rep = mc_sup_moment(cfg["p"], _drift_from(cfg), _diffusion_from(cfg),
-                        parse_u0(cfg["u0"], grid.n_modes), grid,
-                        cfg["ensemble"], cfg["master_seed"],
+def _run_blowup_phase(cfg: dict, inputs: _Inputs, out: Path) -> list:
+    rep = mc_sup_moment(cfg["p"], inputs.drift, inputs.diffusion, inputs.u0,
+                        inputs.grid, cfg["ensemble"], cfg["master_seed"],
                         threshold=cfg["threshold"])
     write_csv(out / "blowup_phase.csv",
               ["p", "T", "ensemble", "blowup_fraction", "estimate",
@@ -462,17 +464,12 @@ def _run_blowup_phase(cfg: dict, out: Path) -> list:
     return []
 
 
-def _run_moments(cfg: dict, out: Path) -> list:
+def _run_moments(cfg: dict, inputs: _Inputs, out: Path) -> list:
     failures = []
-    grid = _grid_from(cfg)
-    drift = _drift_from(cfg)
-    diffusion = _diffusion_from(cfg)
-    u0 = parse_u0(cfg["u0"], grid.n_modes)
+    grid, u0 = inputs.grid, inputs.u0
+    drift, diffusion = inputs.drift, inputs.diffusion
     seed = cfg["master_seed"]
     ens = cfg["ensemble"]
-    levels = _parse_list(cfg["levels"], int, "levels")
-    lambdas = _parse_list(cfg["lambdas"], float, "lambdas")
-    epsilons = _parse_list(cfg["epsilons"], float, "epsilons")
 
     # the amplitude-scaling law lives at p > 8 and the epsilon split at
     # p <= 8; those windows are structural, not configuration
@@ -481,9 +478,10 @@ def _run_moments(cfg: dict, out: Path) -> list:
                               threshold=cfg["threshold"]),
         lambda: restart_window_report(cfg["p"], drift, diffusion, u0, grid,
                                       ens, seed, threshold=cfg["threshold"]),
-        lambda: convolution_scaling_report(10.0, lambdas, grid, ens, seed),
-        lambda: epsilon_split_report(2.0, epsilons, grid, ens, seed),
-        lambda: mollified_uniformity_report(levels, cfg["p"], drift,
+        lambda: convolution_scaling_report(10.0, inputs.lambdas, grid, ens,
+                                           seed),
+        lambda: epsilon_split_report(2.0, inputs.epsilons, grid, ens, seed),
+        lambda: mollified_uniformity_report(inputs.levels, cfg["p"], drift,
                                             diffusion, u0, grid, ens, seed,
                                             threshold=cfg["threshold"]),
     ]
@@ -506,11 +504,7 @@ def _run_moments(cfg: dict, out: Path) -> list:
             failures.append(f"moment finiteness: {name} report invalid "
                             f"(blowup fraction {rep.blowup_fraction})")
 
-    write_csv(out / "moment_scaling.csv",
-              ["lam", "lhs", "rhs", "ratio", "lhs_over_base",
-               "power_rel_err"],
-              [(r["lam"], r["lhs"], r["rhs"], r["ratio"], r["lhs_over_base"],
-                r["power_rel_err"]) for r in scaling])
+    _write_records(out / "moment_scaling.csv", scaling)
     worst = max(r["power_rel_err"] for r in scaling)
     if worst > SCALING_REL_TOL:
         failures.append(f"moment scaling: power-law error {worst:.3e} > "
@@ -520,18 +514,12 @@ def _run_moments(cfg: dict, out: Path) -> list:
         failures.append(f"moment scaling: constant spread {spread:.3f} >= "
                         f"{SCALING_SPREAD_TOL}")
 
-    write_csv(out / "moment_epsilon_split.csv",
-              ["epsilon", "lhs", "sup_term", "c_epsilon", "feasible"],
-              [(r["epsilon"], r["lhs"], r["sup_term"], r["c_epsilon"],
-                r["feasible"]) for r in split])
+    _write_records(out / "moment_epsilon_split.csv", split)
     if not all(r["feasible"] for r in split):
         failures.append("moment epsilon split: no feasible constant under "
                         "the cap for some epsilon")
 
-    write_csv(out / "moment_uniformity.csv",
-              ["level", "estimate", "std_error"],
-              [(r["level"], r["estimate"], r["std_error"])
-               for r in uniformity])
+    _write_records(out / "moment_uniformity.csv", uniformity)
     spread = _spread([r["estimate"] for r in uniformity])
     if spread > UNIFORMITY_SPREAD_TOL:
         failures.append(f"moment uniformity: level spread {spread:.3f} > "
@@ -539,8 +527,8 @@ def _run_moments(cfg: dict, out: Path) -> list:
     return failures
 
 
-def _run_factorization(cfg: dict, out: Path) -> list:
-    base = _grid_from(cfg)
+def _run_factorization(cfg: dict, inputs: _Inputs, out: Path) -> list:
+    base = inputs.grid
 
     def level_error(doubling: int) -> tuple:
         n_steps = base.n_steps * 2 ** doubling
@@ -558,8 +546,8 @@ def _run_factorization(cfg: dict, out: Path) -> list:
     return []
 
 
-def _run_isometry(cfg: dict, out: Path) -> list:
-    grid = _grid_from(cfg)
+def _run_isometry(cfg: dict, inputs: _Inputs, out: Path) -> list:
+    grid = inputs.grid
     N, K = grid.n_modes, grid.n_steps
     js = np.arange(1, N + 1) * math.pi
     t = grid.times()[:-1][:, None]
@@ -666,12 +654,13 @@ def _echo(cfg: dict) -> str:
 
 def run(cfg: dict) -> int:
     """Execute the resolved configuration; returns the process exit code."""
+    inputs = _inputs(cfg)
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     echo = _echo(cfg)
     print(echo)
     (out / "resolved-config.txt").write_text(echo + "\n")
-    failures = SCENARIOS[cfg["scenario"]].run(cfg, out)
+    failures = SCENARIOS[cfg["scenario"]].run(cfg, inputs, out)
     lines = [f"scenario={cfg['scenario']}", f"failures={len(failures)}"]
     lines += [f"FAIL {f}" for f in failures]
     lines.append("status=" + ("FAIL" if failures else "PASS"))
