@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -279,6 +280,53 @@ def test_mollifier_tables_do_not_depend_on_blas_threads():
         assert child.returncode == 0, child.stderr
         digests.append(child.stdout.strip())
     assert digests[0] == digests[1]
+
+
+# sha256 of mollify(spec, n)._coef, recorded before the table build went
+# through blocks of rows
+TABLE_DIGESTS = {
+    ("log_linear", 64):
+        "434a27c0035e4205417b6b3a549a31e7b003367d27d5b52d87365bc8aef15f5f",
+    ("log_linear", 1024):
+        "0b10a05346a66354dc85eb80f428a9985be03b30b185bc7efcfd24d4a93c09a2",
+    ("log_power", 64):
+        "7ca23df8b63925041196cc6df06f49a3bd2791bf0aa8bad3b8b86520b90f05e4",
+    ("log_power", 1024):
+        "25bf78c09fd5f3aa298ea00439db6904cf1780eb9744024753f753a2da4bff05",
+}
+
+
+@pytest.mark.parametrize("family,n", sorted(TABLE_DIGESTS))
+def test_mollifier_table_bits_are_pinned(family, n):
+    coef = mollify(DriftSpec(family), n)._coef
+    assert hashlib.sha256(coef.tobytes()).hexdigest() == \
+        TABLE_DIGESTS[family, n]
+
+
+# peak RSS in MB after a level-MAX_MOLLIFIER_LEVEL build in a fresh process.
+# The import alone takes about 57 MB and the blocked build about 83 MB in
+# all; one batch over every grid row took about 420 MB. The child reads its
+# own address space's high-water mark: its ru_maxrss would also count the
+# test process, whose high-water mark Linux carries over at exec
+TABLE_BUILD_PEAK_MB = 160.0
+TABLE_RSS_CHILD = (
+    "from logdrift.coefficients import DriftSpec, MAX_MOLLIFIER_LEVEL, "
+    "mollify\n"
+    "mollify(DriftSpec('log_linear'), MAX_MOLLIFIER_LEVEL)\n"
+    "status = open('/proc/self/status').read().split()\n"
+    "print(int(status[status.index('VmHWM:') + 1]) / 1024.0)\n")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="the child reads its peak RSS from /proc")
+def test_largest_mollifier_table_builds_in_bounded_memory():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", TABLE_RSS_CHILD], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    assert float(child.stdout) < TABLE_BUILD_PEAK_MB
 
 
 def test_oddness_is_by_family():
