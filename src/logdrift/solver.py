@@ -257,12 +257,12 @@ def factorization_check(alpha: float, grid: Grid, noise: NoiseRealization) -> fl
         raise ValueError("alpha must lie in (0, 1/4)")
     _check_noise(grid, noise)
     N, K, dt = grid.n_modes, grid.n_steps, grid.dt
-    E, gamma = _propagators(N, dt)
+    gamma = _propagators(N, dt)[1]
     GS = gamma * noise.increments[:N].T  # (K, N); sigma == 1 needs no transform
-    # direct convolution: V_{k+1} = E (V_k) + GS_k
-    V = np.zeros((K + 1, N))
-    for k in range(K):
-        V[k + 1] = E * V[k] + GS[k]
+    # direct convolution V_{k+1} = E V_k + GS_k: the solver's constant-sigma
+    # step from zero data, with no drift and no breach threshold
+    V = _march(Field.zero(N), None, 1.0, grid, noise.increments[None, :N],
+               math.inf, history=True)[3][:, 0]
     # inner: Z_m = sum_{l<m} g_{m-l} E^{m-l-1} GS_l, cell-exact (s-r)^(-alpha)
     q = np.arange(1, K + 1, dtype=float)
     g = dt ** -alpha * (q ** (1.0 - alpha) - (q - 1.0) ** (1.0 - alpha)) / (1.0 - alpha)

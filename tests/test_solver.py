@@ -286,8 +286,8 @@ def test_factorization_identity_refines():
 
 
 def test_factorization_recurrence_is_the_solvers_convolution():
-    # factorization_check's direct side, V[k+1] = E V[k] + gamma xi_k, is the
-    # solver's pure stochastic convolution bit for bit
+    # the recurrence V[k+1] = E V[k] + gamma xi_k, factorization_check's
+    # direct side, is the solver's pure stochastic convolution bit for bit
     g = Grid(n_modes=32, T=1.0, n_steps=256)
     noise = sample_noise(909, 32, 256, g.dt)
     E, gamma = _propagators(32, g.dt)
