@@ -9,8 +9,8 @@ its term count from t and `TRUNCATION_TOL`. Both are exposed so they can be
 cross-checked; `kernel_eval` switches between them at `switch_time`.
 
 Derived estimates: kernel mass and L2 size, an integrated small-time
-increment estimate (the sup-over-space time-modulus integral, split between
-the two forms at `switch_time` as `kernel_eval` is), a spatial modulus
+increment estimate (the sup-over-space time-modulus integral, summed in mode
+form at every node, where its terms are nonnegative), a spatial modulus
 majorant series, and a log-Jensen inequality check used by the moment
 arguments.
 """
@@ -32,7 +32,9 @@ TRUNCATION_TOL = 1e-14
 MAX_MODES = 200_000
 # x grids of the sups in mass_and_l2_bounds and time_increment_estimate, and
 # the latter's (even) count of Simpson intervals in w = sqrt(r) and w-nodes
-# per block of its mode form (INCREMENT_X_POINTS x 128 doubles, about 1 MB)
+# per block of its mode form. A block's sine table is INCREMENT_X_POINTS
+# doubles per mode; the first block, at r = 3/1200^2, needs 1268 modes, a
+# table of about 10 MB
 MASS_X_POINTS = 513
 INCREMENT_X_POINTS = 1025
 INCREMENT_W_INTERVALS = 1200
@@ -175,26 +177,22 @@ def mass_and_l2_bounds(t: float, params: KernelParams = DEFAULT_PARAMS) -> tuple
     return float(mass.max()), float(l2sq.max())
 
 
-def _increment_images(r: float, h: float, xs: np.ndarray) -> np.ndarray:
-    """[p_{2r} - 2 p_{2r+h} + p_{2r+2h}](x, x) on xs, in image form."""
-    return kernel_images(2.0 * r, xs, xs) - 2.0 * kernel_images(2.0 * r + h, xs, xs) \
-        + kernel_images(2.0 * r + 2.0 * h, xs, xs)
-
-
 def _increment_modes(rs: np.ndarray, h: float, xs: np.ndarray):
-    """The same second difference in mode form, one block of r at a time.
+    """[p_{2r} - 2 p_{2r+h} + p_{2r+2h}](x, x) in mode form, one block of r
+    at a time.
 
     sum_n 2 sin^2(n pi x) e^{-n^2 pi^2 r} (1 - e^{-n^2 pi^2 h/2})^2 on xs
     (rows) for INCREMENT_W_BLOCK values of rs (columns) per yielded array,
-    with the modes the smallest r needs. Every term is nonnegative, so the
-    sum has no cancellation.
+    with the modes the block's smallest r needs. Every term is nonnegative,
+    so the sum has no cancellation.
     """
-    n = np.arange(1, _series_mode_count(2.0 * float(rs.min()), DEFAULT_PARAMS) + 1)
-    lam = (n * math.pi) ** 2
-    sin2 = 2.0 * np.sin(np.outer(xs, n * math.pi)) ** 2
-    kap2 = np.expm1(-0.5 * lam * h)[:, None] ** 2
     for lo in range(0, rs.size, INCREMENT_W_BLOCK):
-        yield sin2 @ (kap2 * np.exp(-np.outer(lam, rs[lo : lo + INCREMENT_W_BLOCK])))
+        block = rs[lo : lo + INCREMENT_W_BLOCK]
+        n = np.arange(1, _series_mode_count(2.0 * float(block.min()), DEFAULT_PARAMS) + 1)
+        lam = (n * math.pi) ** 2
+        sin2 = 2.0 * np.sin(np.outer(xs, n * math.pi)) ** 2
+        kap2 = np.expm1(-0.5 * lam * h)[:, None] ** 2
+        yield sin2 @ (kap2 * np.exp(-np.outer(lam, block)))
 
 
 def time_increment_estimate(h: float, R: float = 3.0) -> float:
@@ -203,11 +201,11 @@ def time_increment_estimate(h: float, R: float = 3.0) -> float:
     Computes int_0^R sup_x [p_{2r} - 2 p_{2r+h} + p_{2r+2h}](x, x) dr, the
     quantity controlling the time modulus of stochastic convolutions over a
     horizon R. The integrand equals sum_n e_n(x)^2 e^{-pi^2 n^2 r}
-    (1 - e^{-pi^2 n^2 h / 2})^2 >= 0. As in `kernel_eval`, nodes with
-    2r < switch_time take the second difference in image form; the rest sum
-    that mode form directly, as one matrix product per block of nodes. The
-    1/sqrt(r) endpoint singularity is removed by the substitution r = w^2; at
-    w = 0 the integrand tends to 1/sqrt(pi) exactly.
+    (1 - e^{-pi^2 n^2 h / 2})^2 >= 0, which every node w > 0 sums directly,
+    as one matrix product per block of nodes; its terms are nonnegative, so
+    nothing cancels even where the kernel is sharply peaked. The 1/sqrt(r)
+    endpoint singularity is removed by the substitution r = w^2; at w = 0 the
+    integrand tends to 1/sqrt(pi) exactly.
 
     The tail beyond R is bounded by exp(-pi^2 R)/3; R must make that at
     most 1e-12.
@@ -222,13 +220,8 @@ def time_increment_estimate(h: float, R: float = 3.0) -> float:
     xs = np.linspace(0.0, 1.0, INCREMENT_X_POINTS)[1:-1]
     ws = np.linspace(0.0, math.sqrt(R), n_w + 1)
     rs = ws * ws
-    split = int(np.searchsorted(2.0 * rs, DEFAULT_PARAMS.switch_time))
-    sup = np.zeros(n_w + 1)
-    for i in range(1, split):
-        sup[i] = _increment_images(rs[i], h, xs).max()
-    sup[split:] = np.concatenate([g.max(axis=0) for g in _increment_modes(rs[split:], h, xs)])
-    vals = 2.0 * ws * sup
-    vals[0] = 1.0 / SQRT_PI
+    sup = np.concatenate([g.max(axis=0) for g in _increment_modes(rs[1:], h, xs)])
+    vals = np.concatenate([[1.0 / SQRT_PI], 2.0 * ws[1:] * sup])
     w_quad = simpson_weights(n_w + 1, ws[1] - ws[0])
     return float(vals @ w_quad)
 

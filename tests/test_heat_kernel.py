@@ -10,7 +10,6 @@ from logdrift.heat_kernel import (
     INCREMENT_X_POINTS,
     KernelParams,
     _image_pairs,
-    _increment_images,
     _increment_modes,
     kernel_eval,
     kernel_images,
@@ -195,16 +194,37 @@ def test_time_increment_frozen_value_and_oracle_band():
     assert v >= time_increment_pointwise(0.5, 0.05)
 
 
+def _increment_images(r: float, h: float, xs: np.ndarray) -> np.ndarray:
+    """[p_{2r} - 2 p_{2r+h} + p_{2r+2h}](x, x) on xs, in image form."""
+    return kernel_images(2.0 * r, xs, xs) - 2.0 * kernel_images(2.0 * r + h, xs, xs) \
+        + kernel_images(2.0 * r + 2.0 * h, xs, xs)
+
+
+INCREMENT_XS = np.linspace(0.0, 1.0, INCREMENT_X_POINTS)[1:-1]
+INCREMENT_HS = (0.1, 0.0125, 0.0015625)
+
+
 def test_time_increment_forms_agree_near_the_split():
-    # nodes with 2r < switch_time take the image form, the rest the mode form
-    xs = np.linspace(0.0, 1.0, INCREMENT_X_POINTS)[1:-1]
+    # around 2r = switch_time, where kernel_eval changes form
+    xs = INCREMENT_XS
     rs = 0.5 * DEFAULT_PARAMS.switch_time * np.linspace(0.8, 1.25, 10)
-    for h in (0.1, 0.0125, 0.0015625):
+    for h in INCREMENT_HS:
         modes = np.hstack(list(_increment_modes(rs, h, xs)))
         assert modes.shape == (xs.size, rs.size)
         assert np.all(modes >= 0.0)
         for j, r in enumerate(rs):
             assert np.max(np.abs(modes[:, j] - _increment_images(r, h, xs))) <= 1e-13
+
+
+def test_time_increment_mode_form_holds_at_the_first_nodes():
+    # the integrand's first two nodes w = sqrt(3)/1200 and 2 sqrt(3)/1200,
+    # where the kernel is sharpest and the mode form needs the most modes
+    xs = INCREMENT_XS
+    for r in (3.0 / 1200**2, 12.0 / 1200**2):
+        for h in INCREMENT_HS:
+            modes = next(_increment_modes(np.array([r]), h, xs))[:, 0]
+            images = _increment_images(r, h, xs)
+            assert np.max(np.abs(modes - images)) <= 1e-13 * images.max()
 
 
 def test_time_increment_cli_values_match_the_image_form():
