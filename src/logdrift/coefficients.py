@@ -241,12 +241,10 @@ def mollifier_levels(levels: Sequence[int]) -> list[int]:
     return levels
 
 
-def _bump_normalization() -> float:
-    x, w = np.polynomial.legendre.leggauss(96)
-    return float(np.sum(w * np.exp(-1.0 / (1.0 - x * x))))
-
-
-_BUMP_NORM = _bump_normalization()
+# the Gauss-Legendre rule of the bump's mass and of each half of a table's
+# bump integrals, built once for the many row blocks of every table
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(QUAD_POINTS)
+_BUMP_NORM = float(np.sum(_GAUSS_W * np.exp(-1.0 / (1.0 - _GAUSS_X * _GAUSS_X))))
 
 
 def bump(x):
@@ -366,7 +364,7 @@ def _pchip_end_slope(h0, h1, m0, m1):
 def _convolve_bump(spec: DriftSpec, xs: np.ndarray, n: int):
     """int_{-1}^{1} b(x - s/n) bump(s) ds on each x, split at the s where the
     drift argument crosses zero (the log kink sits there)."""
-    g, w = np.polynomial.legendre.leggauss(QUAD_POINTS)
+    g, w = _GAUSS_X, _GAUSS_W
     split = np.clip(n * xs, -1.0, 1.0)
     total = np.zeros_like(xs)
     for a, b in ((-np.ones_like(split), split), (split, np.ones_like(split))):
