@@ -222,8 +222,8 @@ QUAD_POINTS = 96
 _BUMP_BLOCK_ROWS = 1024
 GROWTH_LEVELS = (1, 2, 4, 8, 16, 32, 64)
 # the largest mollification level. A level-n table takes time and memory
-# linear in n to build and to hold (at n = 1024, 0.5-0.9 s and a peak RSS
-# of about 83 MB in a fresh process, 57 MB of which is the import), so a
+# linear in n to build and to hold (at n = 1024, about 0.65 s and a peak
+# RSS of 83 MB in a fresh process, 57 MB of which is the import), so a
 # level far above this would exhaust memory instead of exiting
 MAX_MOLLIFIER_LEVEL = 1024
 
