@@ -19,6 +19,7 @@ stiffness diagnostic only.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -135,7 +136,9 @@ def _march(u0: Field, drift, diffusion, grid: Grid, Xi: np.ndarray,
 
     A row breaches at the first step whose L2 norm is non-finite or above
     threshold; it stops advancing there and its l2 tail is frozen at the
-    breach value. The loop ends when no row is active. Returns (l2, blown,
+    breach value. The loop ends when no row is active. In a batch of two or
+    more rows each row's bits are those of any other such batch holding it;
+    a one-row batch rounds as a single path does. Returns (l2, blown,
     blow_steps, states): l2 is (P, n_steps+1), blow_steps the breach step or
     -1, and states the (steps run + 1, P, n_modes) coefficients with history,
     else None.
@@ -148,24 +151,35 @@ def _march(u0: Field, drift, diffusion, grid: Grid, Xi: np.ndarray,
     states = [U.copy()] if history else None
     blown = np.zeros(P, dtype=bool)
     blow_steps = np.full(P, -1)
-    active = np.arange(P)
+    # ~(norms <= limit) flags NaN, +inf and norms above threshold in one
+    # comparison; with the float max first, min ignores a NaN threshold, which
+    # no finite norm exceeds
+    limit = min(sys.float_info.max, threshold)
+    # every row until the first breach, then the surviving rows' indices
+    active = slice(None)
     for k in range(grid.n_steps):
-        Un = advance(U[active], Xi[active, :, k])
+        Un = advance(U[active], np.ascontiguousarray(Xi[active, :, k]))
         with np.errstate(over="ignore", invalid="ignore"):
             norms = np.sqrt(np.sum(Un * Un, axis=1))
         U[active] = Un
         l2[active, k + 1] = norms
         if history:
             states.append(U.copy())
-        bad = ~np.isfinite(norms) | (norms > threshold)
-        if np.any(bad):
-            hit = active[bad]
+        bad = ~(norms <= limit)
+        if bad.any():
+            rows = np.arange(P)[active]
+            hit = rows[bad]
             blown[hit] = True
             blow_steps[hit] = k + 1
             l2[hit, k + 2:] = l2[hit, k + 1][:, None]
-            active = active[~bad]
+            active = rows[~bad]
             if active.size == 0:
                 break
+            if active.size == 1 and P > 1:
+                # the last row of a batch steps twice over: BLAS multiplies a
+                # lone row with its matrix-vector kernel, whose rounding
+                # differs from the batched rows'
+                active = np.repeat(active, 2)
     return l2, blown, blow_steps, np.array(states) if history else None
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from logdrift.coefficients import DiffusionSpec, DriftSpec, mollify
 from logdrift.fields import Field
-from logdrift.noise import NoiseRealization, sample_noise
+from logdrift.noise import NoiseRealization, derive_path_seed, sample_noise
 from logdrift.solver import (
     Grid,
     _propagators,
@@ -209,6 +209,57 @@ def test_ensemble_freezes_blown_rows():
         s = steps[p]
         assert s > 0
         assert np.all(l2[p, s:] == l2[p, s])
+
+
+@pytest.mark.parametrize("case", ["inf", "finite", "equal", "below", "nan"])
+def test_breach_flags_as_the_finite_and_threshold_rule(case):
+    # rows whose noise turns NaN, +inf, huge but finite, overflowing, or stays
+    # ordinary; a breach is a norm that is non-finite or above threshold
+    g = Grid(n_modes=8, T=0.5, n_steps=16)
+    Xi = np.stack([sample_noise(60 + i, 8, 16, g.dt).increments
+                   for i in range(5)])
+    Xi[0, 2, 3] = np.nan
+    Xi[1, 2, 5] = np.inf
+    Xi[2, 2, 7] = 1e12
+    Xi[3, 2, 9] = 1e300
+    free = solve_l2_ensemble(Field.zero(8), None, 1.0, g, Xi, math.inf)[0]
+    peak = np.max(free[4])
+    threshold = {"inf": math.inf, "finite": 1e8, "equal": peak,
+                 "below": np.nextafter(peak, 0.0), "nan": math.nan}[case]
+    _, blown, steps = solve_l2_ensemble(Field.zero(8), None, 1.0, g, Xi,
+                                        threshold)
+    with np.errstate(invalid="ignore"):
+        bad = ~np.isfinite(free) | (free > threshold)
+    bad[:, 0] = False
+    np.testing.assert_array_equal(blown, bad.any(axis=1))
+    np.testing.assert_array_equal(steps, np.where(blown, bad.argmax(axis=1), -1))
+    if case in ("inf", "nan"):
+        assert blown.tolist() == [True, True, False, True, False]
+    if case == "finite":
+        assert blown.tolist() == [True, True, True, True, False]
+    assert blown[4] == (case == "below")
+
+
+def test_mixed_breach_batch_rows_match_their_own_solves_in_both_layouts():
+    g = Grid(n_modes=8, T=2.0, n_steps=128)
+    u0 = Field.from_coeffs(np.concatenate([[7.0], np.zeros(7)]))
+    diffusion = DiffusionSpec("sublinear_power", d1=2.0, d2=2.0, theta=0.5)
+    # path 0 survives and paths 3, 2, 4 breach in that order, so the batch
+    # switches to indexing and ends with path 0 alone
+    Xi = np.stack([sample_noise(derive_path_seed(3, i), 8, 128, g.dt).increments
+                   for i in (0, 2, 3, 4)])
+    # the (steps, paths, modes) buffer the Monte Carlo driver fills
+    time_major = np.ascontiguousarray(Xi.transpose(2, 0, 1)).transpose(1, 2, 0)
+    # each row solved on its own, as a batch of two copies: a one-row batch
+    # takes BLAS's matrix-vector kernel, which rounds differently
+    rows = [solve_l2_ensemble(u0, SUPERCRITICAL, diffusion, g, Xi[[i, i]])
+            for i in range(4)]
+    assert [r[1][0] for r in rows] == [False, True, True, True]
+    for batch in (Xi, time_major):
+        out = solve_l2_ensemble(u0, SUPERCRITICAL, diffusion, g, batch)
+        for i, row in enumerate(rows):
+            for got, want in zip(out, row):
+                assert got[i].tobytes() == want[0].tobytes()
 
 
 def test_spectral_refinement_differences_shrink():
