@@ -32,8 +32,8 @@ __all__ = [
     "restart_window_report",
 ]
 
-# paths simulated per batch; bounds the resident noise array
-_CHUNK = 128
+# bytes of path noise resident at once: 128 paths on the 64 x 256 base grid
+_CHUNK_BYTES = 128 * 64 * 256 * 8
 
 # least ensemble with a meaningful standard error; least moment order
 MIN_ENSEMBLE = 30
@@ -93,25 +93,32 @@ def _solve_ensemble(drift, diffusion, u0: Field, grid: Grid, ensemble: int,
     blow_steps) as solve_l2_ensemble does, one row per path.
 
     Path i runs on the noise seeded by derive_path_seed(master_seed, i),
-    drawn one _CHUNK of paths at a time to bound the resident noise. Without
-    diffusion every path is the same solve, so one solve is broadcast over
-    all rows."""
+    drawn a chunk of paths at a time into one time-major buffer of at most
+    _CHUNK_BYTES (at least one path), refilled for every chunk; each step's
+    noise is then one contiguous block. Without diffusion every path is the
+    same solve, so one solve is broadcast over all rows."""
     if diffusion is None:
         Xi = np.zeros((1, grid.n_modes, grid.n_steps))
         return tuple(np.broadcast_to(a, (ensemble,) + a.shape[1:]) for a in
                      solve_l2_ensemble(u0, drift, diffusion, grid, Xi, threshold))
-    l2 = np.empty((ensemble, grid.n_steps + 1))
+    N, K = grid.n_modes, grid.n_steps
+    chunk = min(ensemble, max(1, _CHUNK_BYTES // (8 * N * K)))
+    buf = np.empty((K, chunk, N))
+    l2 = np.empty((ensemble, K + 1))
     blown = np.empty(ensemble, dtype=bool)
     blow_steps = np.empty(ensemble, dtype=int)
-    for lo in range(0, ensemble, _CHUNK):
-        hi = min(lo + _CHUNK, ensemble)
-        Xi = np.empty((hi - lo, grid.n_modes, grid.n_steps))
-        for i in range(lo, hi):
-            Xi[i - lo] = sample_noise(derive_path_seed(master_seed, i),
-                                      grid.n_modes, grid.n_steps,
-                                      grid.dt).increments
-        l2[lo:hi], blown[lo:hi], blow_steps[lo:hi] = solve_l2_ensemble(
-            u0, drift, diffusion, grid, Xi, threshold)
+    for lo in range(0, ensemble, chunk):
+        p = min(chunk, ensemble - lo)
+        for i in range(p):
+            buf[:, i] = sample_noise(derive_path_seed(master_seed, lo + i), N,
+                                     K, grid.dt).increments.T
+        # a lone path runs twice over, as the last row of a batch does, so
+        # its bits do not depend on the chunking
+        rows = slice(0, p) if p > 1 else [0, 0]
+        out = solve_l2_ensemble(u0, drift, diffusion, grid,
+                                buf[:, rows].transpose(1, 2, 0), threshold)
+        l2[lo:lo + p], blown[lo:lo + p], blow_steps[lo:lo + p] = (
+            a[:p] for a in out)
     return l2, blown, blow_steps
 
 

@@ -1,10 +1,12 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from logdrift.coefficients import DiffusionSpec, DriftSpec, mollify
+from logdrift import moments
 from logdrift.fields import Field
 from logdrift.moments import (
     MomentReport,
@@ -232,3 +234,38 @@ def test_restart_equals_continuation_bitwise():
     h2 = solve_path(Field.from_coeffs(h1.coeffs[-1]), CRITICAL, KICK, g_half,
                     tail)
     np.testing.assert_array_equal(whole.coeffs[128:], h2.coeffs)
+
+
+def test_chunking_moves_no_bits(monkeypatch):
+    # a drifted run in which 12 of 20 paths breach; with 7-path chunks the
+    # second chunk ends with one path running alone
+    g = Grid(n_modes=8, T=2.0, n_steps=128)
+    u0 = Field.from_coeffs(np.concatenate([[7.0], np.zeros(7)]))
+    drift = DriftSpec("log_power", exponent=2.0)
+    diffusion = DiffusionSpec("sublinear_power", d1=2.0, d2=2.0, theta=0.5)
+    path_bytes = 8 * g.n_modes * g.n_steps
+    runs = []
+    for budget in (path_bytes, 7 * path_bytes, moments._CHUNK_BYTES):
+        monkeypatch.setattr(moments, "_CHUNK_BYTES", budget)
+        runs.append(moments._solve_ensemble(drift, diffusion, u0, g, 20, 3,
+                                            1e8))
+    blown = runs[0][1]
+    assert blown.any() and not blown.all()
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_restart_report_holds_one_noise_chunk():
+    # the moments scenario's defaults: its restart report's doubled horizon
+    # draws the largest noise of any report
+    g = Grid(n_modes=64, T=1.0, n_steps=256)
+    diffusion = DiffusionSpec("sublinear_power", d1=1.0, d2=0.5, theta=0.5)
+    tracemalloc.start()
+    try:
+        restart_window_report(2.0, CRITICAL, diffusion, Field.zero(64), g,
+                              129, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * moments._CHUNK_BYTES
