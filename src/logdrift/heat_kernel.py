@@ -137,8 +137,10 @@ def _kernel_matrix(t: float, xs: np.ndarray, ys: np.ndarray, params: KernelParam
         sx = np.sin(np.outer(xs, n * math.pi))
         sy = np.sin(np.outer(ys, n * math.pi))
         return (sx * decay) @ sy.T
+    # row blocks whose (rows, ys.size, 2K + 1) image temporaries hold about
+    # 1e5 doubles each
     out = np.empty((xs.size, ys.size))
-    step = max(1, int(2e6 // max(ys.size, 1)))
+    step = max(1, int(1e5 // (max(ys.size, 1) * (2 * _image_pairs(t) + 1))))
     for i in range(0, xs.size, step):
         out[i : i + step] = kernel_images(t, xs[i : i + step, None], ys[None, :])
     return out
