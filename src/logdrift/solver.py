@@ -158,6 +158,7 @@ def _march(u0: Field, drift, diffusion, grid: Grid, Xi: np.ndarray,
     # every row until the first breach, then the surviving rows' indices
     active = slice(None)
     for k in range(grid.n_steps):
+        # a (P, N, K) batch's step is strided; BLAS takes contiguous rows
         Un = advance(U[active], np.ascontiguousarray(Xi[active, :, k]))
         with np.errstate(over="ignore", invalid="ignore"):
             norms = np.sqrt(np.sum(Un * Un, axis=1))
