@@ -13,7 +13,9 @@ half a quantum (about 2^-27 relative), far below Monte Carlo resolution.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +37,13 @@ class NoiseRealization:
 
 
 def _gaussians(raw: np.ndarray) -> np.ndarray:
+    """Standard normals from raw 64-bit draws; shifts ``raw`` in place."""
     # strictly inside (0,1) and exactly symmetric under k -> 2^53-1-k
-    u = (raw >> np.uint64(11)) * 2.0 ** -53 + 2.0 ** -54
-    return ndtri(u)
+    raw >>= np.uint64(11)
+    u = raw.astype(np.float64)
+    u *= 2.0 ** -53
+    u += 2.0 ** -54
+    return ndtri(u, out=u)
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
@@ -97,6 +103,21 @@ def _stream_keys(seed: int, n_modes: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
+# at least the default ensemble (200 path seeds), so the reports that run one
+# ensemble after another on the same seeds derive each seed's keys once;
+# 256 entries of 64 modes are 256 KiB
+_KEY_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_KEY_MEMO_SIZE)
+def _philox_keys(seed: int, n_modes: int) -> np.ndarray:
+    """_stream_keys(seed, n_modes), derived once per (seed, n_modes) and
+    shared read-only: a stream's key never depends on n_steps."""
+    keys = _stream_keys(seed, n_modes)
+    keys.flags.writeable = False
+    return keys
+
+
 def _mode_increments(seed: int, n_modes: int, n_steps: int, dt: float) -> np.ndarray:
     """Increments of modes 1..n_modes via the integer-lattice bridge cascade.
 
@@ -113,14 +134,16 @@ def _mode_increments(seed: int, n_modes: int, n_steps: int, dt: float) -> np.nda
     q0 = math.ldexp(1.0, math.frexp(sigma0)[1] - 27)
     # one generator per call, not per module: callers run on worker threads
     bitgen = np.random.Philox(0)
-    zeros = np.zeros(4, dtype=np.uint64)
+    # the state of a freshly keyed Philox: counter 0, empty buffer; plain
+    # ints, so the setter converts no numpy scalars
+    keyed = {"counter": (0, 0, 0, 0), "key": None}
+    state = {"bit_generator": "Philox", "state": keyed,
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
     raw = np.empty((n_modes, n_steps), dtype=np.uint64)
-    for j, key in enumerate(_stream_keys(seed, n_modes)):
-        # the state of a freshly keyed Philox: counter 0, empty buffer
-        bitgen.state = {"bit_generator": "Philox",
-                        "state": {"counter": zeros, "key": key},
-                        "buffer": zeros, "buffer_pos": 4,
-                        "has_uint32": 0, "uinteger": 0}
+    for j, key in enumerate(_philox_keys(seed, n_modes).tolist()):
+        keyed["key"] = key
+        bitgen.state = state
         raw[j] = bitgen.random_raw(n_steps)
     z = _gaussians(raw)
     # lattice coordinates are integral float64: every sum stays below 2^53
@@ -148,19 +171,21 @@ def sample_noise(seed: int, n_modes: int, n_steps: int, dt: float) -> NoiseReali
     Deterministic in (seed, mode, step): mode rows are independent streams,
     so realizations with more modes or more (dyadically refined) steps agree
     with coarser ones on the shared indices.
+    The seed is a nonnegative integer; a non-integral one raises TypeError.
     """
     if n_modes < 1 or n_steps < 1:
         raise ValueError("n_modes and n_steps must be >= 1")
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError("dt must be positive and finite")
-    out = _mode_increments(int(seed), n_modes, n_steps, dt)
+    seed = operator.index(seed)
+    out = _mode_increments(seed, n_modes, n_steps, dt)
     out.flags.writeable = False
-    return NoiseRealization(int(seed), n_modes, n_steps, dt, out)
+    return NoiseRealization(seed, n_modes, n_steps, dt, out)
 
 
 def derive_path_seed(master_seed: int, path_index: int) -> int:
     """Stable per-path seed for ensemble runs."""
-    ss = np.random.SeedSequence([int(master_seed), int(path_index)])
+    ss = np.random.SeedSequence([operator.index(master_seed), int(path_index)])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 

@@ -7,7 +7,10 @@ import pytest
 
 from logdrift.fields import nodes, values_to_coeffs
 from logdrift.heat_kernel import kernel_eval
+from logdrift import noise
 from logdrift.noise import (
+    _KEY_MEMO_SIZE,
+    _philox_keys,
     _stream_keys,
     derive_path_seed,
     ito_isometry_convergence_check,
@@ -87,6 +90,8 @@ def test_concurrent_calls_match_serial_and_golden_bits():
     # each call owns its generator; a shared one would interleave streams
     cases = [args for args, _ in GOLDEN_DIGESTS] * 6
     serial = [sample_noise(*args).increments for args in cases]
+    # threads race on the key memo's misses as well as its hits
+    _philox_keys.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -99,6 +104,31 @@ def test_concurrent_calls_match_serial_and_golden_bits():
     for args, a, b in zip(cases, serial, threaded):
         np.testing.assert_array_equal(a, b)
         assert hashlib.sha256(b.tobytes()).hexdigest() == digests[args]
+
+
+def test_memoised_keys_are_read_only():
+    keys = _philox_keys(4321, 5)
+    np.testing.assert_array_equal(keys, _stream_keys(4321, 5))
+    assert not keys.flags.writeable
+    with pytest.raises(ValueError):
+        keys[0, 0] = 0
+    assert _philox_keys(4321, 5) is keys
+
+
+def test_key_memo_eviction_keeps_the_bits(monkeypatch):
+    seeds = range(1000, 1000 + _KEY_MEMO_SIZE + 5)
+    with monkeypatch.context() as m:
+        m.setattr(noise, "_philox_keys", _stream_keys)
+        fresh = [sample_noise(s, 4, 8, 0.125).increments for s in seeds]
+    _philox_keys.cache_clear()
+    for _ in range(2):
+        for s, ref in zip(seeds, fresh):
+            np.testing.assert_array_equal(
+                sample_noise(s, 4, 8, 0.125).increments, ref)
+    info = _philox_keys.cache_info()
+    assert info.currsize == _KEY_MEMO_SIZE
+    # the second cycle found its first seeds evicted
+    assert info.misses > len(seeds)
 
 
 def test_mode_extension_keeps_shared_rows():
@@ -135,6 +165,20 @@ def test_sample_noise_validation():
         sample_noise(1, 4, 4, 0.0)
     with pytest.raises(ValueError):
         sample_noise(1, 4, 4, -0.5)
+
+
+def test_non_integral_seeds_are_rejected():
+    for seed in (2.5, 2.0, float("inf"), np.float64(3.0)):
+        with pytest.raises(TypeError):
+            sample_noise(seed, 4, 8, 0.1)
+        with pytest.raises(TypeError):
+            derive_path_seed(seed, 0)
+    # integer types index as the same seed
+    real = sample_noise(np.uint64(42), 4, 8, 0.1)
+    assert type(real.seed) is int
+    np.testing.assert_array_equal(real.increments,
+                                  sample_noise(42, 4, 8, 0.1).increments)
+    assert derive_path_seed(np.int64(99), 0) == derive_path_seed(99, 0)
 
 
 def test_path_seed_derivation():

@@ -183,6 +183,20 @@ def test_path_l2_series_is_its_ensemble_row(drift, diffusion, seed):
     np.testing.assert_array_equal(traj.l2_series, l2[0, :k_end + 1])
 
 
+def test_single_path_agrees_with_its_batched_row():
+    # a lone row's matmuls may round with BLAS's matrix-vector kernel, so the
+    # bits can differ; the values agree far inside Monte Carlo resolution
+    g = Grid(n_modes=16, T=0.5, n_steps=128)
+    u0 = Field.random_l2(16, 3.0, seed=4)
+    drift = mollify(CRITICAL, 16)
+    noises = [sample_noise(31 + i, 16, 128, g.dt) for i in range(2)]
+    traj = solve_path(u0, drift, BOUNDED, g, noises[0])
+    l2, blown, _ = solve_l2_ensemble(
+        u0, drift, BOUNDED, g, np.stack([n.increments for n in noises]))
+    assert not traj.blown_up and not blown.any()
+    np.testing.assert_allclose(traj.l2_series, l2[0], rtol=1e-12, atol=0.0)
+
+
 def test_solver_input_validation():
     g = Grid(n_modes=8, T=1.0, n_steps=16)
     with pytest.raises(ValueError):
