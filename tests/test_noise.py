@@ -5,9 +5,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from logdrift import noise
 from logdrift.fields import nodes, values_to_coeffs
 from logdrift.heat_kernel import kernel_eval
-from logdrift import noise
 from logdrift.noise import (
     _KEY_MEMO_SIZE,
     _philox_keys,
