@@ -365,8 +365,7 @@ def _run_gronwall_suite(cfg: dict, inputs: _Inputs, out: Path) -> list:
     rows = []
     for kind in ("superlinear", "vanishing", "singular"):
         problems = make_problem_corpus(kind, count, cfg["master_seed"])
-        reports = _ordered_map(lambda p, k=kind: check_domination(k, p),
-                               problems, cfg["threads"])
+        reports = check_domination(kind, problems)
         bad = 0
         for i, rep in enumerate(reports):
             rows.append((kind, i, rep.passed, rep.min_gap, rep.max_tolerance,

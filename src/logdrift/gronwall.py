@@ -31,6 +31,9 @@ from .fields import DIRECT_CONVOLUTION_MAX_LAGS, lag_convolver, log_plus
 MAX_PICARD_ITERATIONS = 10_000
 PICARD_TOL = 1e-10
 OSGOOD_TAIL_RATIO = 0.75
+# rows x grid points x 8 B of one lockstep batch: a default corpus (100
+# problems on the refined grid, K = 512) marches as one batch
+_LOCKSTEP_BYTES = 1 << 20
 
 
 class OracleConvergenceError(RuntimeError):
@@ -142,13 +145,16 @@ def _startup_corrections(n_steps: int, alpha: float, dt: float,
 
 
 def _cumtrapz(vals: np.ndarray, dt: float) -> np.ndarray:
+    """Cumulative trapezoid along the last axis."""
     out = np.empty_like(vals)
-    out[0] = 0.0
-    np.cumsum(0.5 * dt * (vals[1:] + vals[:-1]), out=out[1:])
+    out[..., 0] = 0.0
+    np.cumsum(0.5 * dt * (vals[..., 1:] + vals[..., :-1]), axis=-1,
+              out=out[..., 1:])
     return out
 
 
-def volterra_oracle(prob: GronwallProblem, nonlinearity: str = "superlinear") -> np.ndarray:
+def volterra_oracle(problems: GronwallProblem | Sequence[GronwallProblem],
+                    nonlinearity: str = "superlinear") -> np.ndarray:
     """Maximal solution of the integral equality on the problem grid.
 
     Regular terms by trapezoid, singular term by product integration: one
@@ -161,62 +167,151 @@ def volterra_oracle(prob: GronwallProblem, nonlinearity: str = "superlinear") ->
     longer span marches its first half, adds that half's singular history to
     the second through one fields.lag_convolver call, whose FFT rounding
     thus falls only on rows after its sources, then marches the second half.
+
+    problems is one GronwallProblem, whose oracle comes back as a 1-D
+    array, or a nonempty sequence of them on one grid_dt, solved in lockstep
+    as the rows of one (P, K+1) array: each row leaves the Picard passes of
+    a piece at the pass where its own delta settles, and its singular terms
+    are convolved row by row, so every row equals its problem's single call
+    bit for bit.
     Raises OracleConvergenceError if a piece's successive iterates are not
     within PICARD_TOL in sup-norm after MAX_PICARD_ITERATIONS passes, or if
     an iterate leaves the finite range.
     """
-    g = _NONLINEARITIES[nonlinearity]
-    ts = prob.times()
+    single, batch = _as_batch(problems)
+    ts = batch[0].times()
+    f = np.empty((len(batch), ts.size))
+    rows = _lockstep_rows(ts.size)
+    for lo in range(0, len(batch), rows):
+        _lockstep(batch[lo:lo + rows], _NONLINEARITIES[nonlinearity], ts,
+                  f[lo:lo + rows])
+    return f[0] if single else f
+
+
+def _as_batch(problems) -> tuple[bool, list]:
+    """(whether problems is one GronwallProblem, the problems as a list),
+    checked to be nonempty and to share one grid_dt."""
+    single = isinstance(problems, GronwallProblem)
+    batch = [problems] if single else list(problems)
+    if not batch:
+        raise ValueError("need at least one problem")
+    if len({p.grid_dt for p in batch}) > 1:
+        raise ValueError("a batch of problems must share one grid_dt")
+    return single, batch
+
+
+def _lockstep_rows(n_points: int) -> int:
+    """How many problems on a grid of n_points march as one lockstep batch."""
+    return max(1, _LOCKSTEP_BYTES // (8 * n_points))
+
+
+def _lockstep(batch: list, g: Callable, ts: np.ndarray, f: np.ndarray) -> None:
+    """volterra_oracle of a batch on the grid ts, marched into f's rows."""
     dt = ts[1] - ts[0]
-    c1, c2, c3 = prob.c1, prob.c2, prob.c3
-    f = np.full_like(ts, prob.M)
+    c1 = np.array([[p.c1] for p in batch])
+    c2 = np.array([[p.c2] for p in batch])
+    f[:] = np.array([[p.M] for p in batch])
     rhs = f.copy()  # forcing plus the singular history of finished pieces
-    if c3 > 0:
-        wl, wr = singular_weights(ts.size - 1, prob.alpha, dt)
-        corr0, corr1 = _startup_corrections(ts.size - 1, prob.alpha, dt, wl, wr)
-        spurious = np.append(wr[1:], 0.0)
-        w = wl + spurious
-        spurious[0] = 0.0
-        # every iterate keeps f[0] = M, so phi[0] is fixed for the call
-        rhs += (corr0 - spurious) * (c3 * prob.M)
-    area = 0.0  # trapezoid integral of c1 f + c2 g(f) up to the finished row
+    kernels = {}    # alpha -> (merged kernel w, corr1, node-0 weights)
+    singular = {}   # row -> (c3, alpha), for the rows with c3 > 0
+    for r, prob in enumerate(batch):
+        if prob.c3 > 0:
+            if prob.alpha not in kernels:
+                wl, wr = singular_weights(ts.size - 1, prob.alpha, dt)
+                corr0, corr1 = _startup_corrections(ts.size - 1, prob.alpha,
+                                                    dt, wl, wr)
+                spurious = np.append(wr[1:], 0.0)
+                w = wl + spurious
+                spurious[0] = 0.0
+                kernels[prob.alpha] = (w, corr1, corr0 - spurious)
+            # every iterate keeps f[0] = M, so phi[0] is fixed for the call
+            rhs[r] += kernels[prob.alpha][2] * (prob.c3 * prob.M)
+            singular[r] = (prob.c3, prob.alpha)
+    # trapezoid integral of c1 f + c2 g(f) up to each row's finished node
+    area = np.zeros(len(batch))
+
+    def integrand(x, k1, k2):
+        """c1 x + c2 g(x), summed in place on g's result."""
+        vals = g(x)
+        vals *= k2
+        vals += k1 * x
+        return vals
 
     def solve(a: int, b: int) -> None:
-        nonlocal area
-        f[a + 1:b + 1] = f[a]
-        piece = f[a:b + 1]
-        base = rhs[a + 1:b + 1] + area
-        if c3 > 0:
-            convolve = lag_convolver(w[:b - a + 1])
+        convolvers = {alpha: lag_convolver(w[:b - a + 1])
+                      for alpha, (w, _, _) in kernels.items()}
+        rows = np.arange(len(batch))  # the rows still iterating, in order
+        piece = np.repeat(f[:, a:a + 1], b - a + 1, axis=1)
+        base = rhs[:, a + 1:b + 1] + area[:, None]
+        # the coefficients at every node of the piece
+        k1, k2 = (np.repeat(c, b - a + 1, axis=1) for c in (c1, c2))
+
+        def singular_terms():
+            terms = []
+            for i, r in enumerate(rows.tolist()):
+                if r in singular:
+                    c3, alpha = singular[r]
+                    terms.append((i, r, c3, convolvers[alpha],
+                                  kernels[alpha][1][a + 1:b + 1]))
+            return terms
+
+        terms = singular_terms()
         for _ in range(MAX_PICARD_ITERATIONS):
-            fn = base + _cumtrapz(c1 * piece + c2 * g(piece), dt)[1:]
-            if c3 > 0:
-                fn += convolve(c3 * piece)[1:]
-                fn += corr1[a + 1:b + 1] * (c3 * f[1])
-            if not np.all(np.isfinite(fn)):
+            vals = integrand(piece, k1, k2)
+            # base plus _cumtrapz(vals)[:, 1:]
+            fn = vals[:, 1:] + vals[:, :-1]
+            fn *= 0.5 * dt
+            fn.cumsum(axis=1, out=fn)
+            fn += base
+            for i, r, c3, convolve, corr1 in terms:
+                row = fn[i]
+                row += convolve(c3 * piece[i])[1:]
+                # node 1 is still iterating in the first piece
+                row += corr1 * (c3 * (piece[i, 1] if a == 0 else f[r, 1]))
+            if not np.isfinite(fn).all():
                 raise OracleConvergenceError("Picard iterate left the finite range")
-            delta = float(np.max(np.abs(fn - piece[1:])))
-            piece[1:] = fn
-            if delta < PICARD_TOL:
-                area += _cumtrapz(c1 * piece + c2 * g(piece), dt)[-1]
+            diff = fn - piece[:, 1:]
+            delta = np.abs(diff, out=diff).max(axis=1)
+            piece[:, 1:] = fn
+            done = delta < PICARD_TOL
+            settled = np.count_nonzero(done)
+            if settled == rows.size:
+                # plain slices while no row has left
+                live = slice(None) if rows.size == len(batch) else rows
+                f[live, a + 1:b + 1] = fn
+                area[live] += _cumtrapz(integrand(piece, k1, k2), dt)[:, -1]
                 return
+            if settled:
+                # settled rows leave the lockstep; the rest close ranks
+                fin = piece[done]
+                f[rows[done], a + 1:b + 1] = fin[:, 1:]
+                area[rows[done]] += _cumtrapz(integrand(fin, k1[done], k2[done]),
+                                              dt)[:, -1]
+                left = ~done
+                rows, piece, base = rows[left], piece[left], base[left]
+                k1, k2 = k1[left], k2[left]
+                terms = singular_terms()
         raise OracleConvergenceError(f"no convergence within {MAX_PICARD_ITERATIONS} "
-                                     f"Picard passes (last delta {delta:.3e})")
+                                     f"Picard passes (last delta {delta.max():.3e})")
 
     def march(a: int, b: int) -> None:
         if b - a <= DIRECT_CONVOLUTION_MAX_LAGS:
             return solve(a, b)
         m = (a + b) // 2
         march(a, m)
-        if c3 > 0:
+        convolvers = {alpha: lag_convolver(w[:b - a + 1])
+                      for alpha, (w, _, _) in kernels.items()}
+        for r, (c3, alpha) in singular.items():
             sources = np.zeros(b - a + 1)
-            sources[:m - a] = c3 * f[a:m]
-            rhs[m + 1:b + 1] += lag_convolver(w[:b - a + 1])(sources)[m + 1 - a:]
+            sources[:m - a] = c3 * f[r, a:m]
+            rhs[r, m + 1:b + 1] += convolvers[alpha](sources)[m + 1 - a:]
         march(m, b)
 
     with np.errstate(over="ignore", invalid="ignore"):
         march(0, ts.size - 1)
-    return f
+    # march's closure holds march: unbound, the batch's arrays go now, not
+    # at the next cyclic garbage collection
+    del march
 
 
 def _bound_series(kind: str, prob: GronwallProblem,
@@ -296,7 +391,9 @@ class DominationReport:
     bound_max: float
 
 
-def check_domination(kind: str, prob: GronwallProblem) -> DominationReport:
+def check_domination(kind: str,
+                     problems: GronwallProblem | Sequence[GronwallProblem]
+                     ) -> DominationReport | list[DominationReport]:
     """Grid-wide oracle <= bound check with a self-scaling error budget.
 
     The oracle is recomputed on the halved grid; the pointwise tolerance is
@@ -305,22 +402,32 @@ def check_domination(kind: str, prob: GronwallProblem) -> DominationReport:
     round-off and bisection slack. Several bound formulas here are exact
     solutions of the comparison ODE, so a sharper test would only be
     measuring quadrature bias.
+
+    problems is one GronwallProblem, whose report comes back alone, or a
+    sequence of them on one grid_dt: the batch is solved by two lockstep
+    volterra_oracle calls, coarse and refined, and the reports come back in
+    order, each equal to its problem's single check.
     """
+    single, batch = _as_batch(problems)
     nonlin = "vanishing" if kind == "vanishing" else "superlinear"
-    coarse = volterra_oracle(prob, nonlin)
-    fine_prob = prob.refined()
-    fine = volterra_oracle(fine_prob, nonlin)
-    bound = _bound_series(kind, fine_prob, fine)
-    defect = np.abs(coarse - fine[::2])
-    tol = defect + 1e-7 * (1.0 + np.abs(bound[::2]))
-    gap = bound[::2] - fine[::2]
-    passed = bool(np.all(gap >= -tol))
-    return DominationReport(kind=kind, passed=passed,
-                            min_gap=float(np.min(gap)),
-                            max_tolerance=float(np.max(tol)),
-                            richardson_error=float(np.max(defect)),
-                            oracle_max=float(np.max(fine)),
-                            bound_max=float(np.max(bound)))
+    reports = []
+    # a lockstep batch at a time, so the oracles held stay bounded
+    rows = _lockstep_rows(batch[0].refined().times().size)
+    for lo in range(0, len(batch), rows):
+        coarse = volterra_oracle(batch[lo:lo + rows], nonlin)
+        fine_batch = [prob.refined() for prob in batch[lo:lo + rows]]
+        for fine_prob, low, fine in zip(fine_batch, coarse,
+                                        volterra_oracle(fine_batch, nonlin)):
+            bound = _bound_series(kind, fine_prob, fine)
+            defect = np.abs(low - fine[::2])
+            tol = defect + 1e-7 * (1.0 + np.abs(bound[::2]))
+            gap = bound[::2] - fine[::2]
+            reports.append(DominationReport(
+                kind=kind, passed=bool(np.all(gap >= -tol)),
+                min_gap=float(np.min(gap)), max_tolerance=float(np.max(tol)),
+                richardson_error=float(np.max(defect)),
+                oracle_max=float(np.max(fine)), bound_max=float(np.max(bound))))
+    return reports[0] if single else reports
 
 
 def vanishing_data_decay(eps_values: Sequence[float],
@@ -332,12 +439,10 @@ def vanishing_data_decay(eps_values: Sequence[float],
     strictly between 0 and 1 set by the log term), which is the quantitative
     content of uniqueness from zero initial data.
     """
-    sups = []
-    for eps in eps_values:
-        prob = GronwallProblem(M=float(eps), c1=0.25, c2=0.5, c3=0.25,
-                               alpha=0.5, grid_dt=grid_dt)
-        sups.append(float(volterra_oracle(prob, "vanishing").max()))
-    return np.asarray(sups)
+    problems = [GronwallProblem(M=float(eps), c1=0.25, c2=0.5, c3=0.25,
+                                alpha=0.5, grid_dt=grid_dt)
+                for eps in eps_values]
+    return volterra_oracle(problems, "vanishing").max(axis=1)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .coefficients import (
     DiffusionSpec, DriftSpec, MollifiedDrift, mollifier_levels, mollify,
 )
 from .fields import Field
-from .noise import derive_path_seed, sample_noise
+from .noise import derive_path_seeds, sample_noise
 from .solver import DEFAULT_BLOWUP_THRESHOLD, Grid, solve_l2_ensemble
 
 __all__ = [
@@ -93,7 +93,8 @@ def _solve_ensemble(drift, diffusion, u0: Field, grid: Grid, ensemble: int,
     blow_steps) as solve_l2_ensemble does, one row per path.
 
     Path i runs on the noise seeded by derive_path_seed(master_seed, i),
-    drawn a chunk of paths at a time into one time-major buffer of at most
+    drawn a chunk of paths at a time, their seeds hashed in one
+    derive_path_seeds pass, into one time-major buffer of at most
     _CHUNK_BYTES (at least one path), refilled for every chunk; each step's
     noise is then one contiguous block. Without diffusion every path is the
     same solve, so one solve is broadcast over all rows."""
@@ -109,9 +110,8 @@ def _solve_ensemble(drift, diffusion, u0: Field, grid: Grid, ensemble: int,
     blow_steps = np.empty(ensemble, dtype=int)
     for lo in range(0, ensemble, chunk):
         p = min(chunk, ensemble - lo)
-        for i in range(p):
-            buf[:, i] = sample_noise(derive_path_seed(master_seed, lo + i), N,
-                                     K, grid.dt).increments.T
+        for i, seed in enumerate(derive_path_seeds(master_seed, lo, lo + p)):
+            buf[:, i] = sample_noise(seed, N, K, grid.dt).increments.T
         # a lone path runs twice over, as the last row of a batch does, so
         # its bits do not depend on the chunking
         rows = slice(0, p) if p > 1 else [0, 0]

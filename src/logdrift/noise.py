@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import ndtri
 
 __all__ = [
-    "NoiseRealization", "sample_noise", "derive_path_seed",
+    "NoiseRealization", "sample_noise", "derive_path_seed", "derive_path_seeds",
     "IsometryReport", "ito_isometry_convergence_check",
 ]
 
@@ -54,12 +54,13 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 
 
-def _stream_keys(seed: int, n_modes: int) -> np.ndarray:
-    """SeedSequence([seed, j]).generate_state(2, np.uint64) for j = 1..n_modes.
+def _stream_keys(seed: int, indices: np.ndarray) -> np.ndarray:
+    """SeedSequence([seed, i]).generate_state(2, np.uint64) for each i in
+    indices, every i in [0, 2^32).
 
-    numpy's pool mixing, run on all modes at once: every mode's entropy is
-    the seed's little-endian 32-bit words followed by j, and the hash
-    constants advance the same way for every mode, so each step is one
+    numpy's pool mixing, run on all indices at once: every index's entropy
+    is the seed's little-endian 32-bit words followed by i, and the hash
+    constants advance the same way for every index, so each step is one
     uint32 array operation (wrapping mod 2^32, as the C code does).
     """
     if seed < 0:
@@ -67,9 +68,10 @@ def _stream_keys(seed: int, n_modes: int) -> np.ndarray:
     words = [seed & _MASK32]
     while seed >> 32 * len(words):
         words.append(seed >> 32 * len(words) & _MASK32)
-    entropy = np.empty((len(words) + 1, n_modes), dtype=np.uint32)
+    n = len(indices)
+    entropy = np.empty((len(words) + 1, n), dtype=np.uint32)
     entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[-1] = np.arange(1, n_modes + 1)
+    entropy[-1] = indices
     hash_const = _INIT_A
 
     def hashmix(value):
@@ -83,7 +85,7 @@ def _stream_keys(seed: int, n_modes: int) -> np.ndarray:
         r = _MIX_MULT_L * x - _MIX_MULT_R * y
         return r ^ r >> 16
 
-    pad = np.zeros(n_modes, dtype=np.uint32)
+    pad = np.zeros(n, dtype=np.uint32)
     pool = [hashmix(entropy[i] if i < len(entropy) else pad)
             for i in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
@@ -94,7 +96,7 @@ def _stream_keys(seed: int, n_modes: int) -> np.ndarray:
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(entropy[src]))
     hash_const = _INIT_B
-    state = np.empty((n_modes, 4), dtype=np.uint32)
+    state = np.empty((n, 4), dtype=np.uint32)
     for i in range(4):
         value = pool[i] ^ hash_const
         hash_const = hash_const * _MULT_B & _MASK32
@@ -111,9 +113,10 @@ _KEY_MEMO_SIZE = 256
 
 @functools.lru_cache(maxsize=_KEY_MEMO_SIZE)
 def _philox_keys(seed: int, n_modes: int) -> np.ndarray:
-    """_stream_keys(seed, n_modes), derived once per (seed, n_modes) and
-    shared read-only: a stream's key never depends on n_steps."""
-    keys = _stream_keys(seed, n_modes)
+    """The keys of modes 1..n_modes from _stream_keys, derived once per
+    (seed, n_modes) and shared read-only: a stream's key never depends on
+    n_steps."""
+    keys = _stream_keys(seed, np.arange(1, n_modes + 1))
     keys.flags.writeable = False
     return keys
 
@@ -189,6 +192,16 @@ def derive_path_seed(master_seed: int, path_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def derive_path_seeds(master_seed: int, start: int, stop: int) -> list[int]:
+    """derive_path_seed(master_seed, i) for i in range(start, stop), hashed
+    in one vectorized pass; needs integers 0 <= start <= stop <= 2^32."""
+    start, stop = operator.index(start), operator.index(stop)
+    if not 0 <= start <= stop <= 1 << 32:
+        raise ValueError("need 0 <= start <= stop <= 2^32")
+    keys = _stream_keys(operator.index(master_seed), np.arange(start, stop))
+    return keys[:, 0].tolist()
+
+
 @dataclass(frozen=True)
 class IsometryReport:
     targets: tuple        # discrete int int |f_n - f|^2 per sequence member
@@ -221,8 +234,8 @@ def ito_isometry_convergence_check(f_sequence, f_limit, realization_count: int,
     targets = [float(np.sum(d * d) * dt) for d in diffs]
     sums = np.zeros(len(diffs))
     sq_sums = np.zeros(len(diffs))
-    for i in range(realization_count):
-        real = sample_noise(derive_path_seed(seed, i), n_modes, n_steps, dt)
+    for path_seed in derive_path_seeds(seed, 0, realization_count):
+        real = sample_noise(path_seed, n_modes, n_steps, dt)
         for a, d in enumerate(diffs):
             x = float(np.sum(d.T * real.increments))
             sums[a] += x * x

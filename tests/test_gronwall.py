@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from logdrift import gronwall
 from logdrift.gronwall import (
     GronwallProblem,
     MAX_PICARD_ITERATIONS,
@@ -163,6 +164,94 @@ def test_oracle_divergence_raises():
     prob = GronwallProblem(M=5.0, c2=80.0, grid_dt=1.0 / 128.0)
     with pytest.raises(OracleConvergenceError):
         volterra_oracle(prob, "superlinear")
+
+
+def _mixed_batch(nonlinearity, grid_dt):
+    """Rows with alpha 0, 1/4 and 1/2, a c3 = 0 row among c3 > 0 rows, and
+    Picard pass counts that differ from row to row."""
+    M = (0.05, 0.3, 0.45) if nonlinearity == "vanishing" else (1.2, 2.5, 4.0)
+    coefficients = [(M[0], 0.3, 1.8, 1.2, 0.5), (M[1], 0.9, 0.1, 0.0, 0.0),
+                    (M[2], 0.0, 0.6, 0.4, 0.25), (M[0], 1.5, 0.0, 0.7, 0.0),
+                    (M[1], 0.2, 1.1, 1.9, 0.25), (M[2], 0.0, 0.0, 0.0, 0.0)]
+    return [GronwallProblem(M=m, c1=c1, c2=c2, c3=c3, alpha=alpha,
+                            grid_dt=grid_dt)
+            for m, c1, c2, c3, alpha in coefficients]
+
+
+@pytest.mark.parametrize("nonlinearity,grid_dt", [
+    ("superlinear", 1.0 / 256.0), ("vanishing", 1.0 / 256.0),
+    # two pieces, the second fed the first's history through an FFT
+    ("superlinear", 1.0 / 2048.0)])
+def test_lockstep_rows_equal_single_calls_bit_for_bit(nonlinearity, grid_dt,
+                                                       monkeypatch):
+    problems = _mixed_batch(nonlinearity, grid_dt)
+    g = gronwall._NONLINEARITIES[nonlinearity]
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return g(x)
+
+    # a single call evaluates g once per Picard pass and once per piece
+    monkeypatch.setitem(gronwall._NONLINEARITIES, nonlinearity, counted)
+    singles, passes = [], []
+    for prob in problems:
+        calls.clear()
+        singles.append(volterra_oracle(prob, nonlinearity))
+        passes.append(len(calls))
+    assert len(set(passes)) >= 4, passes
+    batch = volterra_oracle(problems, nonlinearity)
+    assert batch.shape == (len(problems), len(singles[0]))
+    for row, single in zip(batch, singles):
+        assert row.tobytes() == single.tobytes()
+    # a batch of one is a (1, K + 1) array; a lone problem comes back 1-D
+    assert volterra_oracle(problems[:1], nonlinearity).shape == (1, singles[0].size)
+    assert singles[0].ndim == 1
+
+
+def test_lockstep_batches_split_by_bytes_keep_the_bits(monkeypatch):
+    problems = _mixed_batch("superlinear", 1.0 / 256.0)
+    whole = volterra_oracle(problems)
+    reports = check_domination("singular", problems)
+    # three rows of 257 points per lockstep batch: the six rows take two
+    monkeypatch.setattr(gronwall, "_LOCKSTEP_BYTES", 3 * 257 * 8)
+    assert volterra_oracle(problems).tobytes() == whole.tobytes()
+    assert check_domination("singular", problems) == reports
+
+
+def test_lockstep_domination_reports_equal_single_checks():
+    for kind in ("superlinear", "vanishing", "singular"):
+        corpus = make_problem_corpus(kind, 12, seed=7)
+        assert check_domination(kind, corpus) == [check_domination(kind, p)
+                                                  for p in corpus]
+
+
+def test_vanishing_data_decay_is_the_single_oracles_sup():
+    eps = [1e-2, 1e-5, 1e-8]
+    sups = vanishing_data_decay(eps, grid_dt=1.0 / 256.0)
+    singles = [volterra_oracle(GronwallProblem(M=e, c1=0.25, c2=0.5, c3=0.25,
+                                               alpha=0.5, grid_dt=1.0 / 256.0),
+                               "vanishing").max() for e in eps]
+    assert sups.tobytes() == np.array(singles).tobytes()
+
+
+def test_lockstep_batch_validation():
+    with pytest.raises(ValueError, match="at least one problem"):
+        volterra_oracle([])
+    with pytest.raises(ValueError, match="at least one problem"):
+        check_domination("superlinear", [])
+    mixed = [GronwallProblem(M=1.0), GronwallProblem(M=1.0, grid_dt=1.0 / 512.0)]
+    with pytest.raises(ValueError, match="one grid_dt"):
+        volterra_oracle(mixed)
+    with pytest.raises(ValueError, match="one grid_dt"):
+        check_domination("superlinear", mixed)
+
+
+def test_lockstep_batch_with_a_divergent_row_raises():
+    problems = _mixed_batch("superlinear", 1.0 / 128.0)
+    problems.insert(2, GronwallProblem(M=5.0, c2=80.0, grid_dt=1.0 / 128.0))
+    with pytest.raises(OracleConvergenceError):
+        volterra_oracle(problems, "superlinear")
 
 
 def test_problem_validation():

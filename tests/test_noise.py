@@ -13,6 +13,7 @@ from logdrift.noise import (
     _philox_keys,
     _stream_keys,
     derive_path_seed,
+    derive_path_seeds,
     ito_isometry_convergence_check,
     sample_noise,
 )
@@ -74,7 +75,7 @@ KEY_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 96 + 5, 2 ** 128 + 7]
 def test_stream_keys_match_seed_sequence(seed):
     ref = np.array([np.random.SeedSequence([seed, j]).generate_state(2, np.uint64)
                     for j in range(1, 65)])
-    keys = _stream_keys(seed, 64)
+    keys = _stream_keys(seed, np.arange(1, 65))
     assert keys.dtype == np.uint64
     np.testing.assert_array_equal(keys, ref)
 
@@ -83,7 +84,7 @@ def test_negative_seed_is_rejected():
     with pytest.raises(ValueError):
         sample_noise(-1, 4, 8, 0.1)
     with pytest.raises(ValueError):
-        _stream_keys(-2 ** 40, 3)
+        _stream_keys(-2 ** 40, np.arange(1, 4))
 
 
 def test_concurrent_calls_match_serial_and_golden_bits():
@@ -108,7 +109,7 @@ def test_concurrent_calls_match_serial_and_golden_bits():
 
 def test_memoised_keys_are_read_only():
     keys = _philox_keys(4321, 5)
-    np.testing.assert_array_equal(keys, _stream_keys(4321, 5))
+    np.testing.assert_array_equal(keys, _stream_keys(4321, np.arange(1, 6)))
     assert not keys.flags.writeable
     with pytest.raises(ValueError):
         keys[0, 0] = 0
@@ -118,7 +119,8 @@ def test_memoised_keys_are_read_only():
 def test_key_memo_eviction_keeps_the_bits(monkeypatch):
     seeds = range(1000, 1000 + _KEY_MEMO_SIZE + 5)
     with monkeypatch.context() as m:
-        m.setattr(noise, "_philox_keys", _stream_keys)
+        m.setattr(noise, "_philox_keys",
+                  lambda seed, n: _stream_keys(seed, np.arange(1, n + 1)))
         fresh = [sample_noise(s, 4, 8, 0.125).increments for s in seeds]
     _philox_keys.cache_clear()
     for _ in range(2):
@@ -179,6 +181,28 @@ def test_non_integral_seeds_are_rejected():
     np.testing.assert_array_equal(real.increments,
                                   sample_noise(42, 4, 8, 0.1).increments)
     assert derive_path_seed(np.int64(99), 0) == derive_path_seed(99, 0)
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_vectorized_path_seeds_match_derive_path_seed(seed):
+    # masters of one to five 32-bit words; path 0 and the last single-word
+    # index included
+    assert derive_path_seeds(seed, 0, 70) == [derive_path_seed(seed, i)
+                                              for i in range(70)]
+    for i in (2 ** 31, 2 ** 32 - 1):
+        assert derive_path_seeds(seed, i, i + 1) == [derive_path_seed(seed, i)]
+    assert derive_path_seeds(seed, 5, 5) == []
+
+
+def test_vectorized_path_seeds_reject_bad_ranges():
+    for start, stop in ((-1, 3), (4, 3), (0, 2 ** 32 + 1)):
+        with pytest.raises(ValueError):
+            derive_path_seeds(7, start, stop)
+    with pytest.raises(ValueError):
+        derive_path_seeds(-1, 0, 3)
+    for args in ((2.5, 0, 3), (7, 0, 2.5)):
+        with pytest.raises(TypeError):
+            derive_path_seeds(*args)
 
 
 def test_path_seed_derivation():
