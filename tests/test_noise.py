@@ -68,7 +68,8 @@ def test_absolute_noise_bits_are_pinned(args, digest):
 
 
 # one to five little-endian 32-bit words
-KEY_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 96 + 5, 2 ** 128 + 7]
+KEY_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64 + 3, 2 ** 96 + 5,
+             2 ** 128 + 7]
 
 
 @pytest.mark.parametrize("seed", KEY_SEEDS)
