@@ -34,10 +34,7 @@ from .gronwall import (
 )
 from .heat_kernel import (
     KernelParams,
-    kernel_eval,
     log_jensen_bound_check,
-    mass_and_l2_bounds,
-    semigroup_apply,
     spatial_modulus_estimate,
     time_increment_estimate,
 )
@@ -51,7 +48,6 @@ from .moments import (
 )
 from .noise import (
     NoiseRealization,
-    derive_path_seed,
     ito_isometry_convergence_check,
     sample_noise,
 )
@@ -70,13 +66,12 @@ __all__ = [
     "DiffusionSpec", "DriftSpec", "Field", "Grid", "GronwallProblem",
     "HypothesisViolation", "KernelParams", "MollifiedDrift", "MomentReport",
     "NoiseRealization", "Trajectory", "check_domination",
-    "convolution_scaling_report", "coupled_uniqueness_experiment",
-    "derive_path_seed", "drift_eval", "epsilon_split_report",
-    "factorization_check", "growth_check", "ito_isometry_convergence_check",
-    "kernel_eval", "lipschitz_check", "log_jensen_bound_check", "loglip_check",
-    "make_problem_corpus", "mass_and_l2_bounds", "mc_sup_moment",
-    "mollified_uniformity_report", "mollify", "osgood_classifier",
-    "restart_window_report", "sample_noise", "semigroup_apply", "sigma_eval",
+    "convolution_scaling_report", "coupled_uniqueness_experiment", "drift_eval",
+    "epsilon_split_report", "factorization_check", "growth_check",
+    "ito_isometry_convergence_check", "lipschitz_check",
+    "log_jensen_bound_check", "loglip_check", "make_problem_corpus",
+    "mc_sup_moment", "mollified_uniformity_report", "mollify",
+    "osgood_classifier", "restart_window_report", "sample_noise", "sigma_eval",
     "solve_l2_ensemble", "solve_path", "spatial_modulus_estimate",
     "sublinear_check", "time_increment_estimate", "uniform_growth_check",
     "vanishing_data_decay", "volterra_oracle",

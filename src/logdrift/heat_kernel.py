@@ -6,13 +6,12 @@ boundary values. Two dual evaluations are kept: the spectral series, efficient
 for t away from 0, and the method-of-images sum of Gaussians
 G_t(z) = exp(-z^2 / (2t)) / sqrt(2 pi t), efficient for small t. Each takes
 its term count from t and `TRUNCATION_TOL`. Both are exposed so they can be
-cross-checked; `kernel_eval` switches between them at `switch_time`.
+cross-checked; `_kernel_matrix` switches between them at `switch_time`.
 
-Derived estimates: kernel mass and L2 size, an integrated small-time
-increment estimate (the sup-over-space time-modulus integral, summed in mode
-form at every node, where its terms are nonnegative), a spatial modulus
-majorant series, and a log-Jensen inequality check used by the moment
-arguments.
+Derived estimates: an integrated small-time increment estimate (the
+sup-over-space time-modulus integral, summed in mode form at every node,
+where its terms are nonnegative), a spatial modulus majorant series, and a
+log-Jensen inequality check used by the moment arguments.
 """
 from __future__ import annotations
 
@@ -30,12 +29,10 @@ SQRT_PI = math.sqrt(math.pi)
 # absolute truncation target of both kernel forms; hard cap on series terms
 TRUNCATION_TOL = 1e-14
 MAX_MODES = 200_000
-# x grids of the sups in mass_and_l2_bounds and time_increment_estimate, and
-# the latter's (even) count of Simpson intervals in w = sqrt(r) and w-nodes
-# per block of its mode form. A block's sine table is INCREMENT_X_POINTS
-# doubles per mode; the first block, at r = 3/1200^2, needs 1268 modes, a
-# table of about 10 MB
-MASS_X_POINTS = 513
+# the x grid of time_increment_estimate's sup, its (even) count of Simpson
+# intervals in w = sqrt(r) and its w-nodes per block of the mode form. A
+# block's sine table is INCREMENT_X_POINTS doubles per mode; the first block,
+# at r = 3/1200^2, needs 1268 modes, a table of about 10 MB
 INCREMENT_X_POINTS = 1025
 INCREMENT_W_INTERVALS = 1200
 INCREMENT_W_BLOCK = 128
@@ -120,14 +117,6 @@ def kernel_images(t, x, y) -> np.ndarray:
     return out if out.shape else float(out)
 
 
-def kernel_eval(t, x, y, params: KernelParams = DEFAULT_PARAMS):
-    """Evaluate p_t(x, y), choosing the series or image form by t."""
-    t = float(t)
-    if t < params.switch_time:
-        return kernel_images(t, x, y)
-    return kernel_series(t, x, y, params)
-
-
 def _kernel_matrix(t: float, xs: np.ndarray, ys: np.ndarray, params: KernelParams) -> np.ndarray:
     """p_t on a tensor grid, exploiting separability of the series form."""
     if t >= params.switch_time:
@@ -144,39 +133,6 @@ def _kernel_matrix(t: float, xs: np.ndarray, ys: np.ndarray, params: KernelParam
     for i in range(0, xs.size, step):
         out[i : i + step] = kernel_images(t, xs[i : i + step, None], ys[None, :])
     return out
-
-
-def semigroup_apply(t: float, f: Field) -> Field:
-    """Apply the Dirichlet heat semigroup at time t to a field.
-
-    Mode k is damped by exp(-k^2 pi^2 t / 2); t = 0 is the identity. The map
-    is an L2 contraction, which callers may rely on.
-    """
-    if not t >= 0:
-        raise ValueError("t must be a nonnegative number")
-    if t == 0:
-        return Field(f.n, coeffs=f.coeffs.copy())
-    k = np.arange(1, f.n + 1)
-    return Field(f.n, coeffs=f.coeffs * np.exp(-0.5 * (k * math.pi) ** 2 * t))
-
-
-def mass_and_l2_bounds(t: float, params: KernelParams = DEFAULT_PARAMS) -> tuple[float, float]:
-    """Return (sup_x int p_t(x, y) dy, sup_x int p_t(x, y)^2 dy).
-
-    Simpson quadrature in y on a grid fine enough to resolve the kernel
-    width sqrt(t); the sup is over an x grid containing the symmetry point
-    1/2, where both profiles peak.
-    """
-    if not 0 < t < math.inf:
-        raise ValueError("t must be finite and positive")
-    n_y = 1 + 2 * max(1024, int(math.ceil(48.0 / math.sqrt(t))))
-    xs = np.linspace(0.0, 1.0, MASS_X_POINTS)
-    ys = np.linspace(0.0, 1.0, n_y)
-    P = _kernel_matrix(t, xs, ys, params)
-    w = simpson_weights(n_y, 1.0 / (n_y - 1))
-    mass = P @ w
-    l2sq = (P * P) @ w
-    return float(mass.max()), float(l2sq.max())
 
 
 def _increment_modes(rs: np.ndarray, h: float, xs: np.ndarray):

@@ -92,8 +92,8 @@ def _solve_ensemble(drift, diffusion, u0: Field, grid: Grid, ensemble: int,
     """Solve paths 0..ensemble-1 in index order; returns (l2, blown,
     blow_steps) as solve_l2_ensemble does, one row per path.
 
-    Path i runs on the noise seeded by derive_path_seed(master_seed, i),
-    drawn a chunk of paths at a time, their seeds hashed in one
+    Path i runs on the noise seeded by derive_path_seeds(master_seed, i,
+    i + 1)[0], drawn a chunk of paths at a time, their seeds hashed in one
     derive_path_seeds pass, into one time-major buffer of at most
     _CHUNK_BYTES (at least one path), refilled for every chunk; each step's
     noise is then one contiguous block. Without diffusion every path is the

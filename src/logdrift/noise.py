@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import ndtri
 
 __all__ = [
-    "NoiseRealization", "sample_noise", "derive_path_seed", "derive_path_seeds",
+    "NoiseRealization", "sample_noise", "derive_path_seeds",
     "IsometryReport", "ito_isometry_convergence_check",
 ]
 
@@ -186,15 +186,11 @@ def sample_noise(seed: int, n_modes: int, n_steps: int, dt: float) -> NoiseReali
     return NoiseRealization(seed, n_modes, n_steps, dt, out)
 
 
-def derive_path_seed(master_seed: int, path_index: int) -> int:
-    """Stable per-path seed for ensemble runs."""
-    ss = np.random.SeedSequence([operator.index(master_seed), int(path_index)])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 def derive_path_seeds(master_seed: int, start: int, stop: int) -> list[int]:
-    """derive_path_seed(master_seed, i) for i in range(start, stop), hashed
-    in one vectorized pass; needs integers 0 <= start <= stop <= 2^32."""
+    """The ensemble seeds of paths i in range(start, stop), hashed in one
+    vectorized pass: path i's seed is
+    SeedSequence([master_seed, i]).generate_state(1, np.uint64)[0]. Needs
+    integers 0 <= start <= stop <= 2^32."""
     start, stop = operator.index(start), operator.index(stop)
     if not 0 <= start <= stop <= 1 << 32:
         raise ValueError("need 0 <= start <= stop <= 2^32")

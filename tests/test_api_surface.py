@@ -2,7 +2,9 @@
 
 A module-level public name that is neither exported nor called from the
 package itself is code that only tests reach; it belongs in the tests or
-in an ``__all__``. Conversely, every name an ``__all__`` lists is bound.
+in an ``__all__``. Conversely, every name an ``__all__`` lists is bound,
+and read by some statement of the package: an export that nothing in the
+package runs is a second path that only tests reach.
 A public method or property that no statement of the package reads is
 test-only code as well, exported class or not, and so is a public attribute
 that a method assigns as ``self.name`` and nothing reads.
@@ -21,6 +23,17 @@ SRC = Path(logdrift.__file__).resolve().parent
 UNREAD_MEMBERS_KEPT = {
     "solver.Grid.stiffness": "the per-run metrics file (ROADMAP item 5) "
                              "will report it",
+}
+
+# exports kept although no statement of the package reads them, with the
+# reason
+UNREACHED_EXPORTS_KEPT = {
+    "log_jensen_bound_check": "acceptance criterion 04 and the benchmark's "
+                              "serial workload run it (ROADMAP item 13)",
+    "osgood_classifier": "the critical-drift blow-up verdict may call it "
+                         "(ROADMAP item 11)",
+    "vanishing_data_decay": "acceptance criterion 06 runs it (ROADMAP item "
+                            "13)",
 }
 
 
@@ -61,6 +74,21 @@ def unreached_public_names(src: Path) -> list:
                                 for stmt, names in reads if stmt is not node):
                 found.append(f"{module}.{node.name}")
     return found
+
+
+def unreached_exports(src: Path) -> list:
+    """Names that an __all__ of the package at src lists and that no
+    top-level statement of the package reads, other than the definition of
+    the name itself; an import or an __all__ entry is no read."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(src.glob("*.py"))}
+    exported = set().union(*map(_declared_all, trees.values()))
+    reads = [(stmt, _read_names(stmt))
+             for tree in trees.values() for stmt in tree.body]
+    return sorted(
+        name for name in exported
+        if not any(name in names for stmt, names in reads
+                   if getattr(stmt, "name", None) != name))
 
 
 def _attribute_reads(node: ast.AST) -> Counter:
@@ -118,6 +146,11 @@ def test_every_public_name_is_exported_or_used_in_the_package():
     assert unreached_public_names(SRC) == []
 
 
+def test_every_export_is_read_in_the_package():
+    # an allowlisted export that the package starts to read leaves the list
+    assert unreached_exports(SRC) == sorted(UNREACHED_EXPORTS_KEPT)
+
+
 def test_every_public_member_is_read_in_the_package():
     # an allowlisted member that the package starts to read leaves the list
     assert unread_public_members(SRC) == sorted(UNREAD_MEMBERS_KEPT)
@@ -148,6 +181,18 @@ def test_guard_flags_a_name_that_only_its_own_body_reads(tmp_path):
         "def helper():\n    return 1\n\n\n"
         "def orphan(n):\n    return orphan(n - 1) if n else 0\n")
     assert unreached_public_names(tmp_path) == ["m.orphan"]
+
+
+def test_guard_flags_an_export_that_only_its_own_body_reads(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        'from .m import api, orphan\n__all__ = ["api", "orphan"]\n')
+    (tmp_path / "m.py").write_text(
+        '__all__ = ["api", "Unread"]\n\n\n'
+        "def api():\n    return helper()\n\n\n"
+        "def helper():\n    return api\n\n\n"
+        "def orphan(n):\n    return orphan(n - 1) if n else 0\n\n\n"
+        "class Unread:\n    pass\n")
+    assert unreached_exports(tmp_path) == ["Unread", "orphan"]
 
 
 def test_guard_flags_a_member_that_only_its_own_body_reads(tmp_path):

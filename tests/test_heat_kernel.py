@@ -11,16 +11,15 @@ from logdrift.heat_kernel import (
     KernelParams,
     _image_pairs,
     _increment_modes,
-    kernel_eval,
+    _kernel_matrix,
     kernel_images,
     kernel_series,
     log_jensen_bound_check,
     log_plus,
-    mass_and_l2_bounds,
-    semigroup_apply,
     spatial_modulus_estimate,
     time_increment_estimate,
 )
+from logdrift.solver import _propagators
 
 # Reference kernel values: 10^4-term series summed at 30-digit precision.
 KERNEL_REFERENCE = {
@@ -47,10 +46,14 @@ SPATIAL_MAJORANT_VALUE = {(0.5, 0.25): 0.3749998798523254,
                           (0.5, 0.5 - 2.0**-12): 0.0014486386569628374}
 
 
+KERNEL_FORMS = (kernel_series, kernel_images)
+
+
 def test_kernel_matches_high_precision_reference():
-    for (t, x, y), ref in KERNEL_REFERENCE.items():
-        v = kernel_eval(t, x, y)
-        assert abs(v - ref) <= 1e-12 * max(1.0, abs(ref))
+    for kernel in KERNEL_FORMS:
+        for (t, x, y), ref in KERNEL_REFERENCE.items():
+            v = kernel(t, x, y)
+            assert abs(v - ref) <= 1e-12 * max(1.0, abs(ref)), (kernel, t)
 
 
 def test_series_and_images_agree_on_overlap():
@@ -89,53 +92,56 @@ def test_image_pair_count_follows_t():
     assert counts == sorted(counts)
 
 
-def test_kernel_eval_dispatches_on_switch_time():
+def test_kernel_matrix_dispatches_on_switch_time():
+    # 2049 columns split the image form's 17 rows into row blocks
     p = KernelParams(switch_time=0.05)
-    lo = kernel_eval(0.04, 0.3, 0.4, p)
-    hi = kernel_eval(0.06, 0.3, 0.4, p)
-    assert abs(lo - kernel_images(0.04, 0.3, 0.4)) == 0.0
-    assert abs(hi - kernel_series(0.06, 0.3, 0.4, p)) == 0.0
+    xs, ys = np.linspace(0.0, 1.0, 17), np.linspace(0.0, 1.0, 2049)
+    lo = _kernel_matrix(0.04, xs, ys, p)
+    hi = _kernel_matrix(0.06, xs, ys, p)
+    assert np.array_equal(lo, kernel_images(0.04, xs[:, None], ys[None, :]))
+    assert np.max(np.abs(hi - kernel_series(0.06, xs[:, None], ys[None, :], p))) <= 1e-13
 
 
 def test_kernel_symmetry_and_positivity():
     rng = np.random.default_rng(3)
     xs, ys = rng.uniform(0, 1, 50), rng.uniform(0, 1, 50)
-    for t in (0.01, 0.3):
-        assert np.allclose(kernel_eval(t, xs, ys), kernel_eval(t, ys, xs), rtol=1e-12)
-        assert np.all(kernel_eval(t, xs, ys) > -1e-13)
+    for kernel in KERNEL_FORMS:
+        for t in (0.01, 0.3):
+            assert np.allclose(kernel(t, xs, ys), kernel(t, ys, xs), rtol=1e-12)
+            assert np.all(kernel(t, xs, ys) > -1e-13)
 
 
 def test_kernel_boundary_vanishes():
     xs = np.linspace(0, 1, 17)
-    for t in (0.01, 0.2):
-        assert np.max(np.abs(kernel_eval(t, 0.0, xs))) < 1e-13
-        assert np.max(np.abs(kernel_eval(t, 1.0, xs))) < 1e-13
+    for kernel in KERNEL_FORMS:
+        for t in (0.01, 0.2):
+            assert np.max(np.abs(kernel(t, 0.0, xs))) < 1e-13
+            assert np.max(np.abs(kernel(t, 1.0, xs))) < 1e-13
 
 
 def test_kernel_input_validation():
-    with pytest.raises(ValueError):
-        kernel_eval(0.0, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        kernel_eval(-0.1, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        kernel_eval(0.1, 1.5, 0.5)
-    # NaN compares False against both ends of [0, 1]
-    for x, y in ((math.nan, 0.5), (0.5, math.nan), (np.array([0.2, math.nan]), 0.5)):
-        for kernel in (kernel_eval, kernel_series, kernel_images):
+    for kernel in KERNEL_FORMS:
+        with pytest.raises(ValueError):
+            kernel(0.0, 0.5, 0.5)
+        with pytest.raises(ValueError):
+            kernel(-0.1, 0.5, 0.5)
+        with pytest.raises(ValueError):
+            kernel(0.1, 1.5, 0.5)
+        # NaN compares False against both ends of [0, 1]
+        for x, y in ((math.nan, 0.5), (0.5, math.nan), (np.array([0.2, math.nan]), 0.5)):
             with pytest.raises(ValueError, match=r"x and y must lie in \[0, 1\]"):
                 kernel(0.1, x, y)
 
 
 def test_semigroup_identity_and_contraction():
-    f = Field.random_l2(127, 2.5, seed=7)
-    g = semigroup_apply(0.0, f)
-    assert np.array_equal(g.coeffs, f.coeffs)
-    h1 = semigroup_apply(0.3, semigroup_apply(0.2, f))
-    h2 = semigroup_apply(0.5, f)
-    assert np.max(np.abs(h1.coeffs - h2.coeffs)) < 1e-14
-    assert semigroup_apply(0.1, f).l2_norm() <= f.l2_norm()
-    with pytest.raises(ValueError):
-        semigroup_apply(-1e-9, f)
+    # the solver's step factor E(t), which damps mode k by e^{-k^2 pi^2 t/2}
+    def E(t):
+        return _propagators(127, t)[0]
+
+    assert np.max(np.abs(E(0.2) * E(0.3) - E(0.5))) < 1e-14
+    for t in (1e-4, 0.1, 2.0):
+        assert np.all((E(t) >= 0.0) & (E(t) <= 1.0))
+    assert E(2.0)[-1] == 0.0  # high modes underflow to 0
 
 
 def test_semigroup_matches_kernel_quadrature():
@@ -147,28 +153,39 @@ def test_semigroup_matches_kernel_quadrature():
     c[:8] = rng.standard_normal(8) / (1.0 + np.arange(8)) ** 2
     f = Field.from_coeffs(c)
     t = 0.08
-    g = semigroup_apply(t, f)
+    g = _propagators(n, t)[0] * f.coeffs
     ys = np.concatenate(([0.0], nodes(n), [1.0]))
     fv = np.concatenate(([0.0], f.values, [0.0]))
     w = simpson_weights(n + 2, 1.0 / (n + 1))
-    for x in (0.25, 0.5, 0.8):
-        direct = float(kernel_eval(t, x, ys) @ (w * fv))
-        spectral = float(np.sum(g.coeffs * np.sqrt(2.0) * np.sin(np.arange(1, n + 1) * np.pi * x)))
-        assert direct == pytest.approx(spectral, abs=2e-6)
+    xs = np.array([0.25, 0.5, 0.8])
+    direct = _kernel_matrix(t, xs, ys, DEFAULT_PARAMS) @ (w * fv)
+    spectral = np.sin(np.outer(xs, np.arange(1, n + 1) * np.pi)) @ (np.sqrt(2.0) * g)
+    assert direct == pytest.approx(spectral, abs=2e-6)
+
+
+def _mass_and_l2(t):
+    """sup_x int p_t(x, y) dy and sup_x int p_t(x, y)^2 dy over an x grid
+    holding 1/2, where both peak, by Simpson quadrature in y on a grid that
+    resolves the kernel width sqrt(t)."""
+    n_y = 1 + 2 * max(1024, math.ceil(48.0 / math.sqrt(t)))
+    P = _kernel_matrix(t, np.linspace(0.0, 1.0, 33), np.linspace(0.0, 1.0, n_y),
+                       DEFAULT_PARAMS)
+    w = simpson_weights(n_y, 1.0 / (n_y - 1))
+    return float((P @ w).max()), float(((P * P) @ w).max())
 
 
 def test_mass_below_one_and_l2_semigroup_identity():
     for t in (0.005, 0.05, 0.1, 0.5):
-        mass, l2sq = mass_and_l2_bounds(t)
+        mass, l2sq = _mass_and_l2(t)
         assert mass <= 1.0 + 1e-10
         # closed form: int p_t(x,.)^2 dy = p_{2t}(x,x), peaked at x = 1/2
-        assert l2sq == pytest.approx(kernel_eval(2 * t, 0.5, 0.5), abs=1e-8)
+        assert l2sq == pytest.approx(kernel_series(2 * t, 0.5, 0.5), abs=1e-8)
 
 
 def test_mass_matches_closed_series():
     # int_0^1 p_t(x,y) dy = sum_n 2 e^{-n^2 pi^2 t/2} sin(n pi x)(1-(-1)^n)/(n pi)
     for t, ref in [(0.1, 0.77231160685859059543), (0.005, 0.99999999999692508041)]:
-        mass, _ = mass_and_l2_bounds(t)
+        mass, _ = _mass_and_l2(t)
         assert mass == pytest.approx(ref, abs=1e-8)
 
 
@@ -205,7 +222,7 @@ INCREMENT_HS = (0.1, 0.0125, 0.0015625)
 
 
 def test_time_increment_forms_agree_near_the_split():
-    # around 2r = switch_time, where kernel_eval changes form
+    # around 2r = switch_time, where _kernel_matrix changes form
     xs = INCREMENT_XS
     rs = 0.5 * DEFAULT_PARAMS.switch_time * np.linspace(0.8, 1.25, 10)
     for h in INCREMENT_HS:
@@ -254,10 +271,7 @@ def test_time_increment_validation():
 
 def test_heat_kernel_names_nan_and_non_integer_arguments():
     # each raised by accident before ("cannot convert float NaN to integer",
-    # a TypeError from range) or, for the semigroup, returned a NaN field
-    f = Field.random_l2(15, 1.0, seed=2)
-    with pytest.raises(ValueError, match="t must be a nonnegative number"):
-        semigroup_apply(math.nan, f)
+    # a TypeError from range)
     with pytest.raises(ValueError, match="R must be a positive number"):
         spatial_modulus_estimate(0.2, 0.7, R=math.nan)
     with pytest.raises(ValueError, match="n_terms must be an integer"):
@@ -267,9 +281,6 @@ def test_heat_kernel_names_nan_and_non_integer_arguments():
             time_increment_estimate(0.05, R=R)
     with pytest.raises(ValueError, match="h must be finite and positive"):
         time_increment_estimate(math.nan)
-    for t in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="t must be finite and positive"):
-            mass_and_l2_bounds(t)
 
 
 def test_spatial_modulus_dominates_quadrature_oracle():

@@ -7,12 +7,11 @@ import pytest
 
 from logdrift import noise
 from logdrift.fields import nodes, values_to_coeffs
-from logdrift.heat_kernel import kernel_eval
+from logdrift.heat_kernel import DEFAULT_PARAMS, kernel_images, kernel_series
 from logdrift.noise import (
     _KEY_MEMO_SIZE,
     _philox_keys,
     _stream_keys,
-    derive_path_seed,
     derive_path_seeds,
     ito_isometry_convergence_check,
     sample_noise,
@@ -45,8 +44,9 @@ GOLDEN_DIGESTS = [
     ((909, 8, 64, 1.0 / 64.0),
      "003b9ac26765bcbc5bb928dbb32e287221b0e489d66dd45d2d2610fcc16a1221"),
     # the benchmark's shapes, recorded with the per-mode cascade before the
-    # cascade ran across modes; the seeds are derive_path_seed(2024, 0) and
-    # derive_path_seed(0, 3)
+    # cascade ran across modes; the seeds are path 0's of master 2024 and
+    # path 3's of master 0, derive_path_seeds(2024, 0, 1)[0] and
+    # derive_path_seeds(0, 3, 4)[0]
     ((5514401882974304769, 64, 256, 1.0 / 256.0),
      "d21c36c5e61fcf07c5dddbb1be963ca53997d9a974530adf824e24848075595b"),
     ((5514401882974304769, 64, 512, 1.0 / 256.0),
@@ -175,13 +175,19 @@ def test_non_integral_seeds_are_rejected():
         with pytest.raises(TypeError):
             sample_noise(seed, 4, 8, 0.1)
         with pytest.raises(TypeError):
-            derive_path_seed(seed, 0)
+            derive_path_seeds(seed, 0, 1)
     # integer types index as the same seed
     real = sample_noise(np.uint64(42), 4, 8, 0.1)
     assert type(real.seed) is int
     np.testing.assert_array_equal(real.increments,
                                   sample_noise(42, 4, 8, 0.1).increments)
-    assert derive_path_seed(np.int64(99), 0) == derive_path_seed(99, 0)
+    assert derive_path_seeds(np.int64(99), 0, 1) == derive_path_seeds(99, 0, 1)
+
+
+def derive_path_seed(master_seed, path_index):
+    """Path path_index's seed, from numpy's SeedSequence itself."""
+    ss = np.random.SeedSequence([master_seed, path_index])
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 @pytest.mark.parametrize("seed", KEY_SEEDS)
@@ -207,9 +213,8 @@ def test_vectorized_path_seeds_reject_bad_ranges():
 
 
 def test_path_seed_derivation():
-    s0 = derive_path_seed(99, 0)
-    s1 = derive_path_seed(99, 1)
-    assert s0 == derive_path_seed(99, 0)
+    s0, s1 = derive_path_seeds(99, 0, 2)
+    assert [s0] == derive_path_seeds(99, 0, 1)
     assert s0 != s1
     assert 0 <= s0 < 2 ** 64
 
@@ -219,7 +224,10 @@ def _kernel_slice_integrand(n_modes, n_steps, dt):
     out = np.empty((n_steps, n_modes))
     for k in range(n_steps):
         s = (k + 0.5) * dt
-        vals = kernel_eval(1.0 - s + 1e-3, np.full(n_modes, 0.3), xs)
+        t = 1.0 - s + 1e-3
+        # the form _kernel_matrix takes at t; its bits fix the estimates
+        kernel = kernel_images if t < DEFAULT_PARAMS.switch_time else kernel_series
+        vals = kernel(t, np.full(n_modes, 0.3), xs)
         out[k] = values_to_coeffs(vals)
     return out
 

@@ -6,7 +6,7 @@ import pytest
 
 from logdrift.coefficients import DiffusionSpec, DriftSpec, mollify
 from logdrift.fields import Field
-from logdrift.noise import NoiseRealization, derive_path_seed, sample_noise
+from logdrift.noise import NoiseRealization, derive_path_seeds, sample_noise
 from logdrift.solver import (
     Grid,
     _propagators,
@@ -260,7 +260,8 @@ def test_mixed_breach_batch_rows_match_their_own_solves_in_both_layouts():
     diffusion = DiffusionSpec("sublinear_power", d1=2.0, d2=2.0, theta=0.5)
     # path 0 survives and paths 3, 2, 4 breach in that order, so the batch
     # switches to indexing and ends with path 0 alone
-    Xi = np.stack([sample_noise(derive_path_seed(3, i), 8, 128, g.dt).increments
+    seeds = derive_path_seeds(3, 0, 5)
+    Xi = np.stack([sample_noise(seeds[i], 8, 128, g.dt).increments
                    for i in (0, 2, 3, 4)])
     # the (steps, paths, modes) buffer the Monte Carlo driver fills
     time_major = np.ascontiguousarray(Xi.transpose(2, 0, 1)).transpose(1, 2, 0)
