@@ -65,7 +65,8 @@ class GronwallProblem:
     M is the constant forcing; c1, c2, c3 are the constant coefficients, all
     finite and nonnegative; alpha in [0, 1/2] is the kernel singularity; the
     oracle and all bounds are evaluated on the uniform grid with spacing
-    grid_dt.
+    grid_dt, which must be 1/n for an integer n >= 1 up to rounding, so
+    that n steps span [0, 1] and the halved grid's even nodes are its nodes.
     """
 
     M: float
@@ -78,15 +79,16 @@ class GronwallProblem:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 0.5:
             raise ValueError("alpha must lie in [0, 1/2]")
-        if not 0.0 < self.grid_dt <= 1.0:
-            raise ValueError("need 0 < grid_dt <= 1")
+        if not (0.0 < self.grid_dt <= 1.0
+                and math.isclose(round(1.0 / self.grid_dt) * self.grid_dt, 1.0)):
+            raise ValueError("need grid_dt = 1/n for an integer n >= 1")
         for name in ("M", "c1", "c2", "c3"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative")
 
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, max(1, round(1.0 / self.grid_dt)) + 1)
+        return np.linspace(0.0, 1.0, round(1.0 / self.grid_dt) + 1)
 
     def refined(self) -> "GronwallProblem":
         """The same problem on the halved grid."""
@@ -243,8 +245,7 @@ def _lockstep(batch: list, g: Callable, ts: np.ndarray, f: np.ndarray) -> None:
         rows = np.arange(len(batch))  # the rows still iterating, in order
         piece = np.repeat(f[:, a:a + 1], b - a + 1, axis=1)
         base = rhs[:, a + 1:b + 1] + area[:, None]
-        # the coefficients at every node of the piece
-        k1, k2 = (np.repeat(c, b - a + 1, axis=1) for c in (c1, c2))
+        k1, k2 = c1, c2  # (rows, 1) columns, narrowed as rows settle
 
         def singular_terms():
             terms = []
@@ -274,19 +275,14 @@ def _lockstep(batch: list, g: Callable, ts: np.ndarray, f: np.ndarray) -> None:
             delta = np.abs(diff, out=diff).max(axis=1)
             piece[:, 1:] = fn
             done = delta < PICARD_TOL
-            settled = np.count_nonzero(done)
-            if settled == rows.size:
-                # plain slices while no row has left
-                live = slice(None) if rows.size == len(batch) else rows
-                f[live, a + 1:b + 1] = fn
-                area[live] += _cumtrapz(integrand(piece, k1, k2), dt)[:, -1]
-                return
-            if settled:
+            if done.any():
                 # settled rows leave the lockstep; the rest close ranks
                 fin = piece[done]
                 f[rows[done], a + 1:b + 1] = fin[:, 1:]
                 area[rows[done]] += _cumtrapz(integrand(fin, k1[done], k2[done]),
                                               dt)[:, -1]
+                if done.all():
+                    return
                 left = ~done
                 rows, piece, base = rows[left], piece[left], base[left]
                 k1, k2 = k1[left], k2[left]
