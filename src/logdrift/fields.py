@@ -139,10 +139,10 @@ class Field:
         """A reproducible rough field with prescribed L2 norm.
 
         Coefficients decay like 1/k so the profile is square integrable but
-        not smooth; the draw is fixed by the seed.
+        not smooth; the draw is fixed by the seed. A negative norm raises.
         """
-        if not np.isfinite(norm):
-            raise ValueError("norm must be finite")
+        if not (np.isfinite(norm) and norm >= 0.0):
+            raise ValueError("norm must be finite and nonnegative")
         rng = np.random.default_rng(seed)
         c = rng.standard_normal(n) / np.arange(1, n + 1)
         c *= norm / np.sqrt(np.sum(c * c))

@@ -274,7 +274,12 @@ def test_contract_failure_exits_1_and_names_assertion(tmp_path, capsys):
     + [(scenario, ["grid.n_modes=8", "grid.n_steps=16", "ensemble=30",
                    f"levels=4,{MAX_MOLLIFIER_LEVEL + 1}"], 2,
         f"levels must be >= 1 and <= {MAX_MOLLIFIER_LEVEL}")
-       for scenario in ("moments", "uniqueness")])
+       for scenario in ("moments", "uniqueness")]
+    # a negative norm ran on the field of norm |norm| with its sign flipped,
+    # while resolved-config.txt recorded the negative norm
+    + [("blowup-phase", ["grid.n_modes=8", "grid.n_steps=16", "ensemble=30",
+                         "u0=random:-5,9"], 2,
+        "norm must be finite and nonnegative")])
 def test_scenario_limits_hold_for_accepted_configs(tmp_path, capsys, scenario,
                                                    lines, code, message):
     cfgfile = tmp_path / "c.cfg"

@@ -259,8 +259,14 @@ def test_problem_validation():
         GronwallProblem(M=1.0, alpha=0.6)
     with pytest.raises(ValueError):
         GronwallProblem(M=1.0, c1=-0.1)
-    with pytest.raises(ValueError):
-        GronwallProblem(M=1.0, grid_dt=2.0)
+    # 0.3 and 0.15 are no 1/n: their grids would be 1/3 and 1/7, and the
+    # refined grid's even nodes would miss the coarse ones
+    for grid_dt in (2.0, 0.3, 0.15, 0.0, math.nan):
+        with pytest.raises(ValueError, match="grid_dt = 1/n"):
+            GronwallProblem(M=1.0, grid_dt=grid_dt)
+    for n in (1, 3, 7, 1000):
+        prob = GronwallProblem(M=1.0, grid_dt=1.0 / n)
+        assert prob.refined().times()[::2].tolist() == prob.times().tolist()
 
 
 @pytest.mark.parametrize("name,value", [("M", math.nan), ("c1", math.inf),
