@@ -118,7 +118,8 @@ def kernel_images(t, x, y) -> np.ndarray:
 
 
 def _kernel_matrix(t: float, xs: np.ndarray, ys: np.ndarray, params: KernelParams) -> np.ndarray:
-    """p_t on a tensor grid, exploiting separability of the series form."""
+    """p_t on a tensor grid: the series form, separable, from
+    params.switch_time on, and the image form below it."""
     if t >= params.switch_time:
         N = _series_mode_count(t, params)
         n = np.arange(1, N + 1)

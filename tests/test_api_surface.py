@@ -3,8 +3,8 @@
 A module-level public name that is neither exported nor called from the
 package itself is code that only tests reach; it belongs in the tests or
 in an ``__all__``. Conversely, every name an ``__all__`` lists is bound,
-and read by some statement of the package: an export that nothing in the
-package runs is a second path that only tests reach.
+and some statement of the package reads it: an export that nothing in the
+package runs is code that only tests reach as well.
 A public method or property that no statement of the package reads is
 test-only code as well, exported class or not, and so is a public attribute
 that a method assigns as ``self.name`` and nothing reads.
