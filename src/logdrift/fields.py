@@ -12,9 +12,16 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
 
-DIRECT_CONVOLUTION_MAX_LAGS = 1024  # lag_convolver's FFT switch; the oracle's piece size
+# lag_convolver's switch from the blocked direct product to FFTs; the
+# oracle's piece size
+DIRECT_CONVOLUTION_MAX_LAGS = 1024
+# points per block of the direct product: with scipy-openblas 0.3.31 each row
+# of X[:M] @ D is the same for every M >= 2 at an inner dimension of 64 to
+# 256, not at 512 (tests/test_fields.py pins it)
+_BLOCK = 128
 
 
 @lru_cache(maxsize=64)
@@ -33,19 +40,58 @@ def sine_matrix(n: int) -> np.ndarray:
 
 
 def lag_convolver(w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> (x * w)[:n], the lower-triangular lag convolution by w, for x of
-    w's length n. Up to DIRECT_CONVOLUTION_MAX_LAGS lags it is the direct
-    np.convolve(x, w), whose rounding is causal (entry k reads only x[:k+1]);
-    above, scipy.signal.fftconvolve's arithmetic with w's spectrum taken once
-    here, which is not causal: every entry carries error of order
-    eps * max|x|. Operand order is part of the bits: x goes first.
+    """x -> (x * w)[:L], the lower-triangular lag convolution by w, for x of
+    length L <= n, w's length.
+
+    Up to DIRECT_CONVOLUTION_MAX_LAGS lags it is a blocked lower-triangular
+    Toeplitz product, built here once: w is cut into _BLOCK-point blocks, the
+    diagonal block D_0 upper triangular and the others full, and x may be
+    (L,) or (P, L). Each block diagonal d is one matrix product over all rows
+    and block positions, added in increasing d, and a lone row runs as two,
+    since BLAS takes a matrix-vector kernel for one row. So each row of a
+    (P, L) call equals its own 1-D call bit for bit, and for finite x the
+    rounding is causal: the products 0 * x[j] above the diagonal are exactly
+    0, so entry k reads only x[:k+1]. Above, it is scipy.signal.fftconvolve's
+    arithmetic on a 1-D x of length n, with w's spectrum taken once here,
+    which is not causal: every entry carries error of order eps * max|x|.
     """
     n = w.size
     if n - 1 <= DIRECT_CONVOLUTION_MAX_LAGS:
-        return lambda x: np.convolve(x, w)[:n]
+        nb = -(-n // _BLOCK)
+        # blocks[d, j, k] = w[d B + k - j]: row j of block d is a window of w
+        # padded with a block of zeros in front (negative lags) and behind
+        padded = np.zeros((nb + 1) * _BLOCK)
+        padded[_BLOCK:_BLOCK + n] = w
+        windows = sliding_window_view(padded, _BLOCK)[1:nb * _BLOCK + 1]
+        blocks = np.ascontiguousarray(
+            windows.reshape(nb, _BLOCK, _BLOCK)[:, ::-1])
+        return lambda x: _toeplitz_product(blocks, x)
     m = next_fast_len(2 * n - 1, True)
     w_hat = rfft(w, m)
     return lambda x: irfft(rfft(x, m) * w_hat, m)[:n]
+
+
+def _toeplitz_product(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """lag_convolver's direct branch: x (L,) or (P, L) times the lower-
+    triangular Toeplitz matrix whose _BLOCK-point blocks are blocks."""
+    L = x.shape[-1]
+    rows = x.reshape(-1, L)
+    if rows.shape[0] == 1:
+        rows = np.repeat(rows, 2, axis=0)
+    P, nb = rows.shape[0], -(-L // _BLOCK)
+    # (block, row, point), so each diagonal's sources are one contiguous matrix
+    xb = np.zeros((nb, P, _BLOCK))
+    by_row = xb.transpose(1, 0, 2)
+    full, tail = divmod(L, _BLOCK)
+    by_row[:, :full] = rows[:, :full * _BLOCK].reshape(P, full, _BLOCK)
+    if tail:
+        by_row[:, full, :tail] = rows[:, full * _BLOCK:]
+    yb = (xb.reshape(-1, _BLOCK) @ blocks[0]).reshape(nb, P, _BLOCK)
+    for d in range(1, nb):
+        yb[d:] += (xb[:nb - d].reshape(-1, _BLOCK) @ blocks[d]).reshape(
+            nb - d, P, _BLOCK)
+    y = yb.transpose(1, 0, 2).reshape(P, nb * _BLOCK)[:, :L]
+    return y[0] if x.ndim == 1 else y[:x.shape[0]]
 
 
 def nodes(n: int) -> np.ndarray:

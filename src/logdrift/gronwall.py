@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import beta as beta_fn, betainc
 
 from .fields import DIRECT_CONVOLUTION_MAX_LAGS, lag_convolver, log_plus
@@ -165,17 +166,21 @@ def volterra_oracle(problems: GronwallProblem | Sequence[GronwallProblem],
     forcing. The system is lower triangular, so the oracle marches forward
     (after Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6,
     1985): a span of at most fields.DIRECT_CONVOLUTION_MAX_LAGS steps is one
-    piece, solved by Picard iteration with direct, causal convolutions; a
-    longer span marches its first half, adds that half's singular history to
-    the second through one fields.lag_convolver call, whose FFT rounding
-    thus falls only on rows after its sources, then marches the second half.
+    piece, solved by Picard iteration. The singular terms of its finished
+    first node join the forcing, and its other nodes go through the blocked,
+    causal direct branch of fields.lag_convolver, built once per call and
+    kernel. A longer span marches its first half, adds that half's singular
+    history to the second through real FFTs over the span's length, whose
+    rounding thus falls only on rows after its sources, then marches the
+    second half.
 
     problems is one GronwallProblem, whose oracle comes back as a 1-D
     array, or a nonempty sequence of them on one grid_dt, solved in lockstep
     as the rows of one (P, K+1) array: each row leaves the Picard passes of
-    a piece at the pass where its own delta settles, and its singular terms
-    are convolved row by row, so every row equals its problem's single call
-    bit for bit.
+    a piece at the pass where its own delta settles, and the iterating rows
+    of one alpha share one lag_convolver call per pass, in which each row
+    keeps its lone call's bits; so every row equals its problem's single
+    call bit for bit.
     Raises OracleConvergenceError if a piece's successive iterates are not
     within PICARD_TOL in sup-norm after MAX_PICARD_ITERATIONS passes, or if
     an iterate leaves the finite range.
@@ -212,10 +217,12 @@ def _lockstep(batch: list, g: Callable, ts: np.ndarray, f: np.ndarray) -> None:
     dt = ts[1] - ts[0]
     c1 = np.array([[p.c1] for p in batch])
     c2 = np.array([[p.c2] for p in batch])
+    c3 = np.array([[p.c3] for p in batch])
     f[:] = np.array([[p.M] for p in batch])
     rhs = f.copy()  # forcing plus the singular history of finished pieces
-    kernels = {}    # alpha -> (merged kernel w, corr1, node-0 weights)
-    singular = {}   # row -> (c3, alpha), for the rows with c3 > 0
+    # alpha -> (merged kernel w, corr1, node-0 weights, w's convolver)
+    kernels = {}
+    singular = {}   # row -> alpha, for the rows with c3 > 0
     for r, prob in enumerate(batch):
         if prob.c3 > 0:
             if prob.alpha not in kernels:
@@ -225,10 +232,14 @@ def _lockstep(batch: list, g: Callable, ts: np.ndarray, f: np.ndarray) -> None:
                 spurious = np.append(wr[1:], 0.0)
                 w = wl + spurious
                 spurious[0] = 0.0
-                kernels[prob.alpha] = (w, corr1, corr0 - spurious)
+                # a piece convolves its nodes after the first: at most
+                # DIRECT_CONVOLUTION_MAX_LAGS of them
+                convolve = lag_convolver(
+                    w[:min(ts.size - 1, DIRECT_CONVOLUTION_MAX_LAGS)])
+                kernels[prob.alpha] = (w, corr1, corr0 - spurious, convolve)
             # every iterate keeps f[0] = M, so phi[0] is fixed for the call
             rhs[r] += kernels[prob.alpha][2] * (prob.c3 * prob.M)
-            singular[r] = (prob.c3, prob.alpha)
+            singular[r] = prob.alpha
     # trapezoid integral of c1 f + c2 g(f) up to each row's finished node
     area = np.zeros(len(batch))
 
@@ -240,23 +251,32 @@ def _lockstep(batch: list, g: Callable, ts: np.ndarray, f: np.ndarray) -> None:
         return vals
 
     def solve(a: int, b: int) -> None:
-        convolvers = {alpha: lag_convolver(w[:b - a + 1])
-                      for alpha, (w, _, _) in kernels.items()}
         rows = np.arange(len(batch))  # the rows still iterating, in order
         piece = np.repeat(f[:, a:a + 1], b - a + 1, axis=1)
         base = rhs[:, a + 1:b + 1] + area[:, None]
+        for r, alpha in singular.items():
+            # the singular terms of finished nodes join the base: node a's,
+            # and after the first piece node 1's startup correction
+            w, corr1 = kernels[alpha][:2]
+            base[r] += w[1:b - a + 1] * (c3[r, 0] * f[r, a])
+            if a > 0:
+                base[r] += corr1[a + 1:b + 1] * (c3[r, 0] * f[r, 1])
         k1, k2 = c1, c2  # (rows, 1) columns, narrowed as rows settle
 
-        def singular_terms():
-            terms = []
+        def singular_groups():
+            """(positions in rows, their c3 column, convolver, node-1
+            startup corrections) per alpha of the iterating singular rows."""
+            by_alpha = {}
             for i, r in enumerate(rows.tolist()):
                 if r in singular:
-                    c3, alpha = singular[r]
-                    terms.append((i, r, c3, convolvers[alpha],
-                                  kernels[alpha][1][a + 1:b + 1]))
-            return terms
+                    by_alpha.setdefault(singular[r], []).append(i)
+            groups = []
+            for alpha, idx in by_alpha.items():
+                _, corr1, _, convolve = kernels[alpha]
+                groups.append((idx, c3[rows[idx]], convolve, corr1[1:b + 1]))
+            return groups
 
-        terms = singular_terms()
+        groups = singular_groups()
         for _ in range(MAX_PICARD_ITERATIONS):
             vals = integrand(piece, k1, k2)
             # base plus _cumtrapz(vals)[:, 1:]
@@ -264,11 +284,12 @@ def _lockstep(batch: list, g: Callable, ts: np.ndarray, f: np.ndarray) -> None:
             fn *= 0.5 * dt
             fn.cumsum(axis=1, out=fn)
             fn += base
-            for i, r, c3, convolve, corr1 in terms:
-                row = fn[i]
-                row += convolve(c3 * piece[i])[1:]
-                # node 1 is still iterating in the first piece
-                row += corr1 * (c3 * (piece[i, 1] if a == 0 else f[r, 1]))
+            for idx, k3, convolve, corr1 in groups:
+                terms = convolve(k3 * piece[idx, 1:])
+                if a == 0:
+                    # node 1 is still iterating in the first piece
+                    terms += corr1 * (k3 * piece[idx, 1:2])
+                fn[idx] += terms
             if not np.isfinite(fn).all():
                 raise OracleConvergenceError("Picard iterate left the finite range")
             diff = fn - piece[:, 1:]
@@ -286,7 +307,7 @@ def _lockstep(batch: list, g: Callable, ts: np.ndarray, f: np.ndarray) -> None:
                 left = ~done
                 rows, piece, base = rows[left], piece[left], base[left]
                 k1, k2 = k1[left], k2[left]
-                terms = singular_terms()
+                groups = singular_groups()
         raise OracleConvergenceError(f"no convergence within {MAX_PICARD_ITERATIONS} "
                                      f"Picard passes (last delta {delta.max():.3e})")
 
@@ -295,12 +316,15 @@ def _lockstep(batch: list, g: Callable, ts: np.ndarray, f: np.ndarray) -> None:
             return solve(a, b)
         m = (a + b) // 2
         march(a, m)
-        convolvers = {alpha: lag_convolver(w[:b - a + 1])
-                      for alpha, (w, _, _) in kernels.items()}
-        for r, (c3, alpha) in singular.items():
-            sources = np.zeros(b - a + 1)
-            sources[:m - a] = c3 * f[r, a:m]
-            rhs[r, m + 1:b + 1] += convolvers[alpha](sources)[m + 1 - a:]
+        # the sources a..m-1 reach the nodes m+1..b at lags 2..b-a, so a
+        # circular product over b-a+1 points does not wrap onto them
+        size = next_fast_len(b - a + 1, True)
+        spectra = {alpha: rfft(kernel[0][:b - a + 1], size)
+                   for alpha, kernel in kernels.items()}
+        for r, alpha in singular.items():
+            sources = rfft(c3[r, 0] * f[r, a:m], size)
+            rhs[r, m + 1:b + 1] += irfft(sources * spectra[alpha],
+                                         size)[m + 1 - a:b + 1 - a]
         march(m, b)
 
     with np.errstate(over="ignore", invalid="ignore"):

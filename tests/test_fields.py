@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
 from logdrift.fields import (
+    _BLOCK,
     DIRECT_CONVOLUTION_MAX_LAGS,
     Field,
     coeffs_to_values,
@@ -101,6 +104,15 @@ def test_lag_convolver_fft_path_matches_scipy_signal_bit_for_bit(size):
     np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
+# sha256 of the direct branch's (x * w)[:size] for the standard normal x and
+# w drawn from default_rng(size)
+DIRECT_DIGESTS = {
+    16: "964e948d3ec166a54d6bbe9095ed2a21103d3113244069a72d53234b0587b562",
+    1024: "99db6b5238dbe832800f8e59c622fd6c00281b0b70f061839e2100119888d4c1",
+    1025: "627951198fd93529aae69f60e214ce6e7af919bc775e8c1462b11303adfdd205",
+}
+
+
 @pytest.mark.parametrize("size", [16, 1024, 1025])
 def test_lag_convolver_direct_path_is_causal_bit_for_bit(size):
     assert size - 1 <= DIRECT_CONVOLUTION_MAX_LAGS
@@ -108,10 +120,47 @@ def test_lag_convolver_direct_path_is_causal_bit_for_bit(size):
     x, w = rng.standard_normal(size), rng.standard_normal(size)
     convolve = lag_convolver(w)
     out = convolve(x)
-    np.testing.assert_array_equal(out.view(np.uint64),
-                                  np.convolve(x, w)[:size].view(np.uint64))
+    assert hashlib.sha256(out.tobytes()).hexdigest() == DIRECT_DIGESTS[size]
+    # the forward error bound of a sum of size products, twice over: for the
+    # blocked product and for np.convolve's own rounding
+    scale = np.convolve(np.abs(x), np.abs(w))[:size]
+    ref = np.convolve(x, w)[:size]
+    assert np.all(np.abs(out - ref) <= 2 * size * np.finfo(float).eps * scale)
     for j in (1, 2, size // 2, size - 1):
         spiked = x.copy()
         spiked[j] = 1e38
         np.testing.assert_array_equal(convolve(spiked)[:j].view(np.uint64),
                                       out[:j].view(np.uint64))
+        # a shorter x is the same prefix
+        np.testing.assert_array_equal(convolve(x[:j]).view(np.uint64),
+                                      out[:j].view(np.uint64))
+
+
+@pytest.mark.parametrize("size", [16, 129, 1024, 1025])
+@pytest.mark.parametrize("P", [1, 2, 3, 33])
+def test_lag_convolver_direct_rows_equal_their_single_calls(P, size):
+    # 129 and 1025 end in a partial block
+    rng = np.random.default_rng(P * size)
+    x, w = rng.standard_normal((P, size)), rng.standard_normal(size)
+    convolve = lag_convolver(w)
+    batch = convolve(x)
+    assert batch.shape == (P, size)
+    for row, single in zip(batch, x):
+        np.testing.assert_array_equal(row.view(np.uint64),
+                                      convolve(single).view(np.uint64))
+
+
+def test_blas_block_product_rows_do_not_depend_on_the_batch():
+    # lag_convolver's direct branch rests on this: a row of X[:M] @ D keeps
+    # its bits for every M >= 2 and every offset of the row in X. M = 1 is
+    # excluded, since BLAS then takes its matrix-vector kernel.
+    rng = np.random.default_rng(7)
+    D = rng.standard_normal((_BLOCK, _BLOCK))
+    X = rng.standard_normal((1100, _BLOCK))
+    whole = X @ D
+    for M in [*range(2, 40), 64, 127, 128, 129, 255, 513, 1099]:
+        for lo in (0, 1, 2, 5):
+            if lo + M <= len(X):
+                np.testing.assert_array_equal(
+                    (X[lo:lo + M] @ D).view(np.uint64),
+                    whole[lo:lo + M].view(np.uint64), err_msg=f"M={M} lo={lo}")

@@ -115,12 +115,12 @@ ORACLE_DIGESTS = [
      "5810fb78c88ec71eb3b818dd8c1e0615a8e0804a40da3671f4824b2f35a19039"),
     ("vanishing", GronwallProblem(M=0.2, c1=0.5, c2=0.7, c3=0.4, alpha=0.25,
                                   grid_dt=1.0 / 512.0),
-     "ae5961906aeddf91f228c91e6990976cbc7b721003cc7525c3b0887c47806ef8"),
+     "5d9dd5d0aabe38937abbf1ed80b36e09d02469142053c19bf7cecf2fb01c4126"),
     ("superlinear", GronwallProblem(M=1.2, c1=0.3, c2=0.4, c3=0.5, alpha=0.5,
                                     grid_dt=1.0 / 512.0),
-     "d19d3764654fb65cb9c41cc72487e013f2cc3302608b9d19c989adc8edb56f73"),
+     "f7df01a6fafb388b770fef9d13f0ff8c629419718b18f0872ca31c90775ce142"),
     (STABILITY_REFERENCE[1][0], STABILITY_REFERENCE[1][1].refined(),
-     "776ebd19c0f7e34ee0e12cfede9cb2613945e11dcb0b513e2828fc27f7536f28"),
+     "2049c1ef2ed86f99be3d4b515ade0e5f845d54166a0d7d0c7c0b869ed86da579"),
 ]
 
 
