@@ -18,9 +18,9 @@ from scipy.fft import irfft, next_fast_len, rfft
 # lag_convolver's switch from the blocked direct product to FFTs; the
 # oracle's piece size
 DIRECT_CONVOLUTION_MAX_LAGS = 1024
-# points per block of the direct product: with scipy-openblas 0.3.31 each row
-# of X[:M] @ D is the same for every M >= 2 at an inner dimension of 64 to
-# 256, not at 512 (tests/test_fields.py pins it)
+# points per block of the direct product: with scipy-openblas 0.3.31 a row of
+# X[:M] @ D keeps its bits for every M >= 2 at an inner dimension of 64, 128
+# or 256, not at 512 (tests/test_fields.py pins it at this size)
 _BLOCK = 128
 
 
