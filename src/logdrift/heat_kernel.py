@@ -6,12 +6,16 @@ boundary values. Two dual evaluations are kept: the spectral series, efficient
 for t away from 0, and the method-of-images sum of Gaussians
 G_t(z) = exp(-z^2 / (2t)) / sqrt(2 pi t), efficient for small t. Each takes
 its term count from t and `TRUNCATION_TOL`. Both are exposed so they can be
-cross-checked; `_kernel_matrix` switches between them at `switch_time`.
+cross-checked. Both split as p_t(x, y) = F_t(x - y) - F_t(x + y) with a 1-D
+profile F_t, which `_kernel_profile` evaluates in either form, switching at
+`switch_time`; on a uniform lattice it is needed once per offset, not once
+per pair of points.
 
 Derived estimates: an integrated small-time increment estimate (the
-sup-over-space time-modulus integral, summed in mode form at every node,
-where its terms are nonnegative), a spatial modulus majorant series, and a
-log-Jensen inequality check used by the moment arguments.
+sup-over-space time-modulus integral, summed in mode form on the nodes
+k/1024, where the modes fold modulo 1024 into one real FFT per node in
+time), a spatial modulus majorant series, and a log-Jensen inequality check
+used by the moment arguments.
 """
 from __future__ import annotations
 
@@ -20,6 +24,8 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import rfft
 from scipy.special import polygamma
 
 from .fields import Field, log_plus, nodes, simpson_weights
@@ -29,10 +35,10 @@ SQRT_PI = math.sqrt(math.pi)
 # absolute truncation target of both kernel forms; hard cap on series terms
 TRUNCATION_TOL = 1e-14
 MAX_MODES = 200_000
-# the x grid of time_increment_estimate's sup, its (even) count of Simpson
-# intervals in w = sqrt(r) and its w-nodes per block of the mode form. A
-# block's sine table is INCREMENT_X_POINTS doubles per mode; the first block,
-# at r = 3/1200^2, needs 1268 modes, a table of about 10 MB
+# the x grid of time_increment_estimate's sup (1024 intervals, so the nodes
+# k/1024), its (even) count of Simpson intervals in w = sqrt(r) and its
+# w-nodes per block of the mode form. A block folds its modes modulo 1024:
+# the first block, at r = 3/1200^2, needs 1268 modes, two folds of 1024 rows
 INCREMENT_X_POINTS = 1025
 INCREMENT_W_INTERVALS = 1200
 INCREMENT_W_BLOCK = 128
@@ -117,41 +123,46 @@ def kernel_images(t, x, y) -> np.ndarray:
     return out if out.shape else float(out)
 
 
-def _kernel_matrix(t: float, xs: np.ndarray, ys: np.ndarray, params: KernelParams) -> np.ndarray:
-    """p_t on a tensor grid: the series form, separable, from
-    params.switch_time on, and the image form below it."""
+def _kernel_profile(t: float, v: np.ndarray, params: KernelParams) -> np.ndarray:
+    """F_t(v), the profile with p_t(x, y) = F_t(x - y) - F_t(x + y).
+
+    From params.switch_time on it is the cosine series
+    sum_{n <= N} e^{-n^2 pi^2 t/2} cos(n pi v), below it the image sum
+    sum_{|k| <= K} G_t(v - 2k), with kernel_series's N and kernel_images's K:
+    for v in [-1, 2] each keeps the terms of its pairwise form.
+    """
     if t >= params.switch_time:
-        N = _series_mode_count(t, params)
-        n = np.arange(1, N + 1)
-        decay = 2.0 * np.exp(-0.5 * (n * math.pi) ** 2 * t)
-        sx = np.sin(np.outer(xs, n * math.pi))
-        sy = np.sin(np.outer(ys, n * math.pi))
-        return (sx * decay) @ sy.T
-    # row blocks whose (rows, ys.size, 2K + 1) image temporaries hold about
-    # 1e5 doubles each
-    out = np.empty((xs.size, ys.size))
-    step = max(1, int(1e5 // (max(ys.size, 1) * (2 * _image_pairs(t) + 1))))
-    for i in range(0, xs.size, step):
-        out[i : i + step] = kernel_images(t, xs[i : i + step, None], ys[None, :])
-    return out
+        npi = np.arange(1, _series_mode_count(t, params) + 1) * math.pi
+        return np.cos(np.outer(v, npi)) @ np.exp(-0.5 * npi**2 * t)
+    K = _image_pairs(t)
+    d = np.subtract.outer(v, 2.0 * np.arange(-K, K + 1))
+    return np.exp(-d * d / (2.0 * t)).sum(axis=-1) / math.sqrt(2.0 * math.pi * t)
 
 
-def _increment_modes(rs: np.ndarray, h: float, xs: np.ndarray):
+def _increment_modes(rs: np.ndarray, h: float):
     """[p_{2r} - 2 p_{2r+h} + p_{2r+2h}](x, x) in mode form, one block of r
     at a time.
 
-    sum_n 2 sin^2(n pi x) e^{-n^2 pi^2 r} (1 - e^{-n^2 pi^2 h/2})^2 on xs
-    (rows) for INCREMENT_W_BLOCK values of rs (columns) per yielded array,
-    with the modes the block's smallest r needs. Every term is nonnegative,
-    so the sum has no cancellation.
+    sum_n c_n(r) 2 sin^2(n pi x), c_n(r) = e^{-n^2 pi^2 r} (1 - e^{-n^2 pi^2 h/2})^2,
+    on the nodes x = k/P, P = INCREMENT_X_POINTS - 1, k = 1..P/2 (rows; the
+    nodes above 1/2 mirror these), for INCREMENT_W_BLOCK values of rs
+    (columns) per yielded array, with the modes the block's smallest r
+    needs. On the nodes 2 sin^2(n pi k/P) = 1 - cos(2 pi n k/P) depends on
+    n mod P only, so the block's coefficients fold modulo P and the values
+    are sum_n c_n - Re rfft(folded)[k]. The c_n are nonnegative, so the
+    rounding error is about eps sum_n c_n, against values whose sup over k is
+    at least the mean over x, sum_n c_n.
     """
+    P = INCREMENT_X_POINTS - 1
     for lo in range(0, rs.size, INCREMENT_W_BLOCK):
         block = rs[lo : lo + INCREMENT_W_BLOCK]
-        n = np.arange(1, _series_mode_count(2.0 * float(block.min()), DEFAULT_PARAMS) + 1)
-        lam = (n * math.pi) ** 2
-        sin2 = 2.0 * np.sin(np.outer(xs, n * math.pi)) ** 2
-        kap2 = np.expm1(-0.5 * lam * h)[:, None] ** 2
-        yield sin2 @ (kap2 * np.exp(-np.outer(lam, block)))
+        N = _series_mode_count(2.0 * float(block.min()), DEFAULT_PARAMS)
+        lam = (np.arange(1, N + 1) * math.pi) ** 2
+        # row n holds c_n; row 0 (n = 0) and the rows past N are zero
+        c = np.zeros((-(-(N + 1) // P) * P, block.size))
+        c[1 : N + 1] = np.expm1(-0.5 * lam * h)[:, None] ** 2 * np.exp(-np.outer(lam, block))
+        spectrum = rfft(c.reshape(-1, P, block.size).sum(axis=0), axis=0).real
+        yield spectrum[0] - spectrum[1 : P // 2 + 1]
 
 
 def time_increment_estimate(h: float, R: float = 3.0) -> float:
@@ -159,12 +170,14 @@ def time_increment_estimate(h: float, R: float = 3.0) -> float:
 
     Computes int_0^R sup_x [p_{2r} - 2 p_{2r+h} + p_{2r+2h}](x, x) dr, the
     quantity controlling the time modulus of stochastic convolutions over a
-    horizon R. The integrand equals sum_n e_n(x)^2 e^{-pi^2 n^2 r}
-    (1 - e^{-pi^2 n^2 h / 2})^2 >= 0, which every node w > 0 sums directly,
-    as one matrix product per block of nodes; its terms are nonnegative, so
-    nothing cancels even where the kernel is sharply peaked. The 1/sqrt(r)
-    endpoint singularity is removed by the substitution r = w^2; at w = 0 the
-    integrand tends to 1/sqrt(pi) exactly.
+    horizon R, with the sup taken over the nodes k/1024. The integrand
+    equals sum_n e_n(x)^2 e^{-pi^2 n^2 r} (1 - e^{-pi^2 n^2 h / 2})^2 >= 0,
+    which every node w > 0 sums in mode form, its modes folded modulo 1024
+    into one real FFT per block of nodes (`_increment_modes`). The sum of the
+    nonnegative coefficients minus the FFT rounds to about eps times that
+    sum, against a sup of the same order, even where the kernel is sharply
+    peaked. The 1/sqrt(r) endpoint singularity is removed by the
+    substitution r = w^2; at w = 0 the integrand tends to 1/sqrt(pi) exactly.
 
     The tail beyond R is bounded by exp(-pi^2 R)/3; R must make that at
     most 1e-12.
@@ -176,10 +189,9 @@ def time_increment_estimate(h: float, R: float = 3.0) -> float:
     if math.exp(-math.pi**2 * R) / 3.0 > 1e-12:
         raise ValueError("R too small for the required tail bound")
     n_w = INCREMENT_W_INTERVALS
-    xs = np.linspace(0.0, 1.0, INCREMENT_X_POINTS)[1:-1]
     ws = np.linspace(0.0, math.sqrt(R), n_w + 1)
     rs = ws * ws
-    sup = np.concatenate([g.max(axis=0) for g in _increment_modes(rs[1:], h, xs)])
+    sup = np.concatenate([g.max(axis=0) for g in _increment_modes(rs[1:], h)])
     vals = np.concatenate([[1.0 / SQRT_PI], 2.0 * ws[1:] * sup])
     w_quad = simpson_weights(n_w + 1, ws[1] - ws[0])
     return float(vals @ w_quad)
@@ -271,18 +283,28 @@ def log_jensen_bound_check(dt: float, u: Field,
                            params: KernelParams = DEFAULT_PARAMS) -> tuple[float, float]:
     """Both sides of the smoothed log-squared inequality.
 
-    LHS: sup over nodes x of int p_dt(x, y) log_+^2 |u(y)| dy, computed by
-    Simpson quadrature on u's own grid (a grid sup, hence never above the
-    true sup). RHS: (2 + (1/4) log_+(1/dt) + log_+ ||u||_{L2})^2.
+    LHS: sup over x of int p_dt(x, y) log_+^2 |u(y)| dy, as the max over u's
+    nodes x_i of a Simpson sum over its grid y_j = j h, h = 1/(n+1), ends
+    included. There p_dt(x_i, y_j) = F((i - j) h) - F((i + j) h), so the
+    profile F (`_kernel_profile`) is evaluated once per offset
+    -(n+1)..2n+1, and the sum is a Toeplitz product minus a Hankel product
+    with the weighted values. The quadrature resolves p_dt only while
+    sqrt(dt) is not small against h; below that the grid value is neither a
+    bound on the true sup nor close to it. RHS:
+    (2 + (1/4) log_+(1/dt) + log_+ ||u||_{L2})^2.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError("dt must be finite and positive")
+    if not np.all(np.isfinite(u.values)):
+        raise ValueError("u must have finite values")
     n = u.n
-    ys = np.concatenate(([0.0], nodes(n), [1.0]))
-    g = np.zeros(n + 2)
-    g[1:-1] = log_plus(u.values) ** 2
-    w = simpson_weights(n + 2, 1.0 / (n + 1))
-    P = _kernel_matrix(dt, nodes(n), ys, params)
-    lhs = float((P @ (w * g)).max())
+    wg = np.zeros(n + 2)
+    wg[1:-1] = log_plus(u.values) ** 2
+    wg *= simpson_weights(n + 2, 1.0 / (n + 1))
+    f = _kernel_profile(dt, np.arange(-(n + 1), 2 * n + 2) / (n + 1), params)
+    # window s is f[s : s + n + 2]: row i of the Toeplitz part is window i
+    # reversed, row i of the Hankel part is window i + n + 1
+    windows = sliding_window_view(f, n + 2)
+    lhs = float(((windows[1 : n + 1, ::-1] - windows[n + 2 :]) @ wg).max())
     rhs = (2.0 + 0.25 * log_plus(1.0 / dt) + log_plus(u.l2_norm())) ** 2
     return lhs, float(rhs)

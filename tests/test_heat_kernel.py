@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,6 @@ from logdrift.heat_kernel import (
     KernelParams,
     _image_pairs,
     _increment_modes,
-    _kernel_matrix,
     kernel_images,
     kernel_series,
     log_jensen_bound_check,
@@ -92,14 +95,77 @@ def test_image_pair_count_follows_t():
     assert counts == sorted(counts)
 
 
-def test_kernel_matrix_dispatches_on_switch_time():
-    # 2049 columns split the image form's 17 rows into row blocks
-    p = KernelParams(switch_time=0.05)
-    xs, ys = np.linspace(0.0, 1.0, 17), np.linspace(0.0, 1.0, 2049)
-    lo = _kernel_matrix(0.04, xs, ys, p)
-    hi = _kernel_matrix(0.06, xs, ys, p)
-    assert np.array_equal(lo, kernel_images(0.04, xs[:, None], ys[None, :]))
-    assert np.max(np.abs(hi - kernel_series(0.06, xs[:, None], ys[None, :], p))) <= 1e-13
+def _kernel_grid(t, xs, ys, kernel=None):
+    """p_t on the tensor grid xs x ys, pair by pair, in the form given or
+    else the one the default switch time picks."""
+    if kernel is None:
+        kernel = kernel_images if t < DEFAULT_PARAMS.switch_time else kernel_series
+    return kernel(t, xs[:, None], ys[None, :])
+
+
+def _log_jensen_pairwise(dt, u, kernel=None):
+    """log_jensen_bound_check's LHS from the kernel evaluated pair by pair
+    on u's grid, ends included."""
+    n = u.n
+    ys = np.concatenate(([0.0], nodes(n), [1.0]))
+    g = np.zeros(n + 2)
+    g[1:-1] = log_plus(u.values) ** 2
+    w = simpson_weights(n + 2, 1.0 / (n + 1))
+    return float((_kernel_grid(dt, nodes(n), ys, kernel) @ (w * g)).max())
+
+
+def test_kernel_matrix_dispatches_on_switch_time(monkeypatch):
+    # each kernel form counts its terms once per lattice: the image form
+    # below params.switch_time, the series form from it on, at the default
+    # switch time and at another one
+    forms = []
+    pairs, modes = heat_kernel._image_pairs, heat_kernel._series_mode_count
+    monkeypatch.setattr(heat_kernel, "_image_pairs",
+                        lambda t: forms.append(kernel_images) or pairs(t))
+    monkeypatch.setattr(heat_kernel, "_series_mode_count",
+                        lambda t, p: forms.append(kernel_series) or modes(t, p))
+    u = Field.random_l2(63, 10.0, seed=5)
+    for switch in (0.02, DEFAULT_PARAMS.switch_time):
+        params = KernelParams(switch_time=switch)
+        for t, form in ((math.nextafter(switch, 0.0), kernel_images),
+                        (switch, kernel_series)):
+            forms.clear()
+            lhs, _ = log_jensen_bound_check(t, u, params)
+            assert forms == [form], (switch, t)
+            assert abs(lhs - _log_jensen_pairwise(t, u, form)) <= 1e-13 * lhs
+
+
+# a field whose log-squared mass sits at the first nodes, where the Hankel
+# part of the lattice kernel (the reflection in y = 0) is largest
+def _boundary_field(n):
+    values = np.zeros(n)
+    values[:3] = 1e3
+    return Field.from_values(values)
+
+
+@pytest.mark.parametrize("n", [63, 127, 255])
+def test_log_jensen_lattice_matches_the_pairwise_kernel(n):
+    switch = DEFAULT_PARAMS.switch_time
+    fields = [Field.random_l2(n, 30.0, seed=seed) for seed in range(3)]
+    for dt in (1e-5, 1e-4, 3e-3, math.nextafter(switch, 0.0), switch, 0.3):
+        for u in fields + [_boundary_field(n)]:
+            lhs, _ = log_jensen_bound_check(dt, u)
+            ref = _log_jensen_pairwise(dt, u)
+            assert abs(lhs - ref) <= 1e-13 * ref, (dt, lhs, ref)
+
+
+def test_log_jensen_names_non_finite_arguments():
+    # dt = inf returned (0.0, 9.60) and dt = nan raised "cannot convert float
+    # NaN to integer"; a non-finite field returned (inf, inf)
+    u = Field.random_l2(63, 5.0, seed=1)
+    for dt in (math.inf, math.nan, 0.0, -1e-3):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            log_jensen_bound_check(dt, u)
+    for bad in (math.inf, -math.inf, math.nan):
+        values = u.values.copy()
+        values[10] = bad
+        with pytest.raises(ValueError, match="u must have finite values"):
+            log_jensen_bound_check(1e-3, Field.from_values(values))
 
 
 def test_kernel_symmetry_and_positivity():
@@ -158,7 +224,7 @@ def test_semigroup_matches_kernel_quadrature():
     fv = np.concatenate(([0.0], f.values, [0.0]))
     w = simpson_weights(n + 2, 1.0 / (n + 1))
     xs = np.array([0.25, 0.5, 0.8])
-    direct = _kernel_matrix(t, xs, ys, DEFAULT_PARAMS) @ (w * fv)
+    direct = _kernel_grid(t, xs, ys) @ (w * fv)
     spectral = np.sin(np.outer(xs, np.arange(1, n + 1) * np.pi)) @ (np.sqrt(2.0) * g)
     assert direct == pytest.approx(spectral, abs=2e-6)
 
@@ -168,8 +234,7 @@ def _mass_and_l2(t):
     holding 1/2, where both peak, by Simpson quadrature in y on a grid that
     resolves the kernel width sqrt(t)."""
     n_y = 1 + 2 * max(1024, math.ceil(48.0 / math.sqrt(t)))
-    P = _kernel_matrix(t, np.linspace(0.0, 1.0, 33), np.linspace(0.0, 1.0, n_y),
-                       DEFAULT_PARAMS)
+    P = _kernel_grid(t, np.linspace(0.0, 1.0, 33), np.linspace(0.0, 1.0, n_y))
     w = simpson_weights(n_y, 1.0 / (n_y - 1))
     return float((P @ w).max()), float(((P * P) @ w).max())
 
@@ -217,16 +282,18 @@ def _increment_images(r: float, h: float, xs: np.ndarray) -> np.ndarray:
         + kernel_images(2.0 * r + 2.0 * h, xs, xs)
 
 
-INCREMENT_XS = np.linspace(0.0, 1.0, INCREMENT_X_POINTS)[1:-1]
+# the nodes k/1024, k = 1..512, at which _increment_modes sums the integrand;
+# the nodes above 1/2 mirror them
+INCREMENT_XS = np.linspace(0.0, 1.0, INCREMENT_X_POINTS)[1 : INCREMENT_X_POINTS // 2 + 1]
 INCREMENT_HS = (0.1, 0.0125, 0.0015625)
 
 
 def test_time_increment_forms_agree_near_the_split():
-    # around 2r = switch_time, where _kernel_matrix changes form
+    # around 2r = switch_time, where the kernel changes form
     xs = INCREMENT_XS
     rs = 0.5 * DEFAULT_PARAMS.switch_time * np.linspace(0.8, 1.25, 10)
     for h in INCREMENT_HS:
-        modes = np.hstack(list(_increment_modes(rs, h, xs)))
+        modes = np.hstack(list(_increment_modes(rs, h)))
         assert modes.shape == (xs.size, rs.size)
         assert np.all(modes >= 0.0)
         for j, r in enumerate(rs):
@@ -239,7 +306,7 @@ def test_time_increment_mode_form_holds_at_the_first_nodes():
     xs = INCREMENT_XS
     for r in (3.0 / 1200**2, 12.0 / 1200**2):
         for h in INCREMENT_HS:
-            modes = next(_increment_modes(np.array([r]), h, xs))[:, 0]
+            modes = next(_increment_modes(np.array([r]), h))[:, 0]
             images = _increment_images(r, h, xs)
             assert np.max(np.abs(modes - images)) <= 1e-13 * images.max()
 
@@ -248,6 +315,31 @@ def test_time_increment_cli_values_match_the_image_form():
     hs = [0.1 * 2.0 ** -k for k in range(7)]
     for h, ref in zip(hs, TIME_INCREMENT_IMAGE_FORM):
         assert time_increment_estimate(h) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+# sha256 of the CLI's seven time_increment_estimate values, in a child
+TIME_INCREMENT_HASH_CHILD = (
+    "import hashlib\nimport numpy as np\n"
+    "from logdrift.heat_kernel import time_increment_estimate\n"
+    "vals = [time_increment_estimate(0.1 * 2.0 ** -k) for k in range(7)]\n"
+    "print(hashlib.sha256(np.array(vals).tobytes()).hexdigest())\n")
+
+
+def test_time_increment_does_not_depend_on_blas_threads():
+    # a BLAS-scheduled reduction rounds by its thread count; this can only
+    # fail on a machine with at least two CPUs
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.run([sys.executable, "-c", TIME_INCREMENT_HASH_CHILD],
+                               env=env, capture_output=True, text=True,
+                               timeout=300)
+        assert child.returncode == 0, child.stderr
+        digests.append(child.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_time_increment_square_root_scaling():

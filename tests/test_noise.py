@@ -225,7 +225,7 @@ def _kernel_slice_integrand(n_modes, n_steps, dt):
     for k in range(n_steps):
         s = (k + 0.5) * dt
         t = 1.0 - s + 1e-3
-        # the form _kernel_matrix takes at t; its bits fix the estimates
+        # the form the switch time picks at t; its bits fix the estimates
         kernel = kernel_images if t < DEFAULT_PARAMS.switch_time else kernel_series
         vals = kernel(t, np.full(n_modes, 0.3), xs)
         out[k] = values_to_coeffs(vals)
