@@ -13,8 +13,8 @@ per pair of points.
 
 Derived estimates: an integrated small-time increment estimate (the
 sup-over-space time-modulus integral, summed in mode form on the nodes
-k/1024, where the modes fold modulo 1024 into one real FFT per node in
-time), a spatial modulus majorant series, and a log-Jensen inequality check
+k/1024, where the modes fold modulo 1024 into one real FFT per time node),
+a spatial modulus majorant series, and a log-Jensen inequality check
 used by the moment arguments.
 """
 from __future__ import annotations
@@ -149,9 +149,7 @@ def _increment_modes(rs: np.ndarray, h: float):
     (columns) per yielded array, with the modes the block's smallest r
     needs. On the nodes 2 sin^2(n pi k/P) = 1 - cos(2 pi n k/P) depends on
     n mod P only, so the block's coefficients fold modulo P and the values
-    are sum_n c_n - Re rfft(folded)[k]. The c_n are nonnegative, so the
-    rounding error is about eps sum_n c_n, against values whose sup over k is
-    at least the mean over x, sum_n c_n.
+    are Re F[0] - Re F[k], F = rfft(folded), where F[0] = sum_n c_n.
     """
     P = INCREMENT_X_POINTS - 1
     for lo in range(0, rs.size, INCREMENT_W_BLOCK):
@@ -173,10 +171,11 @@ def time_increment_estimate(h: float, R: float = 3.0) -> float:
     horizon R, with the sup taken over the nodes k/1024. The integrand
     equals sum_n e_n(x)^2 e^{-pi^2 n^2 r} (1 - e^{-pi^2 n^2 h / 2})^2 >= 0,
     which every node w > 0 sums in mode form, its modes folded modulo 1024
-    into one real FFT per block of nodes (`_increment_modes`). The sum of the
-    nonnegative coefficients minus the FFT rounds to about eps times that
-    sum, against a sup of the same order, even where the kernel is sharply
-    peaked. The 1/sqrt(r) endpoint singularity is removed by the
+    into one real FFT (`_increment_modes`): the sum of the nonnegative
+    coefficients minus a cosine transform. That rounds to about eps times the
+    sum, against a sup of the same order (at least the mean over the nodes,
+    the sum less its modes that are multiples of 1024), even where the kernel
+    is sharply peaked. The 1/sqrt(r) endpoint singularity is removed by the
     substitution r = w^2; at w = 0 the integrand tends to 1/sqrt(pi) exactly.
 
     The tail beyond R is bounded by exp(-pi^2 R)/3; R must make that at
