@@ -93,7 +93,7 @@ def test_criterion_04_log_jensen_inequality():
 def test_criterion_05_gronwall_domination():
     for kind in ("superlinear", "vanishing", "singular"):
         problems = make_problem_corpus(kind, 100, 20260819)
-        bad = sum(not check_domination(kind, p).passed for p in problems)
+        bad = sum(not rep.passed for rep in check_domination(kind, problems))
         assert bad == 0, f"{bad}/100 {kind} problems exceeded their bound"
     for label, prob in STABILITY_REFERENCE:
         coarse = volterra_oracle(prob, label)

@@ -280,20 +280,25 @@ def test_problem_rejects_a_coefficient_that_is_not_finite_and_nonnegative(
         GronwallProblem(**coefficients)
 
 
-def test_superlinear_bound_preconditions():
-    with pytest.raises(ValueError):
-        _bound_series("superlinear", GronwallProblem(M=0.5, c1=1.0), None)
-    with pytest.raises(ValueError):
-        _bound_series("superlinear", GronwallProblem(M=2.0, c3=1.0, alpha=0.25),
-                      None)
-
-
 def test_superlinear_bound_classical_reduction():
     # c2 = 0 collapses the bound to M e^{c1 t}
     prob = GronwallProblem(M=3.0, c1=0.8, grid_dt=1.0 / 512.0)
-    bound = _bound_series("superlinear", prob, None)
-    assert bound[-1] == pytest.approx(3.0 * math.exp(0.8), rel=1e-9)
-    assert bound[0] == pytest.approx(3.0)
+    for kind in ("superlinear", "singular"):
+        bound = _bound_series(kind, prob, None)
+        np.testing.assert_allclose(bound, 3.0 * np.exp(0.8 * prob.times()),
+                                   rtol=1e-12)
+
+
+@pytest.mark.parametrize("M,c1,c2", [(2.0, 0.7, 1.3), (1.0, 1.9, 0.2),
+                                     (4.5, 0.0, 2.0), (1.3, 1.1, 1e-3)])
+def test_bihari_bound_at_c3_zero_is_the_classical_closed_form(M, c1, c2):
+    prob = GronwallProblem(M=M, c1=c1, c2=c2, grid_dt=1.0 / 512.0)
+    ts = prob.times()
+    E = np.exp(c2 * ts)
+    closed = M ** E * np.exp(E * c1 * (1.0 - np.exp(-c2 * ts)) / c2)
+    for kind in ("superlinear", "singular"):
+        np.testing.assert_allclose(_bound_series(kind, prob, None), closed,
+                                   rtol=1e-12)
 
 
 def test_vanishing_bound_constants_monotone_in_time():
@@ -306,29 +311,50 @@ def test_vanishing_bound_constants_monotone_in_time():
         assert oracle[k] <= bound[k] + 1e-9
 
 
-def test_singular_bound_bisection_minimality():
-    prob = GronwallProblem(M=2.0, c1=0.4, c2=0.5, c3=0.6, alpha=0.5)
-    f = volterra_oracle(prob, "superlinear")
-    bound = _bound_series("singular", prob, f)
-    assert f[-1] <= bound[-1] * (1.0 + 1e-6)
-    # the bound at t = 0 is C M + 1, which gives back the constant found
-    C = (bound[0] - 1.0) / 2.0
-    ts = prob.times()
+def test_tripled_oracle_fails_every_domination_check(monkeypatch):
+    solve = gronwall.volterra_oracle
+    monkeypatch.setattr(gronwall, "volterra_oracle",
+                        lambda problems, nonlinearity: 3.0 * solve(problems,
+                                                                   nonlinearity))
+    for kind in ("superlinear", "vanishing", "singular"):
+        reports = check_domination(kind, make_problem_corpus(kind, 12, seed=7))
+        assert not any(rep.passed for rep in reports), kind
 
-    def dominates(c):
-        # the family (c M + 1)^{exp(c t)} against the oracle, in log space
-        log_bound = np.exp(c * ts) * np.log(c * 2.0 + 1.0)
-        return bool(np.all(np.log(f) <= log_bound + 1e-9))
 
-    assert dominates(C)
-    assert not dominates(C * (1.0 - 1e-6))
+def test_bihari_bound_holds_below_unit_forcing():
+    for kind in ("superlinear", "singular"):
+        corpus = [dataclasses.replace(p, M=p.M / 5.0)
+                  for p in make_problem_corpus(kind, 12, seed=3)]
+        assert all(0.0 < p.M < 1.0 for p in corpus)
+        for rep in check_domination(kind, corpus):
+            assert rep.passed, f"{kind}: min gap {rep.min_gap}, tol {rep.max_tolerance}"
+    # c1 = c3 = 0 and M < 1: the bound is y0 = 1, also where e^{c2 t} overflows
+    flat = GronwallProblem(M=0.5, c2=800.0)
+    assert np.all(_bound_series("singular", flat, None) == 1.0)
+
+
+def test_overflowing_bound_dominates_with_finite_margins():
+    # the seed-0 corpus member 39's bound exceeds the double range at t = 1
+    prob = make_problem_corpus("singular", 40, seed=0)[39]
+    rep = check_domination("singular", prob)
+    assert rep.passed and rep.bound_max == math.inf
+    assert math.isfinite(rep.oracle_max)
+    assert math.isfinite(rep.min_gap) and math.isfinite(rep.max_tolerance)
+
+
+def test_domination_rejects_an_unknown_family_before_solving(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gronwall, "volterra_oracle",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="unknown bound family 'bogus'"):
+        check_domination("bogus", make_problem_corpus("singular", 3, seed=0))
+    assert calls == []
 
 
 def test_domination_over_randomized_corpora():
     for kind in ("superlinear", "vanishing", "singular"):
         corpus = make_problem_corpus(kind, 25, seed=424242)
-        for prob in corpus:
-            rep = check_domination(kind, prob)
+        for rep in check_domination(kind, corpus):
             assert rep.passed, f"{kind}: min gap {rep.min_gap}, tol {rep.max_tolerance}"
 
 
