@@ -560,6 +560,9 @@ def _run_isometry(cfg: dict, inputs: _Inputs, out: Path) -> list:
               ["member", "target", "estimate", "std_error"],
               list(zip(members, report.targets, report.estimates,
                        report.std_errors)))
+    if not np.all(np.isfinite(report.estimates + report.std_errors)):
+        return ["isometry: a second-moment estimate or its standard error is "
+                "not finite"]
     failures = []
     if not report.within_3se:
         failures.append("isometry: some member's second moment missed its "

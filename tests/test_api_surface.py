@@ -7,7 +7,8 @@ and some statement of the package reads it: an export that nothing in the
 package runs is code that only tests reach as well.
 A public method or property that no statement of the package reads is
 test-only code as well, exported class or not, and so is a public attribute
-that a method assigns as ``self.name`` and nothing reads.
+that a method assigns as ``self.name`` and nothing reads. Outside the
+package's ``__init__``, every name that a module imports is read in it.
 """
 
 import ast
@@ -142,6 +143,27 @@ def unread_public_attributes(src: Path) -> list:
     return sorted(found)
 
 
+def unused_imports(src: Path) -> list:
+    """Names that an import of a module of the package at src binds and
+    that no statement of that module reads, as module.name; the package's
+    __init__ imports to re-export, and __future__ imports bind nothing."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        reads = set().union(*map(_read_names, tree.body))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in reads:
+                    found.append(f"{path.stem}.{name}")
+    return sorted(found)
+
+
 def test_every_public_name_is_exported_or_used_in_the_package():
     assert unreached_public_names(SRC) == []
 
@@ -158,6 +180,10 @@ def test_every_public_member_is_read_in_the_package():
 
 def test_every_public_attribute_is_read_in_the_package():
     assert unread_public_attributes(SRC) == []
+
+
+def test_every_import_is_read_in_its_module():
+    assert unused_imports(SRC) == []
 
 
 def test_every_all_entry_is_bound_in_its_module():
@@ -221,3 +247,15 @@ def test_guard_flags_an_attribute_that_nothing_reads(tmp_path):
         "        self._private = 3\n\n"
         "    def run(self):\n        return self.size\n")
     assert unread_public_attributes(tmp_path) == ["m.Api.orphan"]
+
+
+def test_guard_flags_an_import_that_its_module_never_reads(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        'from .m import api\n__all__ = ["api"]\n')
+    (tmp_path / "m.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import math\nimport os.path\nimport numpy as np\n"
+        "from json import dumps, loads as parse\n\n\n"
+        "def api(x: np.ndarray) -> str:\n"
+        "    import sys\n    return dumps(math.pi) + os.path.sep\n")
+    assert unused_imports(tmp_path) == ["m.parse", "m.sys"]

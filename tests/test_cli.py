@@ -279,7 +279,12 @@ def test_contract_failure_exits_1_and_names_assertion(tmp_path, capsys):
     # while resolved-config.txt recorded the negative norm
     + [("blowup-phase", ["grid.n_modes=8", "grid.n_steps=16", "ensemble=30",
                          "u0=random:-5,9"], 2,
-        "norm must be finite and nonnegative")])
+        "norm must be finite and nonnegative")]
+    # the fourth powers overflowed to an OverflowError traceback, and an
+    # infinite standard error would pass the 3-SE rule vacuously
+    + [("isometry", ["grid.T=1e300", "ensemble=30"], 1,
+        "FAIL isometry: a second-moment estimate or its standard error is "
+        "not finite")])
 def test_scenario_limits_hold_for_accepted_configs(tmp_path, capsys, scenario,
                                                    lines, code, message):
     cfgfile = tmp_path / "c.cfg"
