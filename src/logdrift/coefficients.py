@@ -8,10 +8,10 @@ growth constant keeps climbing decade over decade at the top of the sampled
 range. Mollified drifts are precomputed on a lookup grid and evaluated by
 monotone cubic interpolation, so they are cheap, Lipschitz, and deterministic.
 
-The module itself imports only numpy. The monotone cubic is a numpy port of
-scipy's PCHIP, so the tables do not depend on the installed scipy, and
-``loglip_check`` imports ``scipy.optimize`` for its linear program on first
-call.
+The module imports only numpy, and its answers depend on numpy alone. The
+monotone cubic is a numpy port of scipy's PCHIP, so the tables do not depend
+on the installed scipy, and ``loglip_check`` solves its three-variable
+linear program with a small simplex method of its own.
 """
 
 from __future__ import annotations
@@ -179,14 +179,11 @@ def loglip_check(spec: DriftSpec):
     """Minimal (c3, c4, c5) majorizing |b(u)-b(v)| over the pair sample.
 
     Solved as a linear program (minimize c3+c4+c5 subject to the sampled
-    inequalities, all constants in [0, cap]). Infeasibility at the cap is
-    how discontinuous or super-log-Lipschitz drifts surface; a drift whose
-    sampled differences leave the float range raises as well.
+    inequalities, all constants in [0, cap]) by ``_capped_lp``, whose answer
+    scales with the drift. Infeasibility at the cap is how discontinuous or
+    super-log-Lipschitz drifts surface; a drift whose sampled differences
+    leave the float range raises as well.
     """
-    # loaded on first call: scipy.optimize would add half again to the
-    # package's import time
-    from scipy.optimize import linprog
-
     u, v = pair_sample()
     t1, t2, t3 = loglip_terms(u, v)
     d = np.abs(drift_eval(spec, u) - drift_eval(spec, v))
@@ -196,16 +193,66 @@ def loglip_check(spec: DriftSpec):
     keep = d > 0.0
     if not np.any(keep):
         return 0.0, 0.0, 0.0
-    # rows normalized by the gap: raw terms span 18 decades and defeat the
-    # solver's internal scaling
+    # rows divided by the gap: raw terms span 18 decades, while these lie in
+    # [0, 28] and the last column is all ones. A quotient past the float
+    # range exceeds every majorant with constants at the cap
     s = t3[keep]
-    A = -np.column_stack([t1[keep] / s, t2[keep] / s, t3[keep] / s])
-    res = linprog(c=[1.0, 1.0, 1.0], A_ub=A, b_ub=-d[keep] / s,
-                  bounds=[(0.0, CONSTANT_CAP)] * 3, method="highs")
-    if not res.success:
+    with np.errstate(over="ignore"):
+        r = d[keep] / s
+    x = _capped_lp(np.column_stack([t1[keep] / s, t2[keep] / s, t3[keep] / s]),
+                   r, CONSTANT_CAP) if np.all(np.isfinite(r)) else None
+    if x is None:
         raise HypothesisViolation("log-Lipschitz check: no constants below the cap fit")
-    c3, c4, c5 = (float(max(x, 0.0)) for x in res.x)
+    c3, c4, c5 = (float(max(xi, 0.0)) for xi in x)
     return c3, c4, c5
+
+
+# pivots that ``_capped_lp`` may take. Bland's rule cannot cycle, so this
+# guards only against a floating-point stall; the drift families take 10 to
+# 180. Reduced costs, pivot elements and basic values at or below the
+# tolerance count as zero, on data scaled to max(r) = 1
+_MAX_PIVOTS = 10_000
+_PIVOT_TOL = 1e-12
+
+
+def _capped_lp(M: np.ndarray, r: np.ndarray, cap: float):
+    """The x minimizing sum(x) subject to M x >= r and 0 <= x <= cap, or
+    None when no x fits; M has three columns and r is finite with max > 0.
+
+    Solves the dual, maximize [r; -cap]^T y subject to [M; -I]^T y <= 1 and
+    y >= 0, by the simplex method from its slack basis, which is feasible.
+    Each basis is a 3 x 3 solve, and x is the simplex multiplier of the
+    optimal one. The cap rows are part of the dual, so the bounds hold
+    exactly, and an unbounded dual means that no x fits. Both the entering
+    and the leaving index follow Bland's rule (Math. Oper. Res. 2, 1977,
+    103-107), which cannot cycle on the sample's degenerate rows. r and the
+    cap are divided by max(r) first, so the tolerance is relative and the
+    answer scales with r.
+    """
+    k = M.shape[1]
+    top = float(np.max(r))
+    D = np.hstack([M.T, -np.eye(k), np.eye(k)])
+    w = np.concatenate([r / top, np.full(k, -cap / top), np.zeros(k)])
+    basis = np.arange(D.shape[1] - k, D.shape[1])
+    for _ in range(_MAX_PIVOTS):
+        B = D[:, basis]
+        x = np.linalg.solve(B.T, w[basis])
+        # einsum, not BLAS's gemv, whose rounding follows its thread count
+        entering = np.flatnonzero(w - np.einsum("i,ij->j", x, D) > _PIVOT_TOL)
+        if entering.size == 0:
+            return x * top
+        j = entering[0]
+        col, level = np.linalg.solve(B, np.column_stack([D[:, j], np.ones(k)])).T
+        # exact zeros, so that degenerate rows tie in the ratio test
+        level[level <= _PIVOT_TOL] = 0.0
+        rows = np.flatnonzero(col > _PIVOT_TOL)
+        if rows.size == 0:
+            return None
+        ratio = level[rows] / col[rows]
+        tied = rows[ratio == ratio.min()]
+        basis[tied[np.argmin(basis[tied])]] = j
+    raise HypothesisViolation("log-Lipschitz check: the linear program did not "
+                              f"converge in {_MAX_PIVOTS} pivots")
 
 
 # ---------------------------------------------------------------------------

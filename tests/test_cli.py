@@ -242,7 +242,7 @@ def test_contract_failure_exits_1_and_names_assertion(tmp_path, capsys):
                     "drift.family=none"], 2,
         "the moments scenario needs a drift family")]
     # a drift that overflows on the pair sample is a named log-Lipschitz
-    # failure, not a linprog traceback
+    # failure, not a traceback from the linear program
     + [("hypothesis-check", lines, 1,
         "FAIL drift log-Lipschitz hypothesis: log-Lipschitz check: a sampled "
         "drift difference is not finite")
@@ -429,18 +429,45 @@ def test_resolved_config_round_trips_through_its_echo(lines):
         {k: (type(v), repr(v)) for k, v in first.items()}
 
 
-def test_cli_import_leaves_scipy_signal_interpolate_optimize_integrate_out():
-    # the package never needs scipy.signal; the other three load at their
-    # one call site each, on first use
-    code = ("import sys, logdrift.cli; print(sorted(m for m in ("
-            "'scipy.signal', 'scipy.interpolate', 'scipy.optimize', "
-            "'scipy.integrate') if m in sys.modules))")
+def _python(code: str, *args: str) -> str:
+    """The last line that a fresh interpreter running code prints."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=120,
-                         env=dict(os.environ, PYTHONPATH=path))
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code, *args],
+                         capture_output=True, text=True, check=True,
+                         timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_signal_interpolate_optimize_integrate_out():
+    # the package never needs scipy.signal, scipy.interpolate or
+    # scipy.optimize; scipy.integrate loads at its one call site, on first use
+    assert _python("import sys, logdrift.cli; print(sorted(m for m in ("
+                   "'scipy.signal', 'scipy.interpolate', 'scipy.optimize', "
+                   "'scipy.integrate') if m in sys.modules))") == "[]"
+
+
+def test_hypothesis_check_leaves_scipy_optimize_out(tmp_path):
+    # the log-Lipschitz constants come from a numpy simplex method, so the
+    # scenario that fits them loads no solver library
+    code = ("import sys; from logdrift import cli; "
+            "code = cli.main(['--scenario', 'hypothesis-check', "
+            "'--output-dir', sys.argv[1]]); "
+            "print(code, 'scipy.optimize' in sys.modules)")
+    assert _python(code, str(tmp_path / "run")) == "0 False"
+
+
+def test_stalled_log_lipschitz_program_is_a_named_failure(tmp_path,
+                                                          monkeypatch):
+    # a simplex method out of pivots ends in a FAIL line, not an
+    # iteration-limit error
+    monkeypatch.setattr("logdrift.coefficients._MAX_PIVOTS", 3)
+    out = tmp_path / "run"
+    assert cli.main(["--scenario", "hypothesis-check",
+                     "--output-dir", str(out)]) == 1
+    assert ("FAIL drift log-Lipschitz hypothesis: log-Lipschitz check: the "
+            "linear program did not converge in 3 pivots"
+            in (out / "summary.txt").read_text())
 
 
 def test_spread_of_equal_and_zero_estimates():

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
 from logdrift.coefficients import (
+    CONSTANT_CAP,
     DiffusionSpec,
     DriftSpec,
     FINE_STEP,
@@ -22,6 +24,7 @@ from logdrift.coefficients import (
     growth_check,
     lipschitz_check,
     loglip_check,
+    loglip_terms,
     mollifier_levels,
     mollify,
     pair_sample,
@@ -94,24 +97,119 @@ def test_loglip_check_linear_is_pure_lipschitz():
     assert c5 == pytest.approx(2.0, rel=1e-9)
 
 
+def _majorizes(spec, constants, rel):
+    """Whether c3, c4, c5 majorize every sampled |b(u) - b(v)| up to a
+    relative slack."""
+    c3, c4, c5 = constants
+    u, v = pair_sample()
+    d = np.abs(drift_eval(spec, u) - drift_eval(spec, v))
+    gap = np.abs(u - v)
+    t1 = gap * np.log(np.maximum(1.0, 1.0 / np.where(gap > 0, gap, 1.0)))
+    t2 = np.log(np.maximum(1.0, np.maximum(np.abs(u), np.abs(v)))) * gap
+    return bool(np.all(d <= (c3 * t1 + c4 * t2 + c5 * gap) * (1.0 + rel)))
+
+
 def test_loglip_check_log_linear_feasible_and_tight():
     c3, c4, c5 = loglip_check(LOG_LINEAR)
     assert c3 == pytest.approx(1.0, rel=0.25)
     assert max(c3, c4, c5) < 10.0
     # returned triple must actually majorize the sampled differences
-    u, v = pair_sample()
-    d = np.abs(drift_eval(LOG_LINEAR, u) - drift_eval(LOG_LINEAR, v))
-    gap = np.abs(u - v)
-    t1 = gap * np.log(np.maximum(1.0, 1.0 / np.where(gap > 0, gap, 1.0)))
-    t2 = np.log(np.maximum(1.0, np.maximum(np.abs(u), np.abs(v)))) * gap
-    assert np.all(d <= c3 * t1 + c4 * t2 + c5 * gap + 1e-9)
+    assert _majorizes(LOG_LINEAR, (c3, c4, c5), rel=1e-9)
+
+
+STEP = DriftSpec("custom_table", table_x=(-1e7, -1e-9, 1e-9, 1e7),
+                 table_y=(-1.0, -1.0, 1.0, 1.0))
 
 
 def test_loglip_check_flags_jump():
-    step = DriftSpec("custom_table", table_x=(-1e7, -1e-9, 1e-9, 1e7),
-                     table_y=(-1.0, -1.0, 1.0, 1.0))
     with pytest.raises(HypothesisViolation):
-        loglip_check(step)
+        loglip_check(STEP)
+
+
+# the drift families whose log-Lipschitz program has a solution below the cap
+FEASIBLE = {
+    "log_linear": LOG_LINEAR,
+    "log_linear-x3": DriftSpec("log_linear", scale=3.0),
+    "log_linear-x-2": DriftSpec("log_linear", scale=-2.0),
+    "log_power-1": DriftSpec("log_power", exponent=1.0),
+    "log_power-2": DriftSpec("log_power", exponent=2.0),
+    "log_power-3": DriftSpec("log_power", exponent=3.0),
+    "linear": DriftSpec("linear"),
+    "polynomial-1": DriftSpec("polynomial", degree=1),
+    "polynomial-2": DriftSpec("polynomial", degree=2),
+    "custom_table": DriftSpec("custom_table",
+                              table_x=(-5.0, -1.0, 0.0, 2.0, 10.0),
+                              table_y=(3.0, -1.0, 0.5, 4.0, -2.0)),
+}
+
+
+def _highs_constants(spec):
+    """scipy's HiGHS answer to loglip_check's linear program, or None when
+    it finds the program infeasible."""
+    from scipy.optimize import linprog
+    u, v = pair_sample()
+    t1, t2, t3 = loglip_terms(u, v)
+    d = np.abs(drift_eval(spec, u) - drift_eval(spec, v))
+    keep = d > 0.0
+    s = t3[keep]
+    res = linprog(c=[1.0, 1.0, 1.0],
+                  A_ub=-np.column_stack([t1[keep] / s, t2[keep] / s, t3[keep] / s]),
+                  b_ub=-d[keep] / s, bounds=[(0.0, CONSTANT_CAP)] * 3,
+                  method="highs")
+    if res.status == 2:
+        return None
+    assert res.success, res.message
+    return np.maximum(res.x, 0.0)
+
+
+@pytest.mark.parametrize("spec", FEASIBLE.values(), ids=FEASIBLE)
+def test_loglip_check_matches_highs(spec):
+    ours, ref = np.array(loglip_check(spec)), _highs_constants(spec)
+    assert ours.sum() == pytest.approx(ref.sum(), rel=1e-9)
+    # each of these optima is unique; a constant at 0 is compared at the
+    # objective's scale
+    np.testing.assert_allclose(ours, ref, rtol=1e-9, atol=1e-9 * ref.sum())
+
+
+@pytest.mark.parametrize("spec", [DriftSpec("polynomial", degree=3), STEP],
+                         ids=["polynomial-3", "step"])
+def test_loglip_check_and_highs_agree_on_infeasible_programs(spec):
+    assert _highs_constants(spec) is None
+    with pytest.raises(HypothesisViolation,
+                       match="no constants below the cap fit"):
+        loglip_check(spec)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-7, 1.0, 1e3])
+def test_loglip_check_scales_with_the_drift(scale):
+    # HiGHS's absolute tolerances gave 9.6e-8 for c3 at scale 1e-7 and
+    # (0, 0, 0) at 1e-10, constants that bound nothing
+    spec = DriftSpec("log_linear", scale=scale)
+    constants = loglip_check(spec)
+    np.testing.assert_allclose(constants, scale * np.array(loglip_check(LOG_LINEAR)),
+                               rtol=1e-12, atol=0.0)
+    assert _majorizes(spec, constants, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", FEASIBLE.values(), ids=FEASIBLE)
+def test_loglip_check_is_exact_under_dyadic_scales(spec):
+    # a power of two scales every sampled difference exactly, so the
+    # constants scale bit for bit; other scales round the differences
+    base = np.array(loglip_check(spec))
+    for k in (-40, -23, 2):
+        f = 2.0 ** k
+        scaled = replace(spec, scale=f * spec.scale) if spec.table_y is None \
+            else replace(spec, table_y=tuple(f * y for y in spec.table_y))
+        np.testing.assert_array_equal(loglip_check(scaled), f * base)
+
+
+def test_loglip_check_names_a_quotient_past_the_float_range():
+    # finite differences whose quotients by a 1e-12 gap overflow: linprog
+    # refused the infinite bound with a ValueError
+    spec = DriftSpec("custom_table", table_x=(0.0, 1e-12), table_y=(0.0, 1e300))
+    with pytest.raises(HypothesisViolation,
+                       match="no constants below the cap fit"):
+        loglip_check(spec)
 
 
 def test_bump_shape_and_mass():
