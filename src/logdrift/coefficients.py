@@ -209,7 +209,7 @@ def loglip_check(spec: DriftSpec):
 
 # pivots that ``_capped_lp`` may take. Bland's rule cannot cycle, so this
 # guards only against a floating-point stall; the drift families take 10 to
-# 180. Reduced costs, pivot elements and basic values at or below the
+# 175. Reduced costs, pivot elements and basic values at or below the
 # tolerance count as zero, on data scaled to max(r) = 1
 _MAX_PIVOTS = 10_000
 _PIVOT_TOL = 1e-12

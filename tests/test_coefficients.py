@@ -182,8 +182,9 @@ def test_loglip_check_and_highs_agree_on_infeasible_programs(spec):
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-7, 1.0, 1e3])
 def test_loglip_check_scales_with_the_drift(scale):
-    # HiGHS's absolute tolerances gave 9.6e-8 for c3 at scale 1e-7 and
-    # (0, 0, 0) at 1e-10, constants that bound nothing
+    # a solver with absolute tolerances (HiGHS's are about 1e-7) drops the
+    # small rows of a small drift, and at scale 1e-10 returns (0, 0, 0),
+    # constants that bound nothing
     spec = DriftSpec("log_linear", scale=scale)
     constants = loglip_check(spec)
     np.testing.assert_allclose(constants, scale * np.array(loglip_check(LOG_LINEAR)),
@@ -204,8 +205,9 @@ def test_loglip_check_is_exact_under_dyadic_scales(spec):
 
 
 def test_loglip_check_names_a_quotient_past_the_float_range():
-    # finite differences whose quotients by a 1e-12 gap overflow: linprog
-    # refused the infinite bound with a ValueError
+    # finite differences whose quotients by a 1e-12 gap overflow exceed
+    # every majorant with constants at the cap: a named failure, not an
+    # infinite bound handed to the solver
     spec = DriftSpec("custom_table", table_x=(0.0, 1e-12), table_y=(0.0, 1e300))
     with pytest.raises(HypothesisViolation,
                        match="no constants below the cap fit"):
