@@ -96,8 +96,9 @@ def _solve_ensemble(drift, diffusion, u0: Field, grid: Grid, ensemble: int,
     i + 1)[0], drawn a chunk of paths at a time, their seeds hashed in one
     derive_path_seeds pass, into one time-major buffer of at most
     _CHUNK_BYTES (at least one path), refilled for every chunk; each step's
-    noise is then one contiguous block. Without diffusion every path is the
-    same solve, so one solve is broadcast over all rows."""
+    noise is then one contiguous block. A row's bits do not depend on the
+    chunking, because the solver steps a lone row as two. Without diffusion
+    every path is the same solve, so one solve is broadcast over all rows."""
     if diffusion is None:
         Xi = np.zeros((1, grid.n_modes, grid.n_steps))
         return tuple(np.broadcast_to(a, (ensemble,) + a.shape[1:]) for a in
@@ -112,13 +113,9 @@ def _solve_ensemble(drift, diffusion, u0: Field, grid: Grid, ensemble: int,
         p = min(chunk, ensemble - lo)
         for i, seed in enumerate(derive_path_seeds(master_seed, lo, lo + p)):
             buf[:, i] = sample_noise(seed, N, K, grid.dt).increments.T
-        # a lone path runs twice over, as the last row of a batch does, so
-        # its bits do not depend on the chunking
-        rows = slice(0, p) if p > 1 else [0, 0]
-        out = solve_l2_ensemble(u0, drift, diffusion, grid,
-                                buf[:, rows].transpose(1, 2, 0), threshold)
         l2[lo:lo + p], blown[lo:lo + p], blow_steps[lo:lo + p] = (
-            a[:p] for a in out)
+            solve_l2_ensemble(u0, drift, diffusion, grid,
+                              buf[:, :p].transpose(1, 2, 0), threshold))
     return l2, blown, blow_steps
 
 

@@ -136,9 +136,11 @@ def _march(u0: Field, drift, diffusion, grid: Grid, Xi: np.ndarray,
 
     A row breaches at the first step whose L2 norm is non-finite or above
     threshold; it stops advancing there and its l2 tail is frozen at the
-    breach value. The loop ends when no row is active. In a batch of two or
-    more rows each row's bits are those of any other such batch holding it;
-    a one-row batch rounds as a single path does. Returns (l2, blown,
+    breach value. The loop ends when no row is active. A lone row, whether
+    the batch has one row or the others have breached, steps as two copies:
+    BLAS multiplies a lone row with its matrix-vector kernel, whose rounding
+    differs from the batched rows'. So each row's bits are those of any
+    batch holding it, one-row batches included. Returns (l2, blown,
     blow_steps, states): l2 is (P, n_steps+1), blow_steps the breach step or
     -1, and states the (steps run + 1, P, n_modes) coefficients with history,
     else None.
@@ -148,7 +150,9 @@ def _march(u0: Field, drift, diffusion, grid: Grid, Xi: np.ndarray,
     U = np.tile(u0.coeffs, (P, 1))
     l2 = np.empty((P, grid.n_steps + 1))
     l2[:, 0] = np.sqrt(np.sum(U * U, axis=1))
-    states = [U.copy()] if history else None
+    states = np.empty((grid.n_steps + 1,) + U.shape) if history else None
+    if history:
+        states[0] = U
     blown = np.zeros(P, dtype=bool)
     blow_steps = np.full(P, -1)
     # ~(norms <= limit) flags NaN, +inf and norms above threshold in one
@@ -156,7 +160,8 @@ def _march(u0: Field, drift, diffusion, grid: Grid, Xi: np.ndarray,
     # no finite norm exceeds
     limit = min(sys.float_info.max, threshold)
     # every row until the first breach, then the surviving rows' indices
-    active = slice(None)
+    active = slice(None) if P > 1 else np.zeros(2, dtype=int)
+    steps = grid.n_steps
     for k in range(grid.n_steps):
         # a (P, N, K) batch's step is strided; BLAS takes contiguous rows
         Un = advance(U[active], np.ascontiguousarray(Xi[active, :, k]))
@@ -165,7 +170,7 @@ def _march(u0: Field, drift, diffusion, grid: Grid, Xi: np.ndarray,
         U[active] = Un
         l2[active, k + 1] = norms
         if history:
-            states.append(U.copy())
+            states[k + 1] = U
         bad = ~(norms <= limit)
         if bad.any():
             rows = np.arange(P)[active]
@@ -175,13 +180,11 @@ def _march(u0: Field, drift, diffusion, grid: Grid, Xi: np.ndarray,
             l2[hit, k + 2:] = l2[hit, k + 1][:, None]
             active = rows[~bad]
             if active.size == 0:
+                steps = k + 1
                 break
-            if active.size == 1 and P > 1:
-                # the last row of a batch steps twice over: BLAS multiplies a
-                # lone row with its matrix-vector kernel, whose rounding
-                # differs from the batched rows'
+            if active.size == 1:
                 active = np.repeat(active, 2)
-    return l2, blown, blow_steps, np.array(states) if history else None
+    return l2, blown, blow_steps, states[:steps + 1] if history else None
 
 
 def solve_path(u0: Field, drift, diffusion, grid: Grid,
@@ -236,27 +239,36 @@ def coupled_uniqueness_experiment(u0: Field, drift_spec: DriftSpec, diffusion,
     """Solve with mollified drifts b_n under one noise realization and one u0;
     report sup_t L2 differences between consecutive levels.
 
-    Returns {"levels": ..., "pairs": [(n, n'), ...], "sup_diffs": [...]}.
-    Raises RuntimeError if any level blows up: the mollified critical drift is
-    globally Lipschitz, so a blow-up here means the configuration is wrong.
+    The levels are the rows of one march: row i runs under level i's
+    mollified drift, and every row reads the same noise. Returns
+    {"levels": ..., "pairs": [(n, n'), ...], "sup_diffs": [...]}. Raises
+    RuntimeError naming the first level to blow up (the lowest on a tie): the
+    mollified critical drift is globally Lipschitz, so a blow-up here means
+    the configuration is wrong.
     """
     levels = mollifier_levels(levels)
+    if u0.n != grid.n_modes:
+        raise ValueError("field resolution does not match the grid")
+    drifts = [mollify(drift_spec, n) for n in levels]
     noise = sample_noise(seed, grid.n_modes, grid.n_steps, grid.dt)
-    paths = []
-    for n in levels:
-        bn = mollify(drift_spec, n)
-        traj = solve_path(u0, bn, diffusion, grid, noise, threshold=threshold)
-        if traj.blown_up:
-            raise RuntimeError(
-                f"mollified level n={n} blew up at t={traj.blowup_time}; "
-                "critical drifts should stay bounded in this experiment")
-        paths.append(traj.coeffs)
-    pairs = list(zip(levels, levels[1:]))
-    sup_diffs = []
-    for a, b in zip(paths, paths[1:]):
-        d = a - b
-        sup_diffs.append(float(np.max(np.sqrt(np.sum(d * d, axis=1)))))
-    return {"levels": levels, "pairs": pairs, "sup_diffs": sup_diffs}
+    Xi = np.broadcast_to(noise.increments, (len(levels),) + noise.increments.shape)
+
+    def drift(vals):
+        # rows match levels until the first breach, which raises below
+        return np.array([b(v) for b, v in zip(drifts, vals)])
+
+    _, blown, blow_steps, states = _march(u0, drift, diffusion, grid, Xi,
+                                          threshold, history=True)
+    if blown.any():
+        i = int(np.argmin(np.where(blown, blow_steps, grid.n_steps + 1)))
+        raise RuntimeError(
+            f"mollified level n={levels[i]} blew up at "
+            f"t={float(grid.times()[blow_steps[i]])}; "
+            "critical drifts should stay bounded in this experiment")
+    d = states[:, 1:] - states[:, :-1]
+    sup_diffs = np.max(np.sqrt(np.sum(d * d, axis=2)), axis=0)
+    return {"levels": levels, "pairs": list(zip(levels, levels[1:])),
+            "sup_diffs": [float(x) for x in sup_diffs]}
 
 
 def factorization_check(alpha: float, grid: Grid, noise: NoiseRealization) -> float:
@@ -270,14 +282,12 @@ def factorization_check(alpha: float, grid: Grid, noise: NoiseRealization) -> fl
     """
     if not 0.0 < alpha < MAX_FACTORIZATION_ALPHA:
         raise ValueError("alpha must lie in (0, 1/4)")
-    _check_noise(grid, noise)
     N, K, dt = grid.n_modes, grid.n_steps, grid.dt
     gamma = _propagators(N, dt)[1]
     GS = gamma * noise.increments[:N].T  # (K, N); sigma == 1 needs no transform
     # direct convolution V_{k+1} = E V_k + GS_k: the solver's constant-sigma
     # step from zero data, with no drift and no breach threshold
-    V = _march(Field.zero(N), None, 1.0, grid, noise.increments[None, :N],
-               math.inf, history=True)[3][:, 0]
+    V = solve_path(Field.zero(N), None, 1.0, grid, noise, math.inf).coeffs
     # inner: Z_m = sum_{l<m} g_{m-l} E^{m-l-1} GS_l, cell-exact (s-r)^(-alpha)
     q = np.arange(1, K + 1, dtype=float)
     g = dt ** -alpha * (q ** (1.0 - alpha) - (q - 1.0) ** (1.0 - alpha)) / (1.0 - alpha)

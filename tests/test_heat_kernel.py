@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,20 +312,8 @@ TIME_INCREMENT_HASH_CHILD = (
     "print(hashlib.sha256(np.array(vals).tobytes()).hexdigest())\n")
 
 
-def test_time_increment_does_not_depend_on_blas_threads():
-    # a BLAS-scheduled reduction rounds by its thread count; this can only
-    # fail on a machine with at least two CPUs
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-        child = subprocess.run([sys.executable, "-c", TIME_INCREMENT_HASH_CHILD],
-                               env=env, capture_output=True, text=True,
-                               timeout=300)
-        assert child.returncode == 0, child.stderr
-        digests.append(child.stdout.strip())
+def test_time_increment_does_not_depend_on_blas_threads(blas_thread_outputs):
+    digests = blas_thread_outputs(TIME_INCREMENT_HASH_CHILD)
     assert digests[0] == digests[1]
 
 

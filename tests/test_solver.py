@@ -24,11 +24,12 @@ BOUNDED = DiffusionSpec("bounded", d1=1.0, d2=0.0)
 FACTORIZATION_512_REFERENCE = 0.034359202283835696
 
 # sha256 of the solve_path coefficients in test_solver_bits_are_pinned; they
-# fail when any bit of the scheme's output moves
+# fail when any bit of the scheme's output moves. Recorded when a lone row
+# began to step as two, with the batched rows' rounding
 STOCHASTIC_COEFFS_SHA256 = (
-    "75b0b520012ce4ec78f286a0e49097107e011d7ed33c682a6f63bb5810d7b173")
+    "d630d9beb964a34c7a999bca9ee132eabc66fdee1196ec4de0001627b113e7a5")
 BLOWUP_COEFFS_SHA256 = (
-    "33340371b4cee0124da117ae7e5a585e402b3f40949832d46f99f2fefeec656a")
+    "1533330ac6c53313dfa7db07253d3a21ae93f6977cbd8407af2c41c64551ad10")
 
 
 def test_grid_properties_and_validation():
@@ -184,17 +185,19 @@ def test_path_l2_series_is_its_ensemble_row(drift, diffusion, seed):
 
 
 def test_single_path_agrees_with_its_batched_row():
-    # a lone row's matmuls may round with BLAS's matrix-vector kernel, so the
-    # bits can differ; the values agree far inside Monte Carlo resolution
-    g = Grid(n_modes=16, T=0.5, n_steps=128)
-    u0 = Field.random_l2(16, 3.0, seed=4)
+    # bit for bit at the CLI's mode counts: a row of a GEMM rounds alike in
+    # every batch of two or more rows, and a lone row steps as two
     drift = mollify(CRITICAL, 16)
-    noises = [sample_noise(31 + i, 16, 128, g.dt) for i in range(2)]
-    traj = solve_path(u0, drift, BOUNDED, g, noises[0])
-    l2, blown, _ = solve_l2_ensemble(
-        u0, drift, BOUNDED, g, np.stack([n.increments for n in noises]))
-    assert not traj.blown_up and not blown.any()
-    np.testing.assert_allclose(traj.l2_series, l2[0], rtol=1e-12, atol=0.0)
+    for n_modes in (16, 32, 64):
+        g = Grid(n_modes=n_modes, T=0.5, n_steps=128)
+        u0 = Field.random_l2(n_modes, 3.0, seed=4)
+        noises = [sample_noise(31 + i, n_modes, 128, g.dt) for i in range(3)]
+        l2, blown, _ = solve_l2_ensemble(
+            u0, drift, BOUNDED, g, np.stack([n.increments for n in noises]))
+        assert not blown.any()
+        for i, noise in enumerate(noises):
+            traj = solve_path(u0, drift, BOUNDED, g, noise)
+            assert traj.l2_series.tobytes() == l2[i].tobytes()
 
 
 def test_solver_input_validation():
@@ -265,9 +268,8 @@ def test_mixed_breach_batch_rows_match_their_own_solves_in_both_layouts():
                    for i in (0, 2, 3, 4)])
     # the (steps, paths, modes) buffer the Monte Carlo driver fills
     time_major = np.ascontiguousarray(Xi.transpose(2, 0, 1)).transpose(1, 2, 0)
-    # each row solved on its own, as a batch of two copies: a one-row batch
-    # takes BLAS's matrix-vector kernel, which rounds differently
-    rows = [solve_l2_ensemble(u0, SUPERCRITICAL, diffusion, g, Xi[[i, i]])
+    # each row solved on its own
+    rows = [solve_l2_ensemble(u0, SUPERCRITICAL, diffusion, g, Xi[[i]])
             for i in range(4)]
     assert [r[1][0] for r in rows] == [False, True, True, True]
     for batch in (Xi, time_major):
@@ -314,14 +316,59 @@ def test_uniqueness_experiment_plateau_identity():
     assert res["sup_diffs"][0] < 1e-12
 
 
+def test_uniqueness_sweep_matches_separate_level_solves():
+    # criterion 10's configuration, each level solved as its own path and
+    # the consecutive levels compared pairwise
+    g = Grid(n_modes=32, T=1.0, n_steps=2048)
+    u0 = Field.random_l2(32, norm=5.0, seed=9)
+    levels = (4, 8, 16, 32, 64)
+    res = coupled_uniqueness_experiment(u0, CRITICAL, BOUNDED, g, seed=314,
+                                        levels=levels)
+    noise = sample_noise(314, 32, 2048, g.dt)
+    paths = [solve_path(u0, mollify(CRITICAL, n), BOUNDED, g, noise).coeffs
+             for n in levels]
+    want = [np.max(np.sqrt(np.sum((a - b) ** 2, axis=1)))
+            for a, b in zip(paths, paths[1:])]
+    assert res["pairs"] == list(zip(levels, levels[1:]))
+    np.testing.assert_allclose(res["sup_diffs"], want, rtol=1e-12, atol=0.0)
+
+
+# sha256 of a small uniqueness sweep's sup_diffs, in a child
+SWEEP_HASH_CHILD = (
+    "import hashlib\nimport numpy as np\n"
+    "from logdrift.coefficients import DiffusionSpec, DriftSpec\n"
+    "from logdrift.fields import Field\n"
+    "from logdrift.solver import Grid, coupled_uniqueness_experiment\n"
+    "res = coupled_uniqueness_experiment(\n"
+    "    Field.random_l2(32, norm=5.0, seed=9), DriftSpec('log_linear'),\n"
+    "    DiffusionSpec('bounded', d1=1.0, d2=0.0),\n"
+    "    Grid(n_modes=32, T=1.0, n_steps=256), 314, (4, 8, 16, 32, 64))\n"
+    "print(hashlib.sha256(np.array(res['sup_diffs']).tobytes()).hexdigest())\n")
+
+
+def test_uniqueness_sweep_does_not_depend_on_blas_threads(blas_thread_outputs):
+    digests = blas_thread_outputs(SWEEP_HASH_CHILD)
+    assert digests[0] == digests[1]
+
+
 def test_uniqueness_experiment_guards():
     g = Grid(n_modes=8, T=0.25, n_steps=32)
     u0 = Field.random_l2(8, norm=2.0, seed=1)
     with pytest.raises(ValueError):
         coupled_uniqueness_experiment(u0, CRITICAL, BOUNDED, g, 1, levels=(8, 8))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError, match="resolution"):
+        coupled_uniqueness_experiment(Field.zero(16), CRITICAL, BOUNDED, g, 1,
+                                      levels=(4, 8))
+    # both levels breach at the first step: the lower one is named
+    with pytest.raises(RuntimeError, match=r"level n=4 blew up at t=0\.0078125"):
         coupled_uniqueness_experiment(u0, CRITICAL, BOUNDED, g, 1,
                                       levels=(4, 8), threshold=1e-6)
+    # from 30 the level-64 drift lifts the norm past 31 in one step, while the
+    # level-4 drift is cut off and the norm decays
+    big = Field.from_coeffs(np.concatenate([[30.0], np.zeros(7)]))
+    with pytest.raises(RuntimeError, match=r"level n=64 blew up at t=0\.0078125"):
+        coupled_uniqueness_experiment(big, SUPERCRITICAL, BOUNDED, g, 1,
+                                      levels=(4, 64), threshold=31.0)
 
 
 def test_deterministic_mollified_levels_approach_reference():
