@@ -125,7 +125,8 @@ def pair_sample():
     mirror = np.logspace(-3.0, 6.0, 19)
     u = np.concatenate([u, mirror, [1.0]])
     v = np.concatenate([v, -mirror, [-1.0]])
-    resolved = np.abs(u - v) >= 2.0 ** 20 * np.spacing(np.maximum(np.abs(u), np.abs(v)))
+    ulp = np.spacing(np.maximum(np.abs(u), np.abs(v)))
+    resolved = np.abs(u - v) >= 2.0 ** 20 * ulp
     return u[resolved], v[resolved]
 
 

@@ -251,7 +251,8 @@ def coupled_uniqueness_experiment(u0: Field, drift_spec: DriftSpec, diffusion,
         raise ValueError("field resolution does not match the grid")
     drifts = [mollify(drift_spec, n) for n in levels]
     noise = sample_noise(seed, grid.n_modes, grid.n_steps, grid.dt)
-    Xi = np.broadcast_to(noise.increments, (len(levels),) + noise.increments.shape)
+    Xi = np.broadcast_to(noise.increments,
+                         (len(levels),) + noise.increments.shape)
 
     def drift(vals):
         # rows match levels until the first breach, which raises below
