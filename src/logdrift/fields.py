@@ -15,8 +15,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
 
-# lag_convolver's switch from the blocked direct product to FFTs; the
-# oracle's piece size
+# the most lags of lag_convolver's blocked direct product, and the oracle's
+# piece size; longer products go through fft_lag_product
 DIRECT_CONVOLUTION_MAX_LAGS = 1024
 # points per block of the direct product: with scipy-openblas 0.3.31 a row of
 # X[:M] @ D keeps its bits for every M >= 2 at an inner dimension of 64, 128
@@ -41,34 +41,42 @@ def sine_matrix(n: int) -> np.ndarray:
 
 def lag_convolver(w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """x -> (x * w)[:L], the lower-triangular lag convolution by w, for x of
-    length L <= n, w's length.
+    length L <= n, w's length, and n - 1 <= DIRECT_CONVOLUTION_MAX_LAGS.
 
-    Up to DIRECT_CONVOLUTION_MAX_LAGS lags it is a blocked lower-triangular
-    Toeplitz product, built here once: w is cut into _BLOCK-point blocks, the
-    diagonal block D_0 upper triangular and the others full, and x may be
-    (L,) or (P, L). Each block diagonal d is one matrix product over all rows
-    and block positions, added in increasing d, and a lone row runs as two,
-    since BLAS takes a matrix-vector kernel for one row. So each row of a
-    (P, L) call equals its own 1-D call bit for bit, and for finite x the
-    rounding is causal: the products 0 * x[j] above the diagonal are exactly
-    0, so entry k reads only x[:k+1]. Above, it is scipy.signal.fftconvolve's
-    arithmetic on a 1-D x of length n, with w's spectrum taken once here,
-    which is not causal: every entry carries error of order eps * max|x|.
+    It is a blocked lower-triangular Toeplitz product, built here once: w is
+    cut into _BLOCK-point blocks, the diagonal block D_0 upper triangular and
+    the others full, and x may be (L,) or (P, L). Each block diagonal d is
+    one matrix product over all rows and block positions, added in
+    increasing d, and a lone row runs as two, since BLAS takes a
+    matrix-vector kernel for one row. So each row of a (P, L) call equals its
+    own 1-D call bit for bit, and for finite x the rounding is causal: the
+    products 0 * x[j] above the diagonal are exactly 0, so entry k reads only
+    x[:k+1]. Longer products go through fft_lag_product.
     """
     n = w.size
-    if n - 1 <= DIRECT_CONVOLUTION_MAX_LAGS:
-        nb = -(-n // _BLOCK)
-        # blocks[d, j, k] = w[d B + k - j]: row j of block d is a window of w
-        # padded with a block of zeros in front (negative lags) and behind
-        padded = np.zeros((nb + 1) * _BLOCK)
-        padded[_BLOCK:_BLOCK + n] = w
-        windows = sliding_window_view(padded, _BLOCK)[1:nb * _BLOCK + 1]
-        blocks = np.ascontiguousarray(
-            windows.reshape(nb, _BLOCK, _BLOCK)[:, ::-1])
-        return lambda x: _toeplitz_product(blocks, x)
-    m = next_fast_len(2 * n - 1, True)
-    w_hat = rfft(w, m)
-    return lambda x: irfft(rfft(x, m) * w_hat, m)[:n]
+    if n - 1 > DIRECT_CONVOLUTION_MAX_LAGS:
+        raise ValueError(f"{n} weights exceed the direct product's "
+                         f"{DIRECT_CONVOLUTION_MAX_LAGS + 1}")
+    nb = -(-n // _BLOCK)
+    # blocks[d, j, k] = w[d B + k - j]: row j of block d is a window of w
+    # padded with a block of zeros in front (negative lags) and behind
+    padded = np.zeros((nb + 1) * _BLOCK)
+    padded[_BLOCK:_BLOCK + n] = w
+    windows = sliding_window_view(padded, _BLOCK)[1:nb * _BLOCK + 1]
+    blocks = np.ascontiguousarray(windows.reshape(nb, _BLOCK, _BLOCK)[:, ::-1])
+    return lambda x: _toeplitz_product(blocks, x)
+
+
+def fft_lag_product(x: np.ndarray, w: np.ndarray, start: int,
+                    stop: int) -> np.ndarray:
+    """Entries start..stop-1 of the linear convolution x * w along the last
+    axis, leading axes broadcast and each row independent of the others: one
+    irfft(rfft(x, S) * rfft(w, S)) at the smallest fast size S whose
+    wrap-around lands below start. Its rounding is not causal: every entry
+    carries error of order eps * max|x| * max|w|."""
+    size = next_fast_len(max(stop, x.shape[-1] + w.shape[-1] - 1 - start),
+                         True)
+    return irfft(rfft(x, size) * rfft(w, size), size)[..., start:stop]
 
 
 def _toeplitz_product(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -92,11 +100,6 @@ def _toeplitz_product(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
             nb - d, P, _BLOCK)
     y = yb.transpose(1, 0, 2).reshape(P, nb * _BLOCK)[:, :L]
     return y[0] if x.ndim == 1 else y[:x.shape[0]]
-
-
-def nodes(n: int) -> np.ndarray:
-    """Interior collocation nodes i/(n+1), i = 1..n."""
-    return np.arange(1, n + 1) / (n + 1)
 
 
 def log_plus(z):

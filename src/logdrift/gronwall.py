@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import beta as beta_fn, betainc
 
-from .fields import DIRECT_CONVOLUTION_MAX_LAGS, lag_convolver, log_plus
+from .fields import (DIRECT_CONVOLUTION_MAX_LAGS, fft_lag_product,
+                     lag_convolver, log_plus)
 
 MAX_PICARD_ITERATIONS = 10_000
 PICARD_TOL = 1e-10
@@ -172,9 +172,9 @@ def volterra_oracle(problems: GronwallProblem | Sequence[GronwallProblem],
     first node join the forcing, and its other nodes go through the blocked,
     causal direct branch of fields.lag_convolver, built once per call and
     kernel. A longer span marches its first half, adds that half's singular
-    history to the second through real FFTs over the span's length, whose
-    rounding thus falls only on rows after its sources, then marches the
-    second half.
+    history to the second through fields.fft_lag_product, one call per alpha
+    over its rows, whose rounding thus falls only on nodes after its
+    sources, then marches the second half.
 
     problems is one GronwallProblem, whose oracle comes back as a 1-D
     array, or a nonempty sequence of them on one grid_dt, solved in lockstep
@@ -318,15 +318,12 @@ def _lockstep(batch: list, g: Callable, ts: np.ndarray, f: np.ndarray) -> None:
             return solve(a, b)
         m = (a + b) // 2
         march(a, m)
-        # the sources a..m-1 reach the nodes m+1..b at lags 2..b-a, so a
-        # circular product over b-a+1 points does not wrap onto them
-        size = next_fast_len(b - a + 1, True)
-        spectra = {alpha: rfft(kernel[0][:b - a + 1], size)
-                   for alpha, kernel in kernels.items()}
-        for r, alpha in singular.items():
-            sources = rfft(c3[r, 0] * f[r, a:m], size)
-            rhs[r, m + 1:b + 1] += irfft(sources * spectra[alpha],
-                                         size)[m + 1 - a:b + 1 - a]
+        # the sources a..m-1 reach the nodes m+1..b at lags 2..b-a
+        for alpha, kernel in kernels.items():
+            rows = [r for r in singular if singular[r] == alpha]
+            rhs[rows, m + 1:b + 1] += fft_lag_product(
+                c3[rows] * f[rows, a:m], kernel[0][:b - a + 1], m + 1 - a,
+                b + 1 - a)
         march(m, b)
 
     with np.errstate(over="ignore", invalid="ignore"):

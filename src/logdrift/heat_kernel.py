@@ -40,6 +40,8 @@ MAX_MODES = 200_000
 INCREMENT_X_POINTS = 1025
 INCREMENT_W_INTERVALS = 1200
 INCREMENT_W_BLOCK = 128
+# time_increment_estimate's horizon R: its tail, exp(-pi^2 R)/3, is < 1e-12
+INCREMENT_HORIZON = 3.0
 # the largest common dyadic denominator of x and y for which
 # spatial_modulus_estimate sums in closed form
 MODULUS_MAX_DENOMINATOR = 2**16
@@ -146,13 +148,14 @@ def _increment_modes(rs: np.ndarray, h: float):
         yield spectrum[0] - spectrum[1 : P // 2 + 1]
 
 
-def time_increment_estimate(h: float, R: float = 3.0) -> float:
+def time_increment_estimate(h: float) -> float:
     """Integrated sup-over-space second difference of the kernel in time.
 
     Computes int_0^R sup_x [p_{2r} - 2 p_{2r+h} + p_{2r+2h}](x, x) dr, the
-    quantity controlling the time modulus of stochastic convolutions over a
-    horizon R, with the sup taken over the nodes k/1024. The integrand
-    equals sum_n e_n(x)^2 e^{-pi^2 n^2 r} (1 - e^{-pi^2 n^2 h / 2})^2 >= 0,
+    quantity controlling the time modulus of stochastic convolutions over the
+    horizon R = INCREMENT_HORIZON, with the sup taken over the nodes k/1024.
+    The integrand equals
+    sum_n e_n(x)^2 e^{-pi^2 n^2 r} (1 - e^{-pi^2 n^2 h / 2})^2 >= 0,
     which every node w > 0 sums in mode form, its modes folded modulo 1024
     into one real FFT (`_increment_modes`): the sum of the nonnegative
     coefficients minus a cosine transform. That rounds to about eps times the
@@ -160,18 +163,12 @@ def time_increment_estimate(h: float, R: float = 3.0) -> float:
     the sum less its modes that are multiples of 1024), even where the kernel
     is sharply peaked. The 1/sqrt(r) endpoint singularity is removed by the
     substitution r = w^2; at w = 0 the integrand tends to 1/sqrt(pi) exactly.
-
-    The tail beyond R is bounded by exp(-pi^2 R)/3; R must make that at
-    most 1e-12.
+    The tail beyond R is bounded by exp(-pi^2 R)/3.
     """
     if not 0 < h < math.inf:
         raise ValueError("h must be finite and positive")
-    if not 0 < R < math.inf:
-        raise ValueError("R must be finite and positive")
-    if math.exp(-math.pi**2 * R) / 3.0 > 1e-12:
-        raise ValueError("R too small for the required tail bound")
     n_w = INCREMENT_W_INTERVALS
-    ws = np.linspace(0.0, math.sqrt(R), n_w + 1)
+    ws = np.linspace(0.0, math.sqrt(INCREMENT_HORIZON), n_w + 1)
     rs = ws * ws
     sup = np.concatenate([g.max(axis=0) for g in _increment_modes(rs[1:], h)])
     vals = np.concatenate([[1.0 / SQRT_PI], 2.0 * ws[1:] * sup])

@@ -29,7 +29,7 @@ from .coefficients import (
     DiffusionSpec, DriftSpec, drift_eval, mollifier_levels, mollify,
     sigma_eval,
 )
-from .fields import Field, lag_convolver, sine_matrix
+from .fields import Field, fft_lag_product, sine_matrix
 from .noise import NoiseRealization, sample_noise
 
 __all__ = [
@@ -279,7 +279,8 @@ def factorization_check(alpha: float, grid: Grid, noise: NoiseRealization) -> fl
 
     The inner and outer fractional kernels use product integration (exact cell
     moments of (t-s)^(alpha-1) and (s-r)^(-alpha)) against right-endpoint
-    semigroup factors, reduced to per-mode lag convolutions.
+    semigroup factors, reduced to per-mode lag convolutions: two
+    fields.fft_lag_product calls, each over all modes at once.
     """
     if not 0.0 < alpha < MAX_FACTORIZATION_ALPHA:
         raise ValueError("alpha must lie in (0, 1/4)")
@@ -298,10 +299,9 @@ def factorization_check(alpha: float, grid: Grid, noise: NoiseRealization) -> fl
     c = math.sin(alpha * math.pi) / math.pi
     Y = np.zeros((K + 1, N))
     logE = -0.5 * (np.arange(1, N + 1) * np.pi) ** 2 * dt
-    for j in range(N):
-        Epow = np.exp(logE[j] * r)
-        Zj = lag_convolver(GS[:, j])(g * Epow)
-        Y[1:, j] = c * lag_convolver(Zj)(v * Epow)
+    Epow = np.exp(logE[:, None] * r)  # (N, K): row j holds E_j^r
+    Z = fft_lag_product(g * Epow, GS.T, 0, K)
+    Y[1:] = c * fft_lag_product(v * Epow, Z, 0, K).T
     num = np.max(np.sqrt(np.sum((Y - V) ** 2, axis=1)))
     den = np.max(np.sqrt(np.sum(V * V, axis=1)))
     if den == 0.0:

@@ -55,24 +55,36 @@ def _read_names(stmt: ast.stmt) -> set:
             or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
 
 
+def _imports_from(tree: ast.Module, module: str, name: str) -> bool:
+    """Whether tree imports name from the package's module."""
+    return any(isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[-1] == module
+               and any(alias.name == name for alias in node.names)
+               for node in ast.walk(tree))
+
+
 def unreached_public_names(src: Path) -> list:
     """Public module-level functions and classes of the package at src that
     no __all__ lists and no other top-level statement of the package reads,
-    as module.name."""
+    as module.name. An attribute read counts in any module, a bare-name read
+    only in the defining module or in one that imports the name from it."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(src.glob("*.py"))}
     exported = _declared_all(trees["__init__"])
-    reads = [(stmt, _read_names(stmt))
-             for tree in trees.values() for stmt in tree.body]
     found = []
     for module, tree in trees.items():
         listed = exported | _declared_all(tree)
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    and not node.name.startswith("_") \
-                    and node.name not in listed \
-                    and not any(node.name in names
-                                for stmt, names in reads if stmt is not node):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_") or node.name in listed:
+                continue
+            readers = [other for name, other in trees.items()
+                       if name == module
+                       or _imports_from(other, module, node.name)]
+            if not any(node.name in (_read_names(stmt) if other in readers
+                                     else _attribute_reads(stmt))
+                       for other in trees.values() for stmt in other.body
+                       if stmt is not node):
                 found.append(f"{module}.{node.name}")
     return found
 
@@ -207,6 +219,24 @@ def test_guard_flags_a_name_that_only_its_own_body_reads(tmp_path):
         "def helper():\n    return 1\n\n\n"
         "def orphan(n):\n    return orphan(n - 1) if n else 0\n")
     assert unreached_public_names(tmp_path) == ["m.orphan"]
+
+
+def test_guard_counts_a_bare_name_only_where_the_name_is_bound(tmp_path):
+    # a local variable of another module is no read of a function named
+    # like it; an import of it, an attribute read or its own module's is
+    (tmp_path / "__init__.py").write_text(
+        'from .m import api\n__all__ = ["api"]\n')
+    (tmp_path / "m.py").write_text(
+        "from . import k\n\n\n"
+        "def api():\n    return k.attr() + local()\n\n\n"
+        "def attr():\n    return 1\n\n\n"
+        "def local():\n    return 2\n\n\n"
+        "def shadowed():\n    return 3\n\n\n"
+        "def imported():\n    return 4\n")
+    (tmp_path / "k.py").write_text(
+        "from .m import imported\n\n\n"
+        "def attr():\n    shadowed = 1\n    return shadowed + imported()\n")
+    assert unreached_public_names(tmp_path) == ["m.shadowed"]
 
 
 def test_guard_flags_an_export_that_only_its_own_body_reads(tmp_path):

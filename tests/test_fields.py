@@ -9,8 +9,8 @@ from logdrift.fields import (
     DIRECT_CONVOLUTION_MAX_LAGS,
     Field,
     coeffs_to_values,
+    fft_lag_product,
     lag_convolver,
-    nodes,
     simpson_weights,
     sine_matrix,
     values_to_coeffs,
@@ -41,7 +41,8 @@ def test_parseval_norm_agreement():
 def test_single_mode_field_matches_analytic():
     n, k = 31, 3
     f = Field.mode(n, k, amplitude=2.0)
-    expect = 2.0 * np.sqrt(2.0) * np.sin(k * np.pi * nodes(n))
+    x = np.arange(1, n + 1) / (n + 1)
+    expect = 2.0 * np.sqrt(2.0) * np.sin(k * np.pi * x)
     assert np.max(np.abs(f.values - expect)) < 1e-13
     assert f.l2_norm() == pytest.approx(2.0)
 
@@ -95,13 +96,50 @@ def test_dirichlet_boundary_is_implicit():
 
 @pytest.mark.parametrize("size", [1026, 1537, 2048, 2049, 4097, 8192])
 def test_lag_convolver_fft_path_matches_scipy_signal_bit_for_bit(size):
+    # the products past lag_convolver's direct branch: fft_lag_product from 0
     assert size - 1 > DIRECT_CONVOLUTION_MAX_LAGS
     rng = np.random.default_rng(size)
     x, w = rng.standard_normal(size), rng.standard_normal(size)
     ref = fftconvolve(x, w)[:size]
-    got = lag_convolver(w)(x)
+    got = fft_lag_product(x, w, 0, size)
     assert got.shape == ref.shape
     np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("size", [16, 1000, 2049])
+@pytest.mark.parametrize("P", [1, 2, 33])
+def test_fft_lag_product_rows_equal_their_single_calls(P, size):
+    rng = np.random.default_rng(P * size)
+    x = rng.standard_normal((P, size))
+    w, ws = rng.standard_normal(size), rng.standard_normal((P, size))
+    for start, stop in ((0, size), (size // 2, size + size // 3)):
+        shared = fft_lag_product(x, w, start, stop)
+        own = fft_lag_product(x, ws, start, stop)
+        assert shared.shape == own.shape == (P, stop - start)
+        for r in range(P):
+            np.testing.assert_array_equal(
+                shared[r].view(np.uint64),
+                fft_lag_product(x[r], w, start, stop).view(np.uint64))
+            np.testing.assert_array_equal(
+                own[r].view(np.uint64),
+                fft_lag_product(x[r], ws[r], start, stop).view(np.uint64))
+
+
+@pytest.mark.parametrize("nx, nw, start, stop",
+                         [(5, 9, 3, 12), (512, 1025, 513, 1025),
+                          (1000, 2001, 1001, 2001), (300, 40, 0, 339),
+                          (64, 100, 30, 50), (1000, 1000, 500, 600)])
+def test_fft_lag_product_window_matches_np_convolve(nx, nw, start, stop):
+    # the last two windows end before the convolution does, so a size fit
+    # to stop alone would wrap its tail onto them
+    rng = np.random.default_rng(nx + nw)
+    x, w = rng.standard_normal(nx), rng.standard_normal(nw)
+    got = fft_lag_product(x, w, start, stop)
+    ref = np.convolve(x, w)[start:stop]
+    scale = np.convolve(np.abs(x), np.abs(w))[start:stop]
+    n = max(nx, nw)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 2 * n * np.finfo(float).eps * scale)
 
 
 # sha256 of the direct branch's (x * w)[:size] for the standard normal x and
@@ -148,6 +186,12 @@ def test_lag_convolver_direct_rows_equal_their_single_calls(P, size):
     for row, single in zip(batch, x):
         np.testing.assert_array_equal(row.view(np.uint64),
                                       convolve(single).view(np.uint64))
+
+
+def test_lag_convolver_raises_above_its_maximum_length():
+    lag_convolver(np.ones(DIRECT_CONVOLUTION_MAX_LAGS + 1))
+    with pytest.raises(ValueError, match="exceed"):
+        lag_convolver(np.ones(DIRECT_CONVOLUTION_MAX_LAGS + 2))
 
 
 def test_blas_block_product_rows_do_not_depend_on_the_batch():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from logdrift import heat_kernel
-from logdrift.fields import Field, nodes, simpson_weights
+from logdrift.fields import Field, simpson_weights
 from logdrift.heat_kernel import (
     DEFAULT_PARAMS,
+    INCREMENT_HORIZON,
     INCREMENT_X_POINTS,
     _image_pairs,
     _increment_modes,
@@ -119,7 +120,8 @@ def _log_jensen_quadrature(dt, u, refine=16):
     ys = np.linspace(0.0, 1.0, (n + 1) * refine + 1)
     w = simpson_weights(ys.size, ys[1] - ys[0])
     g_lin = np.interp(ys, np.linspace(0.0, 1.0, n + 2), g)
-    return float((_kernel_grid(dt, nodes(n), ys) @ (w * g_lin)).max())
+    xs = np.arange(1, n + 1) / (n + 1)
+    return float((_kernel_grid(dt, xs, ys) @ (w * g_lin)).max())
 
 
 def test_log_jensen_matches_a_kernel_quadrature_of_the_linear_interpolant():
@@ -207,7 +209,7 @@ def test_semigroup_matches_kernel_quadrature():
     f = Field.from_coeffs(c)
     t = 0.08
     g = _propagators(n, t)[0] * f.coeffs
-    ys = np.concatenate(([0.0], nodes(n), [1.0]))
+    ys = np.concatenate(([0.0], np.arange(1, n + 1) / (n + 1), [1.0]))
     fv = np.concatenate(([0.0], f.values, [0.0]))
     w = simpson_weights(n + 2, 1.0 / (n + 1))
     xs = np.array([0.25, 0.5, 0.8])
@@ -241,7 +243,8 @@ def test_mass_matches_closed_series():
         assert mass == pytest.approx(ref, abs=1e-8)
 
 
-def time_increment_pointwise(x: float, h: float, R: float = 3.0) -> float:
+def time_increment_pointwise(x: float, h: float,
+                             R: float = INCREMENT_HORIZON) -> float:
     """The time-increment integral at the single point x, as its closed mode
     sum sum_n 2 sin^2(n pi x) (1 - e^{-pi^2 n^2 h/2})^2 (1 - e^{-pi^2 n^2 R})
     / (pi^2 n^2), truncated where the 1/n^2 envelope is spent. A lower
@@ -327,8 +330,8 @@ def test_time_increment_square_root_scaling():
 def test_time_increment_validation():
     with pytest.raises(ValueError):
         time_increment_estimate(0.0)
-    with pytest.raises(ValueError):
-        time_increment_estimate(0.05, R=1.0)  # tail bound above 1e-12
+    # the fixed horizon's tail bound
+    assert math.exp(-math.pi**2 * INCREMENT_HORIZON) / 3.0 <= 1e-12
     with pytest.raises(ValueError):
         spatial_modulus_estimate(0.2, 0.7, R=0.0)
     for n_terms in (0, -1):
@@ -343,9 +346,6 @@ def test_heat_kernel_names_nan_and_non_integer_arguments():
         spatial_modulus_estimate(0.2, 0.7, R=math.nan)
     with pytest.raises(ValueError, match="n_terms must be an integer"):
         spatial_modulus_estimate(0.2, 0.7, n_terms=2.5)
-    for R in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="R must be finite and positive"):
-            time_increment_estimate(0.05, R=R)
     with pytest.raises(ValueError, match="h must be finite and positive"):
         time_increment_estimate(math.nan)
 
