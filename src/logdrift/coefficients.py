@@ -270,12 +270,13 @@ def _capped_lp(M: np.ndarray, r: np.ndarray, cap: float):
 COARSE_STEP = 1.0 / 64.0
 FINE_STEP = 1.0 / 1024.0
 QUAD_POINTS = 96
-# lookup-grid rows per block of a table build: 1024 rows x QUAD_POINTS
-# doubles is about 0.8 MB per temporary
+# lookup-grid rows per block of a table build. A temporary holds the drift
+# arguments or values of the block's rows, or the nodes and bump values of
+# its rows with n|x| < 1: at most 1024 x QUAD_POINTS doubles, about 0.8 MB
 _BUMP_BLOCK_ROWS = 1024
 GROWTH_LEVELS = (1, 2, 4, 8, 16, 32, 64)
 # the largest mollification level. A level-n table takes time and memory
-# linear in n to build and to hold (at n = 1024, about 0.65 s and a peak
+# linear in n to build and to hold (at n = 1024, about 0.3 s and a peak
 # RSS of 83 MB in a fresh process, 57 MB of which is the import), so a
 # level far above this would exhaust memory instead of exiting
 MAX_MOLLIFIER_LEVEL = 1024
@@ -310,6 +311,13 @@ def bump(x):
     return vals / _BUMP_NORM
 
 
+# the nodes and bump values of a half of full width, [-1, 1], on which every
+# row with n|x| >= 1 of every table integrates: a row's own nodes
+# a + half (g + 1) at a = -1 and half = 1, operation for operation
+_FULL_NODES = -1.0 + 1.0 * (_GAUSS_X + 1.0)
+_FULL_BUMP = bump(_FULL_NODES)
+
+
 def cutoff(x, n: int):
     """Profile equal to 1 on [-n, n], 0 outside [-n-2, n+2], quintic joins."""
     t = np.clip((np.abs(np.asarray(x, dtype=float)) - n) / 2.0, 0.0, 1.0)
@@ -321,6 +329,8 @@ class MollifiedDrift:
 
     Values are precomputed on a graded lookup grid and interpolated with a
     monotone cubic; evaluation outside [-(n+2), n+2] returns 0 exactly.
+    A call and ``stack_levels``, which looks up several levels at once, both
+    evaluate the cubic with ``_table_values``.
     """
 
     def __init__(self, spec: DriftSpec, n: int):
@@ -343,9 +353,10 @@ class MollifiedDrift:
         if not np.all(np.isfinite(conv)):
             raise HypothesisViolation(f"mollified drift at level n={n} is not "
                                       "finite on its lookup grid")
-        # each interval's monotone cubic, highest power first. __call__ starts
-        # its sum at c3, scipy's PPoly (the tests' reference) at 0.0 + c3;
-        # they agree because c3, a node value summed from +0.0, is never -0.0
+        # each interval's monotone cubic, highest power first. _table_values
+        # starts its sum at c3, scipy's PPoly (the tests' reference) at
+        # 0.0 + c3; they agree because c3, a node value summed from +0.0, is
+        # never -0.0
         self._coef = _pchip_coefficients(grid, conv)
         self._grid, self._edge = grid, edge
         # every breakpoint is a multiple of FINE_STEP, so each fine bucket of
@@ -359,21 +370,58 @@ class MollifiedDrift:
         z = np.asarray(z, dtype=float)
         out = np.zeros(z.shape)
         inside = np.abs(z) <= self._edge  # false for NaN
-        zi = z[inside]
-        # z + edge can round up onto a bucket's left end, never below it
-        bucket = ((zi + self._edge) * (1.0 / FINE_STEP)).astype(np.intp)
-        k = self._bucket.take(bucket)
-        k -= zi < self._grid.take(k)
-        s = zi - self._grid.take(k)
-        c = self._coef.take(k, axis=0)
-        ss = s * s
-        vals = c[:, 3] + c[:, 2] * s + c[:, 1] * ss + c[:, 0] * (ss * s)
-        # the cutoff is exactly 1.0 on [-n, n]
-        tail = np.abs(zi) > self.n
-        if tail.any():
-            vals[tail] *= cutoff(zi[tail], self.n)
-        out[inside] = vals
+        out[inside] = _table_values(z[inside], self._edge, self.n, 0,
+                                    self._grid, self._coef, self._bucket)
         return out if out.ndim else float(out)
+
+
+def stack_levels(drifts: Sequence[MollifiedDrift]) -> Callable:
+    """One lookup for several mollified drifts: the callable maps (rows, N)
+    values to (min(rows, levels), N), row i by drifts[i], bit for bit.
+
+    The tables are joined: each level's grid (less its right end) and
+    cubics follow the previous level's, and its buckets point into its own
+    rows of them. Each point reads its row's edge, level and first bucket,
+    so one pass of ``_table_values`` serves every row.
+    """
+    rows = np.cumsum([0] + [d._coef.shape[0] for d in drifts])
+    grid = np.concatenate([d._grid[:-1] for d in drifts])
+    coef = np.concatenate([d._coef for d in drifts])
+    bucket = np.concatenate([d._bucket + int(r) for d, r in zip(drifts, rows)])
+    edge = np.array([d._edge for d in drifts])
+    level = np.array([d.n for d in drifts], dtype=float)
+    first = np.cumsum([0] + [d._bucket.size for d in drifts[:-1]])
+
+    def lookup(z):
+        z = np.asarray(z, dtype=float)[:len(drifts)]
+        inside = np.abs(z) <= edge[:z.shape[0], None]  # false for NaN
+        row = np.nonzero(inside)[0]
+        out = np.zeros(z.shape)
+        out[inside] = _table_values(z[inside], edge.take(row),
+                                    level.take(row), first.take(row),
+                                    grid, coef, bucket)
+        return out
+
+    return lookup
+
+
+def _table_values(z, edge, n, first, grid, coef, bucket):
+    """A mollified drift's monotone cubic times its cutoff at the points z,
+    each inside [-edge, edge], from the joined tables of one or several
+    levels. edge, the level n and the table's first bucket index are
+    scalars or, one per point, arrays like z."""
+    # z + edge can round up onto a bucket's left end, never below it
+    k = bucket.take(((z + edge) * (1.0 / FINE_STEP)).astype(np.intp) + first)
+    k -= z < grid.take(k)
+    s = z - grid.take(k)
+    c = coef.take(k, axis=0)
+    ss = s * s
+    vals = c[:, 3] + c[:, 2] * s + c[:, 1] * ss + c[:, 0] * (ss * s)
+    # the cutoff is exactly 1.0 on [-n, n]
+    tail = np.abs(z) > n
+    if tail.any():
+        vals[tail] *= cutoff(z[tail], np.broadcast_to(n, z.shape)[tail])
+    return vals
 
 
 def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -416,23 +464,32 @@ def _pchip_end_slope(h0, h1, m0, m1):
 
 def _convolve_bump(spec: DriftSpec, xs: np.ndarray, n: int):
     """int_{-1}^{1} b(x - s/n) bump(s) ds on each x, split at the s where the
-    drift argument crosses zero (the log kink sits there)."""
-    g, w = _GAUSS_X, _GAUSS_W
+    drift argument crosses zero (the log kink sits there).
+
+    A row with n|x| >= 1 has one live half of full width, whose nodes and
+    bump values (``_FULL_NODES``, ``_FULL_BUMP``) are the same for every
+    such row and are built once; only the rows with n|x| < 1 build their
+    own."""
+    w = _GAUSS_W
     split = np.clip(n * xs, -1.0, 1.0)
     total = np.zeros_like(xs)
+    # where n|x| >= 1 the other half has zero width: its term would be 0
+    # times a sum, finite unless b overflows at its one argument
+    # x - sign(x)/n. Each family's |b| grows with |z| where it can overflow,
+    # and the live half reaches larger |z|, so it is not finite then either.
+    # Adding a zero to a total that starts at +0.0 changes no bit
+    full = np.abs(split) == 1.0
+    fvals = drift_eval(spec, xs[full, None] - _FULL_NODES / n) * _FULL_BUMP
+    # einsum, not BLAS's gemv, whose rounding follows its thread count; the
+    # half width is 1.0, and 1.0 times the sum is the sum
+    total[full] += np.einsum("ij,j->i", fvals, w)
+    part = ~full
+    split = split[part]
     for a, b in ((-np.ones_like(split), split), (split, np.ones_like(split))):
         half = 0.5 * (b - a)
-        # where n|x| >= 1 one half has zero width: its term is 0 times a sum,
-        # finite unless b overflows at its one argument x - sign(x)/n. Each
-        # family's |b| grows with |z| where it can overflow, and the live
-        # half reaches larger |z|, so it is not finite then either. Adding a
-        # zero to a total that starts at +0.0 changes no bit
-        live = half > 0.0
-        half, a = half[live], a[live]
-        nodes = a[:, None] + half[:, None] * (g[None, :] + 1.0)
-        fvals = drift_eval(spec, xs[live, None] - nodes / n) * bump(nodes)
-        # einsum, not BLAS's gemv, whose rounding follows its thread count
-        total[live] += half * np.einsum("ij,j->i", fvals, w)
+        nodes = a[:, None] + half[:, None] * (_GAUSS_X[None, :] + 1.0)
+        fvals = drift_eval(spec, xs[part, None] - nodes / n) * bump(nodes)
+        total[part] += half * np.einsum("ij,j->i", fvals, w)
     if spec.odd:
         # the bump is even, so an odd drift's convolution is exactly 0 at 0,
         # not quadrature roundoff

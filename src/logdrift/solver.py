@@ -27,7 +27,7 @@ import numpy as np
 
 from .coefficients import (
     DiffusionSpec, DriftSpec, drift_eval, mollifier_levels, mollify,
-    sigma_eval,
+    sigma_eval, stack_levels,
 )
 from .fields import Field, fft_lag_product, sine_matrix
 from .noise import NoiseRealization, sample_noise
@@ -240,7 +240,8 @@ def coupled_uniqueness_experiment(u0: Field, drift_spec: DriftSpec, diffusion,
     report sup_t L2 differences between consecutive levels.
 
     The levels are the rows of one march: row i runs under level i's
-    mollified drift, and every row reads the same noise. Returns
+    mollified drift, all rows' drifts looked up at once from the joined
+    tables (``stack_levels``), and every row reads the same noise. Returns
     {"levels": ..., "pairs": [(n, n'), ...], "sup_diffs": [...]}. Raises
     RuntimeError naming the first level to blow up (the lowest on a tie): the
     mollified critical drift is globally Lipschitz, so a blow-up here means
@@ -249,15 +250,11 @@ def coupled_uniqueness_experiment(u0: Field, drift_spec: DriftSpec, diffusion,
     levels = mollifier_levels(levels)
     if u0.n != grid.n_modes:
         raise ValueError("field resolution does not match the grid")
-    drifts = [mollify(drift_spec, n) for n in levels]
+    # rows match levels until the first breach, which raises below
+    drift = stack_levels([mollify(drift_spec, n) for n in levels])
     noise = sample_noise(seed, grid.n_modes, grid.n_steps, grid.dt)
     Xi = np.broadcast_to(noise.increments,
                          (len(levels),) + noise.increments.shape)
-
-    def drift(vals):
-        # rows match levels until the first breach, which raises below
-        return np.array([b(v) for b, v in zip(drifts, vals)])
-
     _, blown, blow_steps, states = _march(u0, drift, diffusion, grid, Xi,
                                           threshold, history=True)
     if blown.any():

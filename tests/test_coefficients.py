@@ -29,6 +29,7 @@ from logdrift.coefficients import (
     mollify,
     pair_sample,
     sigma_eval,
+    stack_levels,
     standard_sample,
     sublinear_check,
     uniform_growth_check,
@@ -296,6 +297,26 @@ def test_mollified_drift_matches_pchip_bit_for_bit(spec, n):
             np.float64(reference(np.float64(x))).view(np.uint64)
 
 
+@pytest.mark.parametrize("spec", [LOG_LINEAR, DriftSpec("log_power")],
+                         ids=["log_linear", "log_power"])
+@pytest.mark.parametrize("levels", [(4, 8, 16, 32, 64), (1, 2, 3)])
+def test_stacked_levels_match_each_level_bit_for_bit(spec, levels):
+    drifts = [mollify(spec, n) for n in levels]
+    probes = [_drift_probes(d.n, d._grid) for d in drifts]
+    # one level per row, each level's probes repeated to the longest's length
+    z = np.array([np.resize(p, max(map(len, probes))) for p in probes])
+    lookup = stack_levels(drifts)
+    for rows in (len(levels), 2, 1):
+        # a breach leaves fewer rows than levels; row i still reads level i
+        got = lookup(z[:rows])
+        want = np.array([d(v) for d, v in zip(drifts, z[:rows])])
+        assert got.shape == want.shape == (rows, z.shape[1])
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+    # a lone row stepped as two is read by the first level alone
+    assert stack_levels(drifts[:1])(z[:2]).shape == (1, z.shape[1])
+
+
 @pytest.mark.parametrize("spec", [LOG_LINEAR, DriftSpec("log_power"),
                                   DriftSpec("linear"),
                                   DriftSpec("polynomial", degree=3)],
@@ -378,8 +399,11 @@ def test_mollifier_tables_do_not_depend_on_blas_threads(blas_thread_outputs):
     assert digests[0] == digests[1]
 
 
-# sha256 of mollify(spec, n)._coef, recorded before the table build went
-# through blocks of rows
+# sha256 of mollify(spec, n)._coef. The log families' were recorded before
+# the table build went through blocks of rows, the others' before the rows
+# with n|x| >= 1 shared one quadrature; at level 1 every fine row has
+# n|x| < 1. The polynomial is the default degree 2, even, so no exact zero
+# is set at 0, and the custom table is FEASIBLE's five-node one
 TABLE_DIGESTS = {
     ("log_linear", 64):
         "434a27c0035e4205417b6b3a549a31e7b003367d27d5b52d87365bc8aef15f5f",
@@ -389,19 +413,33 @@ TABLE_DIGESTS = {
         "7ca23df8b63925041196cc6df06f49a3bd2791bf0aa8bad3b8b86520b90f05e4",
     ("log_power", 1024):
         "25bf78c09fd5f3aa298ea00439db6904cf1780eb9744024753f753a2da4bff05",
+    ("linear", 1):
+        "571171568c0db98b3be26658316a102b5458914f166c1264ab76a21720b6e4d1",
+    ("linear", 64):
+        "cd6d941cb6ad5f40d6b4290f5fc94f2b7f1a080d97ae8761acbbea7697ef1f2c",
+    ("polynomial", 1):
+        "35522c8afcfa55bab3a046adbe48563e9e2b5ac1cecf72378a8e66e2006d4645",
+    ("polynomial", 64):
+        "992293e5452bc6d7aaa9a8cbde96d093a0785d10cac1bfbab65c283dbfab1bfb",
+    ("custom_table", 1):
+        "3ba09cc986672206d86928ac01f907dee25ce29ef5652e8aa766bf6791a622cf",
+    ("custom_table", 64):
+        "174f9a2c557e20916e7cf705ae651bf591f2d0e8b70266be42a91839b4ef9501",
 }
 
 
 @pytest.mark.parametrize("family,n", sorted(TABLE_DIGESTS))
 def test_mollifier_table_bits_are_pinned(family, n):
-    coef = mollify(DriftSpec(family), n)._coef
+    spec = FEASIBLE[family] if family == "custom_table" else DriftSpec(family)
+    coef = mollify(spec, n)._coef
     assert hashlib.sha256(coef.tobytes()).hexdigest() == \
         TABLE_DIGESTS[family, n]
 
 
 # peak RSS in MB after a level-MAX_MOLLIFIER_LEVEL build in a fresh process.
-# The import alone takes about 57 MB and the blocked build about 83 MB in
-# all; one batch over every grid row took about 420 MB. The child reads its
+# The import alone takes about 57 MB and the blocked build, whose rows with
+# n|x| >= 1 share one quadrature, 83.4 MB in all, as before they shared it;
+# one batch over every grid row took about 420 MB. The child reads its
 # own address space's high-water mark: its ru_maxrss would also count the
 # test process, whose high-water mark Linux carries over at exec
 TABLE_BUILD_PEAK_MB = 160.0

@@ -330,7 +330,8 @@ def test_uniqueness_sweep_matches_separate_level_solves():
     want = [np.max(np.sqrt(np.sum((a - b) ** 2, axis=1)))
             for a, b in zip(paths, paths[1:])]
     assert res["pairs"] == list(zip(levels, levels[1:]))
-    np.testing.assert_allclose(res["sup_diffs"], want, rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(np.array(res["sup_diffs"]).view(np.uint64),
+                                  np.array(want).view(np.uint64))
 
 
 # sha256 of a small uniqueness sweep's sup_diffs, in a child
