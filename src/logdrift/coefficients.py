@@ -393,7 +393,7 @@ def stack_levels(drifts: Sequence[MollifiedDrift]) -> Callable:
     first = np.cumsum([0] + [d._bucket.size for d in drifts[:-1]])
 
     def lookup(z):
-        z = np.asarray(z, dtype=float)[:len(drifts)]
+        z = np.asarray(z, dtype=float)[:edge.size]
         inside = np.abs(z) <= edge[:z.shape[0], None]  # false for NaN
         row = np.nonzero(inside)[0]
         out = np.zeros(z.shape)

@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import math
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -315,6 +317,18 @@ def test_stacked_levels_match_each_level_bit_for_bit(spec, levels):
                                       want.view(np.uint64))
     # a lone row stepped as two is read by the first level alone
     assert stack_levels(drifts[:1])(z[:2]).shape == (1, z.shape[1])
+
+
+def test_stacked_levels_hold_only_the_joined_tables():
+    # the levels' own tables are garbage once joined, so a sweep holds one
+    # copy of its tables, not two
+    drifts = [mollify(LOG_LINEAR, n) for n in (4, 8)]
+    refs = [weakref.ref(d) for d in drifts]
+    lookup = stack_levels(drifts)
+    del drifts
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert lookup(np.zeros((2, 3))).shape == (2, 3)
 
 
 @pytest.mark.parametrize("spec", [LOG_LINEAR, DriftSpec("log_power"),
