@@ -31,7 +31,7 @@ from .coefficients import (
 )
 from .fields import Field
 from .gronwall import STABILITY_REFERENCE, check_domination, \
-    make_problem_corpus, volterra_oracle
+    make_problem_corpus, oracle_pair
 from .heat_kernel import (
     kernel_images, kernel_series, spatial_modulus_estimate,
     time_increment_estimate,
@@ -380,8 +380,7 @@ def _run_gronwall_suite(cfg: dict, inputs: _Inputs, out: Path) -> list:
 
     stab_rows = []
     for label, prob in STABILITY_REFERENCE:
-        coarse = volterra_oracle(prob, label)
-        fine = volterra_oracle(prob.refined(), label)
+        coarse, fine = oracle_pair(prob, label)
         drift = float(np.max(np.abs(coarse - fine[::2])))
         stab_rows.append((label, prob.alpha, prob.grid_dt, drift))
         if drift >= ORACLE_STABILITY_TOL:

@@ -87,8 +87,12 @@ def drift_eval(spec: DriftSpec, z):
         raise ValueError("drift argument must be finite")
     a = np.abs(z)
     if spec.family == "log_linear":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(a > 0.0, spec.scale * z * np.log(np.where(a > 0.0, a, 1.0)), 0.0)
+        # log|z| and then b(z) in place of |z| where z != 0; b(0) keeps
+        # the +0.0 of |z|, also at z = -0.0
+        nonzero = a > 0.0
+        out = np.asarray(a)  # an array also for a scalar z
+        np.log(out, out=out, where=nonzero)
+        np.multiply(spec.scale * z, out, out=out, where=nonzero)
     elif spec.family == "log_power":
         out = spec.scale * z * np.log1p(a) ** spec.exponent
     elif spec.family == "linear":

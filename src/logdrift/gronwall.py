@@ -28,8 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import beta as beta_fn, betainc
 
-from .fields import (DIRECT_CONVOLUTION_MAX_LAGS, fft_lag_product,
-                     lag_convolver, log_plus)
+from .fields import fft_lag_product, lag_convolver, log_plus
 
 MAX_PICARD_ITERATIONS = 10_000
 PICARD_TOL = 1e-10
@@ -37,6 +36,9 @@ OSGOOD_TAIL_RATIO = 0.75
 # rows x grid points x 8 B of one lockstep batch: a default corpus (100
 # problems on the refined grid, K = 512) marches as one batch
 _LOCKSTEP_BYTES = 1 << 20
+# the most steps of one Picard-solved piece, which also spans at most a
+# quarter of the grid: fewer passes settle a shorter piece
+_PIECE_STEPS = 512
 
 
 class OracleConvergenceError(RuntimeError):
@@ -167,14 +169,17 @@ def volterra_oracle(problems: GronwallProblem | Sequence[GronwallProblem],
     (wr[K+1] = 0), its spurious node-0 term wr[k+1] phi_0 moved into the
     forcing. The system is lower triangular, so the oracle marches forward
     (after Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6,
-    1985): a span of at most fields.DIRECT_CONVOLUTION_MAX_LAGS steps is one
-    piece, solved by Picard iteration. The singular terms of its finished
-    first node join the forcing, and its other nodes go through the blocked,
-    causal direct branch of fields.lag_convolver, built once per call and
-    kernel. A longer span marches its first half, adds that half's singular
-    history to the second through fields.fft_lag_product, one call per alpha
-    over its rows, whose rounding thus falls only on nodes after its
-    sources, then marches the second half.
+    1985): a span of at most a quarter of the grid's K steps, and at most
+    _PIECE_STEPS, is one piece, solved by Picard iteration. The singular
+    terms of its finished first node join the forcing, and its other nodes
+    go through the blocked, causal direct branch of fields.lag_convolver,
+    built once per call and kernel on a piece's lags. A longer span marches
+    its first half, adds that half's singular history to the second through
+    fields.fft_lag_product, one call per alpha over its rows, whose rounding
+    thus falls only on nodes after its sources, then marches the second
+    half. A piece [a, b] with a >= b - a starts its passes from the odd
+    reflection of the finished history, 2 f[a] - f[a - j]; the others, and
+    a row whose reflection is not finite, start from the constant f[a].
 
     problems is one GronwallProblem, whose oracle comes back as a 1-D
     array, or a nonempty sequence of them on one grid_dt, solved in lockstep
@@ -188,13 +193,25 @@ def volterra_oracle(problems: GronwallProblem | Sequence[GronwallProblem],
     an iterate leaves the finite range.
     """
     single, batch = _as_batch(problems)
-    ts = batch[0].times()
-    f = np.empty((len(batch), ts.size))
-    rows = _lockstep_rows(ts.size)
-    for lo in range(0, len(batch), rows):
-        _lockstep(batch[lo:lo + rows], _NONLINEARITIES[nonlinearity], ts,
-                  f[lo:lo + rows])
+    f = _oracles(batch, _NONLINEARITIES[nonlinearity], None)
     return f[0] if single else f
+
+
+def oracle_pair(problems: GronwallProblem | Sequence[GronwallProblem],
+                nonlinearity: str = "superlinear") -> tuple[np.ndarray, np.ndarray]:
+    """(volterra_oracle(problems), the oracle of the refined problems).
+
+    The refined march starts each piece's Picard passes from the coarse
+    oracle: node 2i from coarse node i, an odd node from the midpoint of its
+    two neighbours, built piece by piece. The stop rule is the same, so the
+    refined oracle is the cold one's to within the Picard tolerance, and
+    each row of a batch equals its problem's single pair bit for bit.
+    """
+    single, batch = _as_batch(problems)
+    g = _NONLINEARITIES[nonlinearity]
+    coarse = _oracles(batch, g, None)
+    fine = _oracles([prob.refined() for prob in batch], g, coarse)
+    return (coarse[0], fine[0]) if single else (coarse, fine)
 
 
 def _as_batch(problems) -> tuple[bool, list]:
@@ -214,9 +231,25 @@ def _lockstep_rows(n_points: int) -> int:
     return max(1, _LOCKSTEP_BYTES // (8 * n_points))
 
 
-def _lockstep(batch: list, g: Callable, ts: np.ndarray, f: np.ndarray) -> None:
-    """volterra_oracle of a batch on the grid ts, marched into f's rows."""
+def _oracles(batch: list, g: Callable, coarse: np.ndarray | None) -> np.ndarray:
+    """The (P, K+1) oracles of a batch, marched a lockstep batch at a time;
+    coarse, if given, holds the oracles on the halved grid's coarse nodes."""
+    ts = batch[0].times()
+    f = np.empty((len(batch), ts.size))
+    rows = _lockstep_rows(ts.size)
+    for lo in range(0, len(batch), rows):
+        _lockstep(batch[lo:lo + rows], g, ts, f[lo:lo + rows],
+                  None if coarse is None else coarse[lo:lo + rows])
+    return f
+
+
+def _lockstep(batch: list, g: Callable, ts: np.ndarray, f: np.ndarray,
+              coarse: np.ndarray | None) -> None:
+    """volterra_oracle of a batch on the grid ts, marched into f's rows,
+    each piece started from coarse if given (see oracle_pair)."""
     dt = ts[1] - ts[0]
+    # the most steps of one piece
+    span = max(1, min(_PIECE_STEPS, (ts.size - 1) // 4))
     c1 = np.array([[p.c1] for p in batch])
     c2 = np.array([[p.c2] for p in batch])
     c3 = np.array([[p.c3] for p in batch])
@@ -234,10 +267,8 @@ def _lockstep(batch: list, g: Callable, ts: np.ndarray, f: np.ndarray) -> None:
                 spurious = np.append(wr[1:], 0.0)
                 w = wl + spurious
                 spurious[0] = 0.0
-                # a piece convolves its nodes after the first: at most
-                # DIRECT_CONVOLUTION_MAX_LAGS of them
-                convolve = lag_convolver(
-                    w[:min(ts.size - 1, DIRECT_CONVOLUTION_MAX_LAGS)])
+                # a piece convolves its nodes after the first: at most span
+                convolve = lag_convolver(w[:span])
                 kernels[prob.alpha] = (w, corr1, corr0 - spurious, convolve)
             # every iterate keeps f[0] = M, so phi[0] is fixed for the call
             rhs[r] += kernels[prob.alpha][2] * (prob.c3 * prob.M)
@@ -252,9 +283,23 @@ def _lockstep(batch: list, g: Callable, ts: np.ndarray, f: np.ndarray) -> None:
         vals += k1 * x
         return vals
 
+    def start(a: int, b: int) -> np.ndarray:
+        """The first iterate of the piece [a, b], node a finished."""
+        if coarse is not None:
+            k = np.arange(a, b + 1)
+            piece = 0.5 * coarse[:, k // 2] + 0.5 * coarse[:, (k + 1) // 2]
+        elif a >= b - a:
+            piece = 2.0 * f[:, a:a + 1] - f[:, 2 * a - b:a + 1][:, ::-1]
+        else:
+            return np.repeat(f[:, a:a + 1], b - a + 1, axis=1)
+        lost = ~np.isfinite(piece).all(axis=1)
+        piece[lost] = f[lost, a:a + 1]
+        piece[:, 0] = f[:, a]
+        return piece
+
     def solve(a: int, b: int) -> None:
         rows = np.arange(len(batch))  # the rows still iterating, in order
-        piece = np.repeat(f[:, a:a + 1], b - a + 1, axis=1)
+        piece = start(a, b)
         base = rhs[:, a + 1:b + 1] + area[:, None]
         for r, alpha in singular.items():
             # the singular terms of finished nodes join the base: node a's,
@@ -314,7 +359,7 @@ def _lockstep(batch: list, g: Callable, ts: np.ndarray, f: np.ndarray) -> None:
                                      f"Picard passes (last delta {delta.max():.3e})")
 
     def march(a: int, b: int) -> None:
-        if b - a <= DIRECT_CONVOLUTION_MAX_LAGS:
+        if b - a <= span:
             return solve(a, b)
         m = (a + b) // 2
         march(a, m)
@@ -412,23 +457,21 @@ def check_domination(kind: str,
     t = 0, whose bound is always finite.
 
     problems is one GronwallProblem, whose report comes back alone, or a
-    sequence of them on one grid_dt: the batch is solved by two lockstep
-    volterra_oracle calls, coarse and refined, and the reports come back in
-    order, each equal to its problem's single check.
+    sequence of them on one grid_dt: the batch is solved by oracle_pair, in
+    lockstep, and the reports come back in order, each equal to its
+    problem's single check.
     """
     if kind not in _ORACLE_NONLINEARITY:
         raise ValueError(f"unknown bound family {kind!r}")
     single, batch = _as_batch(problems)
-    nonlin = _ORACLE_NONLINEARITY[kind]
     reports = []
     # a lockstep batch at a time, so the oracles held stay bounded
     rows = _lockstep_rows(batch[0].refined().times().size)
     for lo in range(0, len(batch), rows):
-        coarse = volterra_oracle(batch[lo:lo + rows], nonlin)
-        fine_batch = [prob.refined() for prob in batch[lo:lo + rows]]
-        for fine_prob, low, fine in zip(fine_batch, coarse,
-                                        volterra_oracle(fine_batch, nonlin)):
-            bound = _bound_series(kind, fine_prob, fine)
+        coarse, fines = oracle_pair(batch[lo:lo + rows],
+                                    _ORACLE_NONLINEARITY[kind])
+        for prob, low, fine in zip(batch[lo:lo + rows], coarse, fines):
+            bound = _bound_series(kind, prob.refined(), fine)
             defect = np.abs(low - fine[::2])
             tol = defect + 1e-7 * (1.0 + np.abs(bound[::2]))
             gap = bound[::2] - fine[::2]

@@ -248,6 +248,8 @@ def coupled_uniqueness_experiment(u0: Field, drift_spec: DriftSpec, diffusion,
     the configuration is wrong.
     """
     levels = mollifier_levels(levels)
+    if not levels:
+        raise ValueError("need at least one mollification level")
     if u0.n != grid.n_modes:
         raise ValueError("field resolution does not match the grid")
     # rows match levels until the first breach, which raises below

@@ -53,6 +53,35 @@ def test_drift_eval_anchors():
     assert drift_eval(tab, 0.5) == pytest.approx(1.0)
 
 
+def _log_linear_by_where(scale, z):
+    """The log_linear drift as two np.where passes around the log."""
+    a = np.abs(z)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(a > 0.0,
+                        scale * z * np.log(np.where(a > 0.0, a, 1.0)), 0.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, -2.5, 0.0, 1e-10, 3.0])
+def test_log_linear_drift_keeps_the_bits_of_the_where_formula(scale):
+    tiny, normal, big = 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308
+    edge = np.array([0.0, -0.0, tiny, -tiny, normal, -normal, 1.0, -1.0,
+                     math.e, 1e-300, -1e300, big, -big, 0.5, -3.7])
+    spec = DriftSpec("log_linear", scale=scale)
+    want = _log_linear_by_where(scale, edge)
+    with np.errstate(over="ignore"):
+        got = drift_eval(spec, edge)
+        scalars = [drift_eval(spec, z) for z in edge]
+    assert got.tobytes() == want.tobytes()
+    # b(+-0.0) is +0.0, as a scalar too
+    assert all(type(x) is float for x in scalars)
+    assert np.array(scalars).tobytes() == want.tobytes()
+    assert np.signbit(got[:2]).tolist() == [False, False]
+    block = np.random.default_rng(5).uniform(-40.0, 40.0, (64, 96))
+    block[::3, ::7] = 0.0
+    assert drift_eval(spec, block).tobytes() == \
+        _log_linear_by_where(scale, block).tobytes()
+
+
 def test_drift_odd_symmetry_exact():
     zs = standard_sample()
     np.testing.assert_array_equal(drift_eval(LOG_LINEAR, -zs), -drift_eval(LOG_LINEAR, zs))

@@ -16,6 +16,7 @@ from logdrift.gronwall import (
     _startup_corrections,
     check_domination,
     make_problem_corpus,
+    oracle_pair,
     osgood_classifier,
     singular_weights,
     superlinear_g,
@@ -81,7 +82,8 @@ def _dense_oracle(prob):
 @pytest.mark.parametrize("alpha", [0.25, 0.5])
 @pytest.mark.parametrize("K", [16, 512, 2048])
 def test_oracle_matches_dense_reference(K, alpha):
-    # K = 2048 marches two pieces, the second fed the first's history
+    # K = 2048 marches four pieces of 512 steps, each fed the earlier
+    # pieces' history
     prob = GronwallProblem(M=1.5, c1=0.7, c2=0.9, c3=0.8, alpha=alpha,
                            grid_dt=1.0 / K)
     got = volterra_oracle(prob, "superlinear")
@@ -108,19 +110,20 @@ def test_oracle_keeps_the_initial_value_exactly(nonlinearity, c3, grid_dt):
     assert volterra_oracle(prob, nonlinearity)[0] == M
 
 
-# sha256 of volterra_oracle(...).tobytes(); the first three are one piece,
-# the last marches eight pieces at K = 8192, their history through FFTs
+# sha256 of volterra_oracle(...).tobytes(); the first three march four
+# quarter-span pieces, the last sixteen pieces of 512 steps at K = 8192,
+# their history through FFTs
 ORACLE_DIGESTS = [
     ("superlinear", GronwallProblem(M=1.5, c1=0.8, c2=0.6, grid_dt=1.0 / 256.0),
-     "5810fb78c88ec71eb3b818dd8c1e0615a8e0804a40da3671f4824b2f35a19039"),
+     "f0ad46fffacf3b5ad8f5f0ca1ff6079630dccd151dcfa7b005de83afddf05213"),
     ("vanishing", GronwallProblem(M=0.2, c1=0.5, c2=0.7, c3=0.4, alpha=0.25,
                                   grid_dt=1.0 / 512.0),
-     "5d9dd5d0aabe38937abbf1ed80b36e09d02469142053c19bf7cecf2fb01c4126"),
+     "bfa6b5315ccb72463facbc7aa36f40fea57f3af5d3e9e7e2f4d1daca760e6ed9"),
     ("superlinear", GronwallProblem(M=1.2, c1=0.3, c2=0.4, c3=0.5, alpha=0.5,
                                     grid_dt=1.0 / 512.0),
-     "f7df01a6fafb388b770fef9d13f0ff8c629419718b18f0872ca31c90775ce142"),
+     "b72aa361811dbaebb0378e6f74478579722ce84b6948fd1336054fbd6378edeb"),
     (STABILITY_REFERENCE[1][0], STABILITY_REFERENCE[1][1].refined(),
-     "2049c1ef2ed86f99be3d4b515ade0e5f845d54166a0d7d0c7c0b869ed86da579"),
+     "53e54319911aa1ac7fdb6fe0326a4ea52907f40218c2381af86669733d437e94"),
 ]
 
 
@@ -166,6 +169,16 @@ def test_oracle_divergence_raises():
         volterra_oracle(prob, "superlinear")
 
 
+def test_oracle_overflow_edge_is_pinned():
+    # f' = 6 f log f from 5 reaches 5^{e^6}, about 2.3e294, at t = 1; at
+    # c2 = 6.5 the solution leaves the double range before t = 1
+    prob = GronwallProblem(M=5.0, c2=6.0, grid_dt=1.0 / 4096.0)
+    assert volterra_oracle(prob).max() == pytest.approx(2.2757649360694406e294,
+                                                        rel=1e-6)
+    with pytest.raises(OracleConvergenceError):
+        volterra_oracle(dataclasses.replace(prob, c2=6.5))
+
+
 def _mixed_batch(nonlinearity, grid_dt):
     """Rows with alpha 0, 1/4 and 1/2, a c3 = 0 row among c3 > 0 rows, and
     Picard pass counts that differ from row to row."""
@@ -180,7 +193,7 @@ def _mixed_batch(nonlinearity, grid_dt):
 
 @pytest.mark.parametrize("nonlinearity,grid_dt", [
     ("superlinear", 1.0 / 256.0), ("vanishing", 1.0 / 256.0),
-    # two pieces, the second fed the first's history through an FFT
+    # four pieces, each fed the earlier pieces' history through FFTs
     ("superlinear", 1.0 / 2048.0)])
 def test_lockstep_rows_equal_single_calls_bit_for_bit(nonlinearity, grid_dt,
                                                        monkeypatch):
@@ -207,6 +220,35 @@ def test_lockstep_rows_equal_single_calls_bit_for_bit(nonlinearity, grid_dt,
     # a batch of one is a (1, K + 1) array; a lone problem comes back 1-D
     assert volterra_oracle(problems[:1], nonlinearity).shape == (1, singles[0].size)
     assert singles[0].ndim == 1
+
+
+@pytest.mark.parametrize("nonlinearity,grid_dt", [
+    ("superlinear", 1.0 / 256.0), ("vanishing", 1.0 / 256.0),
+    ("superlinear", 1.0 / 1024.0)])
+def test_pair_rows_equal_single_pairs_bit_for_bit(nonlinearity, grid_dt):
+    problems = _mixed_batch(nonlinearity, grid_dt)
+    coarse, fine = oracle_pair(problems, nonlinearity)
+    assert coarse.tobytes() == volterra_oracle(problems, nonlinearity).tobytes()
+    for prob, low, high in zip(problems, coarse, fine):
+        single = oracle_pair(prob, nonlinearity)
+        assert single[0].tobytes() == low.tobytes()
+        assert single[1].tobytes() == high.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["superlinear", "vanishing", "singular"])
+def test_pair_refined_oracle_equals_a_cold_one(kind):
+    nonlinearity = gronwall._ORACLE_NONLINEARITY[kind]
+    corpus = make_problem_corpus(kind, 12, seed=7)
+    _, fine = oracle_pair(corpus, nonlinearity)
+    cold = volterra_oracle([prob.refined() for prob in corpus], nonlinearity)
+    assert np.max(np.abs(fine - cold) / cold) < 1e-9
+
+
+def test_stability_pairs_refined_oracles_equal_cold_ones():
+    for nonlinearity, prob in STABILITY_REFERENCE:
+        _, fine = oracle_pair(prob, nonlinearity)
+        cold = volterra_oracle(prob.refined(), nonlinearity)
+        assert np.max(np.abs(fine - cold) / cold) < 1e-9
 
 
 def test_lockstep_batches_split_by_bytes_keep_the_bits(monkeypatch):
@@ -312,10 +354,10 @@ def test_vanishing_bound_constants_monotone_in_time():
 
 
 def test_tripled_oracle_fails_every_domination_check(monkeypatch):
-    solve = gronwall.volterra_oracle
-    monkeypatch.setattr(gronwall, "volterra_oracle",
-                        lambda problems, nonlinearity: 3.0 * solve(problems,
-                                                                   nonlinearity))
+    solve = gronwall.oracle_pair
+    monkeypatch.setattr(gronwall, "oracle_pair",
+                        lambda problems, nonlinearity: tuple(
+                            3.0 * f for f in solve(problems, nonlinearity)))
     for kind in ("superlinear", "vanishing", "singular"):
         reports = check_domination(kind, make_problem_corpus(kind, 12, seed=7))
         assert not any(rep.passed for rep in reports), kind
@@ -344,7 +386,7 @@ def test_overflowing_bound_dominates_with_finite_margins():
 
 def test_domination_rejects_an_unknown_family_before_solving(monkeypatch):
     calls = []
-    monkeypatch.setattr(gronwall, "volterra_oracle",
+    monkeypatch.setattr(gronwall, "_lockstep",
                         lambda *args: calls.append(args))
     with pytest.raises(ValueError, match="unknown bound family 'bogus'"):
         check_domination("bogus", make_problem_corpus("singular", 3, seed=0))

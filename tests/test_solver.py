@@ -316,6 +316,14 @@ def test_uniqueness_experiment_plateau_identity():
     assert res["sup_diffs"][0] < 1e-12
 
 
+def test_uniqueness_experiment_needs_a_level():
+    g = Grid(n_modes=8, T=0.5, n_steps=64)
+    u0 = Field.random_l2(8, norm=1.0, seed=3)
+    with pytest.raises(ValueError, match="need at least one mollification level"):
+        coupled_uniqueness_experiment(u0, CRITICAL, BOUNDED, g, seed=11,
+                                      levels=())
+
+
 def test_uniqueness_sweep_matches_separate_level_solves():
     # criterion 10's configuration, each level solved as its own path and
     # the consecutive levels compared pairwise
