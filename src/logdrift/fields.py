@@ -15,8 +15,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
 
-# the most lags of lag_convolver's blocked direct product, and the oracle's
-# piece size; longer products go through fft_lag_product
+# the most lags of lag_convolver's blocked direct product; longer products
+# go through fft_lag_product
 DIRECT_CONVOLUTION_MAX_LAGS = 1024
 # points per block of the direct product: with scipy-openblas 0.3.31 a row of
 # X[:M] @ D keeps its bits for every M >= 2 at an inner dimension of 64, 128

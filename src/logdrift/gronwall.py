@@ -9,8 +9,10 @@ with constant coefficients:
 where g is either the superlinear x log_+ x or the vanishing-data
 x log_+(1/x). An independent oracle marches the maximal solution of the
 corresponding integral EQUALITY forward in Picard-solved pieces (product
-integration for the weakly singular kernel), and each closed-form bound is
-then a machine-checkable domination statement against that oracle. For
+integration for the weakly singular kernel), each started from the
+reflection of the finished history or, on a refined grid, from the coarse
+oracle, and each closed-form bound is then a machine-checkable domination
+statement against that oracle. For
 x log_+ x one Bihari bound, built from (c1, c2, c3, alpha) alone, covers
 the regular and the singular problems; it never reads the oracle.
 
@@ -248,7 +250,6 @@ def _lockstep(batch: list, g: Callable, ts: np.ndarray, f: np.ndarray,
     """volterra_oracle of a batch on the grid ts, marched into f's rows,
     each piece started from coarse if given (see oracle_pair)."""
     dt = ts[1] - ts[0]
-    # the most steps of one piece
     span = max(1, min(_PIECE_STEPS, (ts.size - 1) // 4))
     c1 = np.array([[p.c1] for p in batch])
     c2 = np.array([[p.c2] for p in batch])
