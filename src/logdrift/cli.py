@@ -196,9 +196,6 @@ def _inputs(cfg: dict) -> _Inputs:
     if cfg["master_seed"] < 0:
         # noise seeds are nonnegative integers
         raise ConfigError("master_seed must be >= 0")
-    if cfg["threshold"] <= 0.0:
-        # every norm would exceed it, so each path "blows up" at step 1
-        raise ConfigError("threshold must be > 0")
     scenario = cfg["scenario"]
     try:
         grid = Grid(n_modes=cfg["grid.n_modes"], T=cfg["grid.T"],
@@ -216,6 +213,10 @@ def _inputs(cfg: dict) -> _Inputs:
             mollifier_levels(levels)
     except (ValueError, HypothesisViolation) as e:
         raise ConfigError(str(e))
+    if not cfg["threshold"] > u0.l2_norm():
+        # the data's norm would exceed it, so each path "blows up" at step 1
+        raise ConfigError(f"threshold must be > 0 and > u0's L2 norm "
+                          f"{u0.l2_norm():.6g}")
     positive = []
     for key in ("lambdas", "epsilons"):
         values = _parse_list(cfg[key], float, key)

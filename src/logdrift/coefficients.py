@@ -288,14 +288,21 @@ MAX_MOLLIFIER_LEVEL = 1024
 
 def mollifier_levels(levels: Sequence[int]) -> list[int]:
     """The levels as a list of ints, checked to lie in [1,
-    MAX_MOLLIFIER_LEVEL] and to be strictly increasing, as level sweeps over
-    mollified drifts need them."""
+    MAX_MOLLIFIER_LEVEL], to be strictly increasing and to sum to at most
+    2 MAX_MOLLIFIER_LEVEL, as level sweeps over mollified drifts need them."""
     levels = [int(n) for n in levels]
     if any(not 1 <= n <= MAX_MOLLIFIER_LEVEL for n in levels):
         raise ValueError("mollification levels must be >= 1 and <= "
                          f"{MAX_MOLLIFIER_LEVEL}")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
+    # a uniqueness sweep holds every level's table at once, about 12.8 KB
+    # per level unit (13.1 MB at n = 1024), so 1, 2, ..., 1024 would need
+    # about 6.7 GB; this sum keeps the tables near 26 MB and admits every
+    # dyadic ladder up to MAX_MOLLIFIER_LEVEL
+    if sum(levels) > 2 * MAX_MOLLIFIER_LEVEL:
+        raise ValueError("levels must sum to at most "
+                         f"{2 * MAX_MOLLIFIER_LEVEL}")
     return levels
 
 

@@ -11,10 +11,11 @@ x log_+(1/x). An independent oracle marches the maximal solution of the
 corresponding integral EQUALITY forward in Picard-solved pieces (product
 integration for the weakly singular kernel), each started from the
 reflection of the finished history or, on a refined grid, from the coarse
-oracle, and each closed-form bound is then a machine-checkable domination
-statement against that oracle. For
-x log_+ x one Bihari bound, built from (c1, c2, c3, alpha) alone, covers
-the regular and the singular problems; it never reads the oracle.
+oracle, the problems of a batch in lockstep, one singular kernel per
+lockstep batch. Each closed-form bound is then a machine-checkable
+domination statement against that oracle. For x log_+ x one Bihari
+bound, built from (c1, c2, c3, alpha) alone, covers the regular and the
+singular problems; it never reads the oracle.
 
 The Osgood classifier decides whether 1/b integrates at infinity for a
 positive drift b, separating drifts that admit global comparison solutions
@@ -175,19 +176,21 @@ def volterra_oracle(problems: GronwallProblem | Sequence[GronwallProblem],
     _PIECE_STEPS, is one piece, solved by Picard iteration. The singular
     terms of its finished first node join the forcing, and its other nodes
     go through the blocked, causal direct branch of fields.lag_convolver,
-    built once per call and kernel on a piece's lags. A longer span marches
+    built once per lockstep batch on a piece's lags. A longer span marches
     its first half, adds that half's singular history to the second through
-    fields.fft_lag_product, one call per alpha over its rows, whose rounding
+    one fields.fft_lag_product call over the batch's rows, whose rounding
     thus falls only on nodes after its sources, then marches the second
     half. A piece [a, b] with a >= b - a starts its passes from the odd
     reflection of the finished history, 2 f[a] - f[a - j]; the others, and
     a row whose reflection is not finite, start from the constant f[a].
 
     problems is one GronwallProblem, whose oracle comes back as a 1-D
-    array, or a nonempty sequence of them on one grid_dt, solved in lockstep
-    as the rows of one (P, K+1) array: each row leaves the Picard passes of
-    a piece at the pass where its own delta settles, and the iterating rows
-    of one alpha share one lag_convolver call per pass, in which each row
+    array, or a nonempty sequence of them on one grid_dt. The sequence is
+    grouped by singular kernel (its alpha where c3 > 0, none otherwise),
+    each group solved in lockstep as the rows of one array, and the rows
+    come back in order as one (P, K+1) array: each row leaves the Picard
+    passes of a piece at the pass where its own delta settles, and the
+    iterating rows share one lag_convolver call per pass, in which each row
     keeps its lone call's bits; so every row equals its problem's single
     call bit for bit.
     Raises OracleConvergenceError if a piece's successive iterates are not
@@ -234,21 +237,31 @@ def _lockstep_rows(n_points: int) -> int:
 
 
 def _oracles(batch: list, g: Callable, coarse: np.ndarray | None) -> np.ndarray:
-    """The (P, K+1) oracles of a batch, marched a lockstep batch at a time;
-    coarse, if given, holds the oracles on the halved grid's coarse nodes."""
+    """The (P, K+1) oracles of a batch, marched a lockstep batch of one
+    singular kernel at a time and scattered back in order; coarse, if given,
+    holds the oracles on the halved grid's coarse nodes."""
     ts = batch[0].times()
     f = np.empty((len(batch), ts.size))
     rows = _lockstep_rows(ts.size)
-    for lo in range(0, len(batch), rows):
-        _lockstep(batch[lo:lo + rows], g, ts, f[lo:lo + rows],
-                  None if coarse is None else coarse[lo:lo + rows])
+    # the singular kernel's alpha, or None for the rows without one
+    groups = {}
+    for r, prob in enumerate(batch):
+        groups.setdefault(prob.alpha if prob.c3 > 0 else None, []).append(r)
+    for alpha, members in groups.items():
+        for lo in range(0, len(members), rows):
+            idx = members[lo:lo + rows]
+            part = np.empty((len(idx), ts.size))
+            _lockstep([batch[r] for r in idx], alpha, g, ts, part,
+                      None if coarse is None else coarse[idx])
+            f[idx] = part
     return f
 
 
-def _lockstep(batch: list, g: Callable, ts: np.ndarray, f: np.ndarray,
-              coarse: np.ndarray | None) -> None:
+def _lockstep(batch: list, alpha: float | None, g: Callable, ts: np.ndarray,
+              f: np.ndarray, coarse: np.ndarray | None) -> None:
     """volterra_oracle of a batch on the grid ts, marched into f's rows,
-    each piece started from coarse if given (see oracle_pair)."""
+    each piece started from coarse if given (see oracle_pair). alpha is
+    the singularity of every row's kernel, or None if no row has c3 > 0."""
     dt = ts[1] - ts[0]
     span = max(1, min(_PIECE_STEPS, (ts.size - 1) // 4))
     c1 = np.array([[p.c1] for p in batch])
@@ -256,24 +269,16 @@ def _lockstep(batch: list, g: Callable, ts: np.ndarray, f: np.ndarray,
     c3 = np.array([[p.c3] for p in batch])
     f[:] = np.array([[p.M] for p in batch])
     rhs = f.copy()  # forcing plus the singular history of finished pieces
-    # alpha -> (merged kernel w, corr1, node-0 weights, w's convolver)
-    kernels = {}
-    singular = {}   # row -> alpha, for the rows with c3 > 0
-    for r, prob in enumerate(batch):
-        if prob.c3 > 0:
-            if prob.alpha not in kernels:
-                wl, wr = singular_weights(ts.size - 1, prob.alpha, dt)
-                corr0, corr1 = _startup_corrections(ts.size - 1, prob.alpha,
-                                                    dt, wl, wr)
-                spurious = np.append(wr[1:], 0.0)
-                w = wl + spurious
-                spurious[0] = 0.0
-                # a piece convolves its nodes after the first: at most span
-                convolve = lag_convolver(w[:span])
-                kernels[prob.alpha] = (w, corr1, corr0 - spurious, convolve)
-            # every iterate keeps f[0] = M, so phi[0] is fixed for the call
-            rhs[r] += kernels[prob.alpha][2] * (prob.c3 * prob.M)
-            singular[r] = prob.alpha
+    if alpha is not None:
+        wl, wr = singular_weights(ts.size - 1, alpha, dt)
+        corr0, corr1 = _startup_corrections(ts.size - 1, alpha, dt, wl, wr)
+        spurious = np.append(wr[1:], 0.0)
+        w = wl + spurious
+        spurious[0] = 0.0
+        # a piece convolves its nodes after the first: at most span
+        convolve = lag_convolver(w[:span])
+        # every iterate keeps f[0] = M, so phi[0] is fixed for the call
+        rhs += (corr0 - spurious) * (c3 * f[:, :1])
     # trapezoid integral of c1 f + c2 g(f) up to each row's finished node
     area = np.zeros(len(batch))
 
@@ -302,29 +307,13 @@ def _lockstep(batch: list, g: Callable, ts: np.ndarray, f: np.ndarray,
         rows = np.arange(len(batch))  # the rows still iterating, in order
         piece = start(a, b)
         base = rhs[:, a + 1:b + 1] + area[:, None]
-        for r, alpha in singular.items():
+        k1, k2, k3 = c1, c2, c3  # (rows, 1) columns, narrowed as rows settle
+        if alpha is not None:
             # the singular terms of finished nodes join the base: node a's,
             # and after the first piece node 1's startup correction
-            w, corr1 = kernels[alpha][:2]
-            base[r] += w[1:b - a + 1] * (c3[r, 0] * f[r, a])
+            base += w[1:b - a + 1] * (c3 * f[:, a:a + 1])
             if a > 0:
-                base[r] += corr1[a + 1:b + 1] * (c3[r, 0] * f[r, 1])
-        k1, k2 = c1, c2  # (rows, 1) columns, narrowed as rows settle
-
-        def singular_groups():
-            """(positions in rows, their c3 column, convolver, node-1
-            startup corrections) per alpha of the iterating singular rows."""
-            by_alpha = {}
-            for i, r in enumerate(rows.tolist()):
-                if r in singular:
-                    by_alpha.setdefault(singular[r], []).append(i)
-            groups = []
-            for alpha, idx in by_alpha.items():
-                _, corr1, _, convolve = kernels[alpha]
-                groups.append((idx, c3[rows[idx]], convolve, corr1[1:b + 1]))
-            return groups
-
-        groups = singular_groups()
+                base += corr1[a + 1:b + 1] * (c3 * f[:, 1:2])
         for _ in range(MAX_PICARD_ITERATIONS):
             vals = integrand(piece, k1, k2)
             # base plus _cumtrapz(vals)[:, 1:]
@@ -332,12 +321,12 @@ def _lockstep(batch: list, g: Callable, ts: np.ndarray, f: np.ndarray,
             fn *= 0.5 * dt
             fn.cumsum(axis=1, out=fn)
             fn += base
-            for idx, k3, convolve, corr1 in groups:
-                terms = convolve(k3 * piece[idx, 1:])
+            if alpha is not None:
+                terms = convolve(k3 * piece[:, 1:])
                 if a == 0:
                     # node 1 is still iterating in the first piece
-                    terms += corr1 * (k3 * piece[idx, 1:2])
-                fn[idx] += terms
+                    terms += corr1[1:b + 1] * (k3 * piece[:, 1:2])
+                fn += terms
             if not np.isfinite(fn).all():
                 raise OracleConvergenceError("Picard iterate left the finite range")
             diff = fn - piece[:, 1:]
@@ -354,8 +343,7 @@ def _lockstep(batch: list, g: Callable, ts: np.ndarray, f: np.ndarray,
                     return
                 left = ~done
                 rows, piece, base = rows[left], piece[left], base[left]
-                k1, k2 = k1[left], k2[left]
-                groups = singular_groups()
+                k1, k2, k3 = k1[left], k2[left], k3[left]
         raise OracleConvergenceError(f"no convergence within {MAX_PICARD_ITERATIONS} "
                                      f"Picard passes (last delta {delta.max():.3e})")
 
@@ -364,12 +352,10 @@ def _lockstep(batch: list, g: Callable, ts: np.ndarray, f: np.ndarray,
             return solve(a, b)
         m = (a + b) // 2
         march(a, m)
-        # the sources a..m-1 reach the nodes m+1..b at lags 2..b-a
-        for alpha, kernel in kernels.items():
-            rows = [r for r in singular if singular[r] == alpha]
-            rhs[rows, m + 1:b + 1] += fft_lag_product(
-                c3[rows] * f[rows, a:m], kernel[0][:b - a + 1], m + 1 - a,
-                b + 1 - a)
+        if alpha is not None:
+            # the sources a..m-1 reach the nodes m+1..b at lags 2..b-a
+            rhs[:, m + 1:b + 1] += fft_lag_product(
+                c3 * f[:, a:m], w[:b - a + 1], m + 1 - a, b + 1 - a)
         march(m, b)
 
     with np.errstate(over="ignore", invalid="ignore"):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from logdrift import cli
+from logdrift import cli, coefficients
 from logdrift.cli import (
     ConfigError,
     list_scenarios,
@@ -284,7 +284,12 @@ def test_contract_failure_exits_1_and_names_assertion(tmp_path, capsys):
     # infinite standard error would pass the 3-SE rule vacuously
     + [("isometry", ["grid.T=1e300", "ensemble=30"], 1,
         "FAIL isometry: a second-moment estimate or its standard error is "
-        "not finite")])
+        "not finite")]
+    # a threshold below the data's norm 50 made every path breach at step 1,
+    # a blow-up fraction of 1 with the noise on or off
+    + [("blowup-phase", ["threshold=49"] + noise, 2,
+        "threshold must be > 0 and > u0's L2 norm 50")
+       for noise in ([], ["diffusion.d1=0", "diffusion.d2=0"])])
 def test_scenario_limits_hold_for_accepted_configs(tmp_path, capsys, scenario,
                                                    lines, code, message):
     cfgfile = tmp_path / "c.cfg"
@@ -310,6 +315,26 @@ def test_tolerances_are_not_config_keys(tmp_path, capsys, key):
     assert cli.main(["--scenario", "kernel-estimates", "--config",
                      str(cfgfile), "--output-dir", str(out)]) == 2
     assert "unknown config key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario", ["moments", "uniqueness"])
+def test_a_level_sweep_too_large_to_hold_exits_before_a_table(
+        tmp_path, capsys, monkeypatch, scenario):
+    # every level of 1, 2, ..., 1024 is accepted alone, but their tables
+    # together would need about 6.7 GB
+    def build(*args):
+        raise AssertionError("a level table was built")
+
+    monkeypatch.setattr(coefficients.MollifiedDrift, "__init__", build)
+    cfgfile = tmp_path / "c.cfg"
+    levels = ",".join(str(n) for n in range(1, MAX_MOLLIFIER_LEVEL + 1))
+    cfgfile.write_text(f"levels={levels}\n")
+    out = tmp_path / "run"
+    assert cli.main(["--scenario", scenario, "--config", str(cfgfile),
+                     "--output-dir", str(out)]) == 2
+    assert (f"levels must sum to at most {2 * MAX_MOLLIFIER_LEVEL}"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -570,6 +570,11 @@ def test_mollifier_params_validation():
     with pytest.raises(ValueError):
         mollifier_levels([4, MAX_MOLLIFIER_LEVEL + 1])
     assert mollifier_levels([1, MAX_MOLLIFIER_LEVEL])[-1] == MAX_MOLLIFIER_LEVEL
+    # every dyadic ladder up to the largest level, but not every level
+    ladder = [2 ** k for k in range(MAX_MOLLIFIER_LEVEL.bit_length())]
+    assert mollifier_levels(ladder) == ladder
+    with pytest.raises(ValueError, match="levels must sum to at most"):
+        mollifier_levels(range(1, MAX_MOLLIFIER_LEVEL + 1))
 
 
 def test_sigma_families():

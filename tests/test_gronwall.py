@@ -255,10 +255,22 @@ def test_lockstep_batches_split_by_bytes_keep_the_bits(monkeypatch):
     problems = _mixed_batch("superlinear", 1.0 / 256.0)
     whole = volterra_oracle(problems)
     reports = check_domination("singular", problems)
-    # three rows of 257 points per lockstep batch: the six rows take two
+    # twelve rows whose kernels interleave: alpha = 1/4 and c3 = 0 hold
+    # four rows each, alpha = 0 and alpha = 1/2 two each
+    twelve = problems + [dataclasses.replace(p, M=p.M + 0.5) for p in problems]
+    pairs = [oracle_pair(p) for p in twelve]
+    # three rows of 257 points per lockstep batch, one of 513
     monkeypatch.setattr(gronwall, "_LOCKSTEP_BYTES", 3 * 257 * 8)
     assert volterra_oracle(problems).tobytes() == whole.tobytes()
     assert check_domination("singular", problems) == reports
+    # three coarse rows of 257 points or two refined rows of 513 per
+    # lockstep batch: a kernel's four rows take two batches on either grid,
+    # and its coarse rows start its refined ones
+    monkeypatch.setattr(gronwall, "_LOCKSTEP_BYTES", 2 * 513 * 8)
+    coarse, fine = oracle_pair(twelve)
+    for (low, high), row_low, row_high in zip(pairs, coarse, fine):
+        assert row_low.tobytes() == low.tobytes()
+        assert row_high.tobytes() == high.tobytes()
 
 
 def test_lockstep_domination_reports_equal_single_checks():
