@@ -213,10 +213,11 @@ def _inputs(cfg: dict) -> _Inputs:
             mollifier_levels(levels)
     except (ValueError, HypothesisViolation) as e:
         raise ConfigError(str(e))
-    if not cfg["threshold"] > u0.l2_norm():
+    norm = u0.l2_norm()
+    if not cfg["threshold"] > norm:
         # the data's norm would exceed it, so each path "blows up" at step 1
-        raise ConfigError(f"threshold must be > 0 and > u0's L2 norm "
-                          f"{u0.l2_norm():.6g}")
+        raise ConfigError("threshold must be > 0 and > u0's L2 norm "
+                          f"{norm:.6g}")
     positive = []
     for key in ("lambdas", "epsilons"):
         values = _parse_list(cfg[key], float, key)
