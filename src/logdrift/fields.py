@@ -12,8 +12,8 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import irfft, next_fast_len, rfft
 
 # the most lags of lag_convolver's blocked direct product; longer products
 # go through fft_lag_product
@@ -74,9 +74,23 @@ def fft_lag_product(x: np.ndarray, w: np.ndarray, start: int,
     irfft(rfft(x, S) * rfft(w, S)) at the smallest fast size S whose
     wrap-around lands below start. Its rounding is not causal: every entry
     carries error of order eps * max|x| * max|w|."""
-    size = next_fast_len(max(stop, x.shape[-1] + w.shape[-1] - 1 - start),
-                         True)
+    size = _fast_length(max(stop, x.shape[-1] + w.shape[-1] - 1 - start))
     return irfft(rfft(x, size) * rfft(w, size), size)[..., start:stop]
+
+
+def _fast_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, for n >= 1: the real-transform size
+    that scipy.fft.next_fast_len(n, True) returns."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power of two times p35 at or above n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _toeplitz_product(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:

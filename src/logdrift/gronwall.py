@@ -111,13 +111,25 @@ def singular_weights(n_steps: int, alpha: float, dt: float) -> tuple[np.ndarray,
     interval at lag m = k - l >= 1; at alpha = 0 both reduce to dt/2
     (trapezoid), which anchors the convention.
     """
-    m = np.arange(0, n_steps + 1, dtype=float)
-    a = np.maximum(m - 1.0, 0.0) * dt
-    b = m * dt
-    m0 = (b ** (1.0 - alpha) - a ** (1.0 - alpha)) / (1.0 - alpha)
-    m1 = b * m0 - (b ** (2.0 - alpha) - a ** (2.0 - alpha)) / (2.0 - alpha)
-    wl = m0 - m1 / dt
-    wr = m1 / dt
+    # in place, each (n_steps+1,) array built in the order of
+    # m0 = (b^(1-alpha) - a^(1-alpha)) / (1-alpha),
+    # m1 = b m0 - (b^(2-alpha) - a^(2-alpha)) / (2-alpha),
+    # wr = m1 / dt and wl = m0 - wr
+    b = np.arange(0, n_steps + 1, dtype=float)
+    a = b - 1.0
+    np.maximum(a, 0.0, out=a)
+    a *= dt
+    b *= dt
+    wl = b ** (1.0 - alpha)
+    wl -= a ** (1.0 - alpha)
+    wl /= 1.0 - alpha
+    wr = b ** (2.0 - alpha)
+    wr -= a ** (2.0 - alpha)
+    wr /= 2.0 - alpha
+    b *= wl
+    np.subtract(b, wr, out=wr)
+    wr /= dt
+    wl -= wr
     wl[0] = wr[0] = 0.0
     return wl, wr
 
@@ -133,23 +145,35 @@ def _startup_corrections(n_steps: int, alpha: float, dt: float,
     nu_k = int_0^dt (t_k - s)^{-alpha} s^{1-alpha} ds
          = t_k^{2-2 alpha} B(2-alpha, 1-alpha) I_{dt/t_k}(2-alpha, 1-alpha),
     with I the regularized incomplete beta. Returns additive corrections to
-    the node-0 and node-1 weights of each row k >= 1; identically zero when
-    alpha = 0.
+    the node-0 and node-1 weights of each row k >= 1, two separate arrays;
+    identically zero when alpha = 0.
     """
     if alpha == 0.0:
-        z = np.zeros(n_steps + 1)
-        return z, z
-    k = np.arange(n_steps + 1, dtype=float)
-    tk = k * dt
-    nu = np.zeros(n_steps + 1)
-    x = np.clip(dt / np.maximum(tk[1:], dt), 0.0, 1.0)
-    nu[1:] = tk[1:] ** (2.0 - 2.0 * alpha) * float(beta_fn(2.0 - alpha, 1.0 - alpha)) \
-        * betainc(2.0 - alpha, 1.0 - alpha, x)
-    m0_first = np.zeros(n_steps + 1)
-    m0_first[1:] = (tk[1:] ** (1.0 - alpha) - (tk[1:] - dt) ** (1.0 - alpha)) / (1.0 - alpha)
-    scale = nu / dt ** (1.0 - alpha)
-    corr0 = (m0_first - scale) - wl
-    corr1 = scale - wr
+        return np.zeros(n_steps + 1), np.zeros(n_steps + 1)
+    # in place, each (n_steps+1,) array built in the order of
+    # scale = t_k^(2-2 alpha) B(2-alpha, 1-alpha) I_x(2-alpha, 1-alpha)
+    #         / dt^(1-alpha) = nu_k / dt^(1-alpha),
+    # corr0 = (m0_first - scale) - wl and corr1 = scale - wr
+    tk = np.arange(n_steps + 1, dtype=float)
+    tk *= dt
+    t = tk[1:]
+    x = np.maximum(t, dt)
+    np.divide(dt, x, out=x)
+    np.clip(x, 0.0, 1.0, out=x)
+    corr1 = np.zeros(n_steps + 1)
+    corr1[1:] = t ** (2.0 - 2.0 * alpha)
+    corr1[1:] *= float(beta_fn(2.0 - alpha, 1.0 - alpha))
+    corr1[1:] *= betainc(2.0 - alpha, 1.0 - alpha, x, out=x)
+    corr1 /= dt ** (1.0 - alpha)
+    # m0_first, the kernel's moment over the first interval, then corr0
+    corr0 = np.zeros(n_steps + 1)
+    corr0[1:] = t ** (1.0 - alpha)
+    t -= dt
+    corr0[1:] -= t ** (1.0 - alpha)
+    corr0[1:] /= 1.0 - alpha
+    corr0 -= corr1
+    corr0 -= wl
+    corr1 -= wr
     corr0[0] = corr1[0] = 0.0
     return corr0, corr1
 
@@ -278,7 +302,10 @@ def _lockstep(batch: list, alpha: float | None, g: Callable, ts: np.ndarray,
         # a piece convolves its nodes after the first: at most span
         convolve = lag_convolver(w[:span])
         # every iterate keeps f[0] = M, so phi[0] is fixed for the call
-        rhs += (corr0 - spurious) * (c3 * f[:, :1])
+        corr0 -= spurious
+        rhs += corr0 * (c3 * f[:, :1])
+        # the march reads w and corr1 only
+        del wl, wr, corr0, spurious
     # trapezoid integral of c1 f + c2 g(f) up to each row's finished node
     area = np.zeros(len(batch))
 

@@ -22,7 +22,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import rfft
+from numpy.fft import rfft
 from scipy.special import polygamma
 
 from .fields import (Field, coeffs_to_values, log_plus, simpson_weights,

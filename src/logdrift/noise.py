@@ -215,8 +215,11 @@ def ito_isometry_convergence_check(f_sequence, f_limit, realization_count: int,
     Integrands are modal coefficient arrays of shape (n_steps, n_modes),
     piecewise constant in time. Realizations are coupled (common noise per
     path index) so the decrease along the sequence is not masked by Monte
-    Carlo noise.
+    Carlo noise. Needs at least two realizations, so that the standard
+    error is an estimate.
     """
+    if realization_count < 2:
+        raise ValueError("need at least two realizations")
     f_limit = np.asarray(f_limit, dtype=float)
     if f_limit.ndim != 2 or not np.all(np.isfinite(f_limit)):
         raise ValueError("integrands must be finite (n_steps, n_modes) arrays")

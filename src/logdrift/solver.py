@@ -265,10 +265,14 @@ def coupled_uniqueness_experiment(u0: Field, drift_spec: DriftSpec, diffusion,
             f"mollified level n={levels[i]} blew up at "
             f"t={float(grid.times()[blow_steps[i]])}; "
             "critical drifts should stay bounded in this experiment")
-    d = states[:, 1:] - states[:, :-1]
-    sup_diffs = np.max(np.sqrt(np.sum(d * d, axis=2)), axis=0)
+    sup_diffs = []
+    # one consecutive pair's (steps, N) difference at a time, squared in place
+    for i in range(len(levels) - 1):
+        d = states[:, i + 1] - states[:, i]
+        d *= d
+        sup_diffs.append(float(np.max(np.sqrt(np.sum(d, axis=1)))))
     return {"levels": levels, "pairs": list(zip(levels, levels[1:])),
-            "sup_diffs": [float(x) for x in sup_diffs]}
+            "sup_diffs": sup_diffs}
 
 
 def factorization_check(alpha: float, grid: Grid, noise: NoiseRealization) -> float:
@@ -283,6 +287,7 @@ def factorization_check(alpha: float, grid: Grid, noise: NoiseRealization) -> fl
     """
     if not 0.0 < alpha < MAX_FACTORIZATION_ALPHA:
         raise ValueError("alpha must lie in (0, 1/4)")
+    _check_noise(grid, noise)
     N, K, dt = grid.n_modes, grid.n_steps, grid.dt
     gamma = _propagators(N, dt)[1]
     GS = gamma * noise.increments[:N].T  # (K, N); sigma == 1 needs no transform

@@ -2,12 +2,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 from logdrift.fields import (
     _BLOCK,
     DIRECT_CONVOLUTION_MAX_LAGS,
     Field,
+    _fast_length,
     coeffs_to_values,
     fft_lag_product,
     lag_convolver,
@@ -104,6 +106,15 @@ def test_lag_convolver_fft_path_matches_scipy_signal_bit_for_bit(size):
     got = fft_lag_product(x, w, 0, size)
     assert got.shape == ref.shape
     np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def test_fast_length_is_scipys_real_transform_size():
+    # fft_lag_product's transform sizes, and with them its bits, are those
+    # of scipy.signal.fftconvolve's real transforms
+    n = np.arange(1, 70_000)
+    got = np.array([_fast_length(int(k)) for k in n])
+    want = np.array([next_fast_len(int(k), True) for k in n])
+    np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("size", [16, 1000, 2049])

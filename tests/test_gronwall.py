@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -448,3 +452,31 @@ def test_osgood_classifier_validation():
         # NaN compares False against both guards; unchecked, the shells never end
         with pytest.raises(ValueError, match="z0 must be finite and positive"):
             osgood_classifier(lambda z: z, z0)
+
+
+# how far one oracle_pair of the alpha = 1/2 stability problem (65,537
+# nodes on its refined grid) may leave the resident set above where it
+# found it: the march frees its arrays on return, and numpy's real FFTs
+# keep no plan cache (scipy.fft's left about 11 MB here)
+STABILITY_PAIR_RSS_GROWTH_MB = 4.0
+PAIR_RSS_CHILD = (
+    "from logdrift.gronwall import STABILITY_REFERENCE, oracle_pair\n"
+    "def rss():\n"
+    "    status = open('/proc/self/status').read().split()\n"
+    "    return int(status[status.index('VmRSS:') + 1]) / 1024.0\n"
+    "kind, prob = STABILITY_REFERENCE[2]\n"
+    "before = rss()\n"
+    "oracle_pair(prob, kind)\n"
+    "print(rss() - before)\n")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="the child reads its resident set from /proc")
+def test_stability_pair_leaves_little_resident_memory():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", PAIR_RSS_CHILD], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    assert float(child.stdout) < STABILITY_PAIR_RSS_GROWTH_MB
