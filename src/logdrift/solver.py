@@ -266,7 +266,8 @@ def coupled_uniqueness_experiment(u0: Field, drift_spec: DriftSpec, diffusion,
             f"t={float(grid.times()[blow_steps[i]])}; "
             "critical drifts should stay bounded in this experiment")
     sup_diffs = []
-    # one consecutive pair's (steps, N) difference at a time, squared in place
+    # a consecutive pair's (steps, N) difference at a time, squared in
+    # place, so no (steps, pairs, N) temporary is held
     for i in range(len(levels) - 1):
         d = states[:, i + 1] - states[:, i]
         d *= d

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import beta as beta_fn, betainc
 
 from logdrift import gronwall
 from logdrift.gronwall import (
@@ -53,6 +54,43 @@ def test_singular_weights_reduce_to_trapezoid_at_alpha_zero():
     assert np.allclose(wl[1:], 0.125)
     assert np.allclose(wr[1:], 0.125)
     assert wl[0] == wr[0] == 0.0
+
+
+@pytest.mark.parametrize("K", [1, 7, 4096])
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0 / 3.0, 0.5])
+def test_kernel_weights_keep_the_bits_of_the_expression_form(K, alpha):
+    # the weights and corrections are built in place, in the order of these
+    # expressions, so each array keeps their bits
+    dt = np.linspace(0.0, 1.0, K + 1)[1]
+    m = np.arange(0, K + 1, dtype=float)
+    a = np.maximum(m - 1.0, 0.0) * dt
+    b = m * dt
+    m0 = (b ** (1.0 - alpha) - a ** (1.0 - alpha)) / (1.0 - alpha)
+    m1 = b * m0 - (b ** (2.0 - alpha) - a ** (2.0 - alpha)) / (2.0 - alpha)
+    want_wl, want_wr = m0 - m1 / dt, m1 / dt
+    want_wl[0] = want_wr[0] = 0.0
+    tk = m * dt
+    nu = np.zeros(K + 1)
+    x = np.clip(dt / np.maximum(tk[1:], dt), 0.0, 1.0)
+    nu[1:] = (tk[1:] ** (2.0 - 2.0 * alpha)
+              * float(beta_fn(2.0 - alpha, 1.0 - alpha))
+              * betainc(2.0 - alpha, 1.0 - alpha, x))
+    m0_first = np.zeros(K + 1)
+    m0_first[1:] = (tk[1:] ** (1.0 - alpha)
+                    - (tk[1:] - dt) ** (1.0 - alpha)) / (1.0 - alpha)
+    scale = nu / dt ** (1.0 - alpha)
+    want_corr0, want_corr1 = (m0_first - scale) - want_wl, scale - want_wr
+    want_corr0[0] = want_corr1[0] = 0.0
+    wl, wr = singular_weights(K, alpha, dt)
+    corr0, corr1 = _startup_corrections(K, alpha, dt, wl, wr)
+    if alpha == 0.0:
+        want_corr0 = want_corr1 = np.zeros(K + 1)
+        # the caller updates corr0 in place, so it must not be corr1
+        assert corr0 is not corr1
+    for got, want in ((wl, want_wl), (wr, want_wr), (corr0, want_corr0),
+                      (corr1, want_corr1)):
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
 
 
 def _dense_oracle(prob):
