@@ -388,7 +388,9 @@ class MollifiedDrift:
 
 def stack_levels(drifts: Sequence[MollifiedDrift]) -> Callable:
     """One lookup for several mollified drifts: the callable maps (rows, N)
-    values to (min(rows, levels), N), row i by drifts[i], bit for bit.
+    values, rows <= levels, to (rows, N), row i by drifts[i], bit for bit.
+    A breach leaves a march fewer rows than levels. The march multiplies
+    through fields.rows_matmul, so no row reaches the lookup twice.
 
     The tables are joined: each level's grid (less its right end) and
     cubics follow the previous level's, and its buckets point into its own
@@ -404,7 +406,7 @@ def stack_levels(drifts: Sequence[MollifiedDrift]) -> Callable:
     first = np.cumsum([0] + [d._bucket.size for d in drifts[:-1]])
 
     def lookup(z):
-        z = np.asarray(z, dtype=float)[:edge.size]
+        z = np.asarray(z, dtype=float)
         inside = np.abs(z) <= edge[:z.shape[0], None]  # false for NaN
         row = np.nonzero(inside)[0]
         out = np.zeros(z.shape)

@@ -19,9 +19,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 # go through fft_lag_product
 DIRECT_CONVOLUTION_MAX_LAGS = 1024
 # points per block of the direct product: with scipy-openblas 0.3.31 a row of
-# X[:M] @ D keeps its bits for every M >= 2 at an inner dimension of 64, 128
-# or 256, not at 512 (tests/test_fields.py pins it at this size)
+# rows_matmul(X[:M], D) keeps its bits for every M at an inner dimension of
+# 64, 128 or 256, not at 512 (tests/test_fields.py pins it at this size)
 _BLOCK = 128
+# rows_matmul pads M's columns to a multiple of this: with scipy-openblas
+# 0.3.31 (Haswell kernels) a row of X[:m] @ M keeps its bits for every
+# m >= 2 only at such widths (not at 17, 18, 25, 33 or 60 columns, among
+# others); padding the inner dimension, or to a multiple of 4, is not enough
+_ROW_WIDTH = 8
 
 
 @lru_cache(maxsize=64)
@@ -39,6 +44,25 @@ def sine_matrix(n: int) -> np.ndarray:
     return B
 
 
+def rows_matmul(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """X @ M for a 2-D X, each row with the bits it gets in any batch of two
+    or more rows, so no row's result depends on the rows beside it.
+
+    BLAS rounds a one-row product with its matrix-vector kernel, so a lone
+    row is multiplied as two; and it rounds a batched row by the batch
+    unless M's width is a multiple of _ROW_WIDTH, so M is zero-padded to
+    one. This is the one place that multiplies a lone row as two.
+    """
+    width = M.shape[1]
+    if width % _ROW_WIDTH:
+        padded = np.zeros((M.shape[0], -(-width // _ROW_WIDTH) * _ROW_WIDTH))
+        padded[:, :width] = M
+        return rows_matmul(X, padded)[:, :width]
+    if X.shape[0] == 1:
+        return (np.repeat(X, 2, axis=0) @ M)[:1]
+    return X @ M
+
+
 def lag_convolver(w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """x -> (x * w)[:L], the lower-triangular lag convolution by w, for x of
     length L <= n, w's length, and n - 1 <= DIRECT_CONVOLUTION_MAX_LAGS.
@@ -46,11 +70,10 @@ def lag_convolver(w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     It is a blocked lower-triangular Toeplitz product, built here once: w is
     cut into _BLOCK-point blocks, the diagonal block D_0 upper triangular and
     the others full, and x may be (L,) or (P, L). Each block diagonal d is
-    one matrix product over all rows and block positions, added in
-    increasing d, and a lone row runs as two, since BLAS takes a
-    matrix-vector kernel for one row. So each row of a (P, L) call equals its
-    own 1-D call bit for bit, and for finite x the rounding is causal: the
-    products 0 * x[j] above the diagonal are exactly 0, so entry k reads only
+    one rows_matmul product over all rows and block positions, added in
+    increasing d. So each row of a (P, L) call equals its own 1-D call bit
+    for bit, and for finite x the rounding is causal: the products
+    0 * x[j] above the diagonal are exactly 0, so entry k reads only
     x[:k+1]. Longer products go through fft_lag_product.
     """
     n = w.size
@@ -98,8 +121,6 @@ def _toeplitz_product(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     triangular Toeplitz matrix whose _BLOCK-point blocks are blocks."""
     L = x.shape[-1]
     rows = x.reshape(-1, L)
-    if rows.shape[0] == 1:
-        rows = np.repeat(rows, 2, axis=0)
     P, nb = rows.shape[0], -(-L // _BLOCK)
     # (block, row, point), so each diagonal's sources are one contiguous matrix
     xb = np.zeros((nb, P, _BLOCK))
@@ -108,12 +129,12 @@ def _toeplitz_product(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     by_row[:, :full] = rows[:, :full * _BLOCK].reshape(P, full, _BLOCK)
     if tail:
         by_row[:, full, :tail] = rows[:, full * _BLOCK:]
-    yb = (xb.reshape(-1, _BLOCK) @ blocks[0]).reshape(nb, P, _BLOCK)
+    yb = rows_matmul(xb.reshape(-1, _BLOCK), blocks[0]).reshape(nb, P, _BLOCK)
     for d in range(1, nb):
-        yb[d:] += (xb[:nb - d].reshape(-1, _BLOCK) @ blocks[d]).reshape(
-            nb - d, P, _BLOCK)
+        yb[d:] += rows_matmul(xb[:nb - d].reshape(-1, _BLOCK),
+                              blocks[d]).reshape(nb - d, P, _BLOCK)
     y = yb.transpose(1, 0, 2).reshape(P, nb * _BLOCK)[:, :L]
-    return y[0] if x.ndim == 1 else y[:x.shape[0]]
+    return y[0] if x.ndim == 1 else y
 
 
 def log_plus(z):

@@ -97,8 +97,9 @@ def _solve_ensemble(drift, diffusion, u0: Field, grid: Grid, ensemble: int,
     derive_path_seeds pass, into one time-major buffer of at most
     _CHUNK_BYTES (at least one path), refilled for every chunk; each step's
     noise is then one contiguous block. A row's bits do not depend on the
-    chunking, because the solver steps a lone row as two. Without diffusion
-    every path is the same solve, so one solve is broadcast over all rows."""
+    chunking, because the solver's products go through fields.rows_matmul.
+    Without diffusion every path is the same solve, so one solve is
+    broadcast over all rows."""
     if diffusion is None:
         Xi = np.zeros((1, grid.n_modes, grid.n_steps))
         return tuple(np.broadcast_to(a, (ensemble,) + a.shape[1:]) for a in
@@ -199,7 +200,10 @@ def convolution_scaling_report(p: float, lambdas: Sequence[float],
     common noise seeds, LHS(lam) = E[sup_t ||u_lam(t)||^p] must follow the
     exact power law LHS(lam)/LHS(1) = lam^p, and the ratio of LHS to
     RHS(lam) = int_0^T ||lam||^p dt is one lam-free constant.
-    Returns one row per requested lam with both diagnostics.
+    Returns one row per requested lam with both diagnostics. Raises
+    RuntimeError when LHS(1) underflows to 0, or RHS(lam) or lam^p leaves
+    the positive float range, since the ratios then divide by zero or
+    overflow.
     """
     if p <= 8.0:
         raise ValueError("the scaling skeleton needs moment order p > 8")
@@ -207,12 +211,22 @@ def convolution_scaling_report(p: float, lambdas: Sequence[float],
     if any(lam <= 0.0 for lam in lam_list):
         raise ValueError("scaling factors must be positive")
     base = _convolution_moment(p, 1.0, grid, ensemble, master_seed)
+    if base == 0.0:
+        raise RuntimeError("the pure-convolution moment at lam = 1 underflows "
+                           "to 0; the configuration is off scale")
     norm1 = _constant_field_norm(grid, 1.0)
     rows = []
     for lam in lam_list:
         left = base if lam == 1.0 else _convolution_moment(
             p, lam, grid, ensemble, master_seed)
-        right = grid.T * (lam * norm1) ** p
+        try:
+            right, power = grid.T * (lam * norm1) ** p, lam ** p
+        except OverflowError:
+            right = power = math.inf
+        if not (0.0 < right < math.inf and 0.0 < power < math.inf):
+            raise RuntimeError(f"lam^p or int_0^T ||lam||^p dt at lam = {lam!r} "
+                               "is 0 or overflows; the configuration is off "
+                               "scale")
         over_base = left / base
         rows.append({
             "lam": lam,
@@ -220,7 +234,7 @@ def convolution_scaling_report(p: float, lambdas: Sequence[float],
             "rhs": right,
             "ratio": left / right,
             "lhs_over_base": over_base,
-            "power_rel_err": abs(over_base - lam ** p) / lam ** p,
+            "power_rel_err": abs(over_base - power) / power,
         })
     return rows
 

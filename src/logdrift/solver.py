@@ -29,7 +29,7 @@ from .coefficients import (
     DiffusionSpec, DriftSpec, drift_eval, mollifier_levels, mollify,
     sigma_eval, stack_levels,
 )
-from .fields import Field, fft_lag_product, sine_matrix
+from .fields import Field, fft_lag_product, rows_matmul, sine_matrix
 from .noise import NoiseRealization, sample_noise
 
 __all__ = [
@@ -96,7 +96,8 @@ def _propagators(n_modes: int, dt: float):
 def _scheme(drift, diffusion, grid: Grid) -> Callable:
     """The exponential-Euler step advance(U, xi) on (P, N) coefficient rows;
     xi holds the rows' (P, N) modal increments of the step. Nodal values
-    U @ B are formed only when the drift or a DiffusionSpec reads them."""
+    U @ B are formed only when the drift or a DiffusionSpec reads them.
+    Every product goes through fields.rows_matmul."""
     drift_fn = _as_drift(drift)
     if isinstance(diffusion, (int, float)):
         diffusion = float(diffusion)
@@ -110,11 +111,12 @@ def _scheme(drift, diffusion, grid: Grid) -> Callable:
     dt = grid.dt
 
     def advance(U, xi):
-        vals = U @ B if nodal else None
+        vals = rows_matmul(U, B) if nodal else None
         if drift_fn is not None:
-            U = U + dt * ((drift_fn(vals) @ B) * inv_np1)
+            U = U + dt * (rows_matmul(drift_fn(vals), B) * inv_np1)
         if spec is not None:
-            shat = ((sigma_eval(spec, vals) * (xi @ B)) @ B) * inv_np1
+            shat = rows_matmul(sigma_eval(spec, vals) * rows_matmul(xi, B),
+                               B) * inv_np1
             return E * U + gamma * shat
         if diffusion is None:
             return E * U
@@ -136,10 +138,8 @@ def _march(u0: Field, drift, diffusion, grid: Grid, Xi: np.ndarray,
 
     A row breaches at the first step whose L2 norm is non-finite or above
     threshold; it stops advancing there and its l2 tail is frozen at the
-    breach value. The loop ends when no row is active. A lone row, whether
-    the batch has one row or the others have breached, steps as two copies:
-    BLAS multiplies a lone row with its matrix-vector kernel, whose rounding
-    differs from the batched rows'. So each row's bits are those of any
+    breach value. The loop ends when no row is active. The step's products
+    go through fields.rows_matmul, so each row's bits are those of any
     batch holding it, one-row batches included. Returns (l2, blown,
     blow_steps, states): l2 is (P, n_steps+1), blow_steps the breach step or
     -1, and states the (steps run + 1, P, n_modes) coefficients with history,
@@ -160,7 +160,7 @@ def _march(u0: Field, drift, diffusion, grid: Grid, Xi: np.ndarray,
     # no finite norm exceeds
     limit = min(sys.float_info.max, threshold)
     # every row until the first breach, then the surviving rows' indices
-    active = slice(None) if P > 1 else np.zeros(2, dtype=int)
+    active = slice(None)
     steps = grid.n_steps
     for k in range(grid.n_steps):
         # a (P, N, K) batch's step is strided; BLAS takes contiguous rows
@@ -182,8 +182,6 @@ def _march(u0: Field, drift, diffusion, grid: Grid, Xi: np.ndarray,
             if active.size == 0:
                 steps = k + 1
                 break
-            if active.size == 1:
-                active = np.repeat(active, 2)
     return l2, blown, blow_steps, states[:steps + 1] if history else None
 
 

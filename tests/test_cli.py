@@ -289,7 +289,22 @@ def test_contract_failure_exits_1_and_names_assertion(tmp_path, capsys):
     # a blow-up fraction of 1 with the noise on or off
     + [("blowup-phase", ["threshold=49"] + noise, 2,
         "threshold must be > 0 and > u0's L2 norm 50")
-       for noise in ([], ["diffusion.d1=0", "diffusion.d2=0"])])
+       for noise in ([], ["diffusion.d1=0", "diffusion.d2=0"])]
+    # the scaling report's ratios divided by a moment, a power lam^p or a
+    # time integral that underflows to 0, or raised an OverflowError: a
+    # traceback with no summary.txt
+    + [("moments", ["grid.n_modes=8", "grid.n_steps=16", "ensemble=30"]
+        + lines, 1, f"FAIL moment reports: {message}")
+       for lines, message in (
+           (["lambdas=1e-300"], "lam^p or int_0^T ||lam||^p dt at "
+            "lam = 1e-300 is 0 or overflows"),
+           (["grid.T=1e-300"], "the pure-convolution moment at lam = 1 "
+            "underflows to 0"),
+           (["lambdas=1e35", "grid.T=1e-60"], "lam^p or int_0^T ||lam||^p dt "
+            "at lam = 1e+35 is 0 or overflows"))])
+# the configs are built to overflow, underflow or divide on the way to
+# their named failures
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_scenario_limits_hold_for_accepted_configs(tmp_path, capsys, scenario,
                                                    lines, code, message):
     cfgfile = tmp_path / "c.cfg"

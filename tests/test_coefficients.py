@@ -344,8 +344,6 @@ def test_stacked_levels_match_each_level_bit_for_bit(spec, levels):
         assert got.shape == want.shape == (rows, z.shape[1])
         np.testing.assert_array_equal(got.view(np.uint64),
                                       want.view(np.uint64))
-    # a lone row stepped as two is read by the first level alone
-    assert stack_levels(drifts[:1])(z[:2]).shape == (1, z.shape[1])
 
 
 def test_stacked_levels_hold_only_the_joined_tables():

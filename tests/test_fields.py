@@ -13,6 +13,7 @@ from logdrift.fields import (
     coeffs_to_values,
     fft_lag_product,
     lag_convolver,
+    rows_matmul,
     simpson_weights,
     sine_matrix,
     values_to_coeffs,
@@ -205,16 +206,20 @@ def test_lag_convolver_raises_above_its_maximum_length():
 
 
 def test_blas_block_product_rows_do_not_depend_on_the_batch():
-    # lag_convolver's direct branch rests on this: a row of X[:M] @ D keeps
-    # its bits for every M >= 2 and every offset of the row in X. M = 1 is
-    # excluded, since BLAS then takes its matrix-vector kernel.
+    # lag_convolver's direct branch and the solver's step rest on this: a
+    # row of rows_matmul(X[:M], D) keeps its bits for every M and every
+    # offset of the row in X, at the direct product's block and at the
+    # solver's sine matrices, whose widths are not all multiples of 8
     rng = np.random.default_rng(7)
-    D = rng.standard_normal((_BLOCK, _BLOCK))
-    X = rng.standard_normal((1100, _BLOCK))
-    whole = X @ D
-    for M in [*range(2, 40), 64, 127, 128, 129, 255, 513, 1099]:
-        for lo in (0, 1, 2, 5):
-            if lo + M <= len(X):
-                np.testing.assert_array_equal(
-                    (X[lo:lo + M] @ D).view(np.uint64),
-                    whole[lo:lo + M].view(np.uint64), err_msg=f"M={M} lo={lo}")
+    matrices = [rng.standard_normal((_BLOCK, _BLOCK))] + [
+        sine_matrix(n) for n in (*range(4, 41), 60, 66, 100)]
+    for D in matrices:
+        X = rng.standard_normal((1100, D.shape[0]))
+        whole = rows_matmul(X, D)
+        for M in [*range(1, 40), 64, 127, 128, 129, 255, 513, 1099]:
+            for lo in (0, 1, 2, 5):
+                if lo + M <= len(X):
+                    np.testing.assert_array_equal(
+                        rows_matmul(X[lo:lo + M], D).view(np.uint64),
+                        whole[lo:lo + M].view(np.uint64),
+                        err_msg=f"n={D.shape[0]} M={M} lo={lo}")

@@ -237,23 +237,25 @@ def test_restart_equals_continuation_bitwise():
 
 
 def test_chunking_moves_no_bits(monkeypatch):
-    # a drifted run in which 12 of 20 paths breach; with 7-path chunks the
-    # second chunk ends with one path running alone
-    g = Grid(n_modes=8, T=2.0, n_steps=128)
-    u0 = Field.from_coeffs(np.concatenate([[7.0], np.zeros(7)]))
+    # a drifted run in which some but not all of 20 paths breach; with
+    # 7-path chunks the second chunk ends with one path running alone at 8
+    # modes, and 17 modes is not a multiple of 8
     drift = DriftSpec("log_power", exponent=2.0)
     diffusion = DiffusionSpec("sublinear_power", d1=2.0, d2=2.0, theta=0.5)
-    path_bytes = 8 * g.n_modes * g.n_steps
-    runs = []
-    for budget in (path_bytes, 7 * path_bytes, moments._CHUNK_BYTES):
-        monkeypatch.setattr(moments, "_CHUNK_BYTES", budget)
-        runs.append(moments._solve_ensemble(drift, diffusion, u0, g, 20, 3,
-                                            1e8))
-    blown = runs[0][1]
-    assert blown.any() and not blown.all()
-    for run in runs[1:]:
-        for got, want in zip(run, runs[0]):
-            assert got.tobytes() == want.tobytes()
+    for n_modes in (8, 17):
+        g = Grid(n_modes=n_modes, T=2.0, n_steps=128)
+        u0 = Field.from_coeffs(np.concatenate([[7.0], np.zeros(n_modes - 1)]))
+        path_bytes = 8 * g.n_modes * g.n_steps
+        runs = []
+        for budget in (path_bytes, 7 * path_bytes, moments._CHUNK_BYTES):
+            monkeypatch.setattr(moments, "_CHUNK_BYTES", budget)
+            runs.append(moments._solve_ensemble(drift, diffusion, u0, g, 20, 3,
+                                                1e8))
+        blown = runs[0][1]
+        assert blown.any() and not blown.all()
+        for run in runs[1:]:
+            for got, want in zip(run, runs[0]):
+                assert got.tobytes() == want.tobytes(), n_modes
 
 
 def test_restart_report_holds_one_noise_chunk():

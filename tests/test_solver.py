@@ -24,8 +24,8 @@ BOUNDED = DiffusionSpec("bounded", d1=1.0, d2=0.0)
 FACTORIZATION_512_REFERENCE = 0.034359202283835696
 
 # sha256 of the solve_path coefficients in test_solver_bits_are_pinned; they
-# fail when any bit of the scheme's output moves. Recorded when a lone row
-# began to step as two, with the batched rows' rounding
+# fail when any bit of the scheme's output moves. A path's products go
+# through fields.rows_matmul, so these are the batched rows' bits
 STOCHASTIC_COEFFS_SHA256 = (
     "d630d9beb964a34c7a999bca9ee132eabc66fdee1196ec4de0001627b113e7a5")
 BLOWUP_COEFFS_SHA256 = (
@@ -185,13 +185,14 @@ def test_path_l2_series_is_its_ensemble_row(drift, diffusion, seed):
 
 
 def test_single_path_agrees_with_its_batched_row():
-    # bit for bit at the CLI's mode counts: a row of a GEMM rounds alike in
-    # every batch of two or more rows, and a lone row steps as two
+    # bit for bit at the CLI's mode counts and at widths that are not
+    # multiples of 8, where unpadded GEMM rows of a 5-row batch round
+    # otherwise: the step's products go through fields.rows_matmul
     drift = mollify(CRITICAL, 16)
-    for n_modes in (16, 32, 64):
+    for n_modes in (16, 32, 64, 17, 18, 25, 33):
         g = Grid(n_modes=n_modes, T=0.5, n_steps=128)
         u0 = Field.random_l2(n_modes, 3.0, seed=4)
-        noises = [sample_noise(31 + i, n_modes, 128, g.dt) for i in range(3)]
+        noises = [sample_noise(31 + i, n_modes, 128, g.dt) for i in range(5)]
         l2, blown, _ = solve_l2_ensemble(
             u0, drift, BOUNDED, g, np.stack([n.increments for n in noises]))
         assert not blown.any()
