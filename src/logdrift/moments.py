@@ -201,9 +201,8 @@ def convolution_scaling_report(p: float, lambdas: Sequence[float],
     exact power law LHS(lam)/LHS(1) = lam^p, and the ratio of LHS to
     RHS(lam) = int_0^T ||lam||^p dt is one lam-free constant.
     Returns one row per requested lam with both diagnostics. Raises
-    RuntimeError when LHS(1) underflows to 0, or RHS(lam) or lam^p leaves
-    the positive float range, since the ratios then divide by zero or
-    overflow.
+    RuntimeError when LHS(1) is 0, or RHS(lam) or lam^p leaves the positive
+    float range, since the ratios then divide by zero or overflow.
     """
     if p <= 8.0:
         raise ValueError("the scaling skeleton needs moment order p > 8")
@@ -212,8 +211,8 @@ def convolution_scaling_report(p: float, lambdas: Sequence[float],
         raise ValueError("scaling factors must be positive")
     base = _convolution_moment(p, 1.0, grid, ensemble, master_seed)
     if base == 0.0:
-        raise RuntimeError("the pure-convolution moment at lam = 1 underflows "
-                           "to 0; the configuration is off scale")
+        raise RuntimeError("the pure-convolution moment at lam = 1 is 0; the "
+                           "configuration is off scale")
     norm1 = _constant_field_norm(grid, 1.0)
     rows = []
     for lam in lam_list:
