@@ -28,7 +28,6 @@ from .gronwall import (
     GronwallProblem,
     check_domination,
     make_problem_corpus,
-    osgood_classifier,
     vanishing_data_decay,
     volterra_oracle,
 )
@@ -71,7 +70,7 @@ __all__ = [
     "ito_isometry_convergence_check", "lipschitz_check",
     "log_jensen_bound_check", "loglip_check", "make_problem_corpus",
     "mc_sup_moment", "mollified_uniformity_report", "mollify",
-    "osgood_classifier", "restart_window_report", "sample_noise", "sigma_eval",
+    "restart_window_report", "sample_noise", "sigma_eval",
     "solve_l2_ensemble", "solve_path", "spatial_modulus_estimate",
     "sublinear_check", "time_increment_estimate", "uniform_growth_check",
     "vanishing_data_decay", "volterra_oracle",

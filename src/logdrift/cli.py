@@ -92,6 +92,13 @@ SCALING_SPREAD_TOL = 3.0
 UNIFORMITY_SPREAD_TOL = 2.0
 ORACLE_STABILITY_TOL = 1.0e-6
 
+# the most bytes of one array that a run builds from its grid and ensemble:
+# the sine matrix, a noise realization or the L2 table. Past it numpy's
+# allocation failed with a traceback instead of an exit 2
+MAX_ARRAY_BYTES = 1 << 30
+# the factorization scenario's levels, each with twice the previous steps
+_FACTORIZATION_LEVELS = 5
+
 SCENARIO_DEFAULTS = {
     "kernel-estimates": {},
     "gronwall-suite": {"ensemble": 100},
@@ -186,6 +193,26 @@ class _Inputs(NamedTuple):
     epsilons: list
 
 
+def _check_array_bytes(scenario: str, n_modes: int, steps: int,
+                       ensemble: int) -> None:
+    """Raises ValueError when an array that the scenario builds from its
+    mode count, its longest grid's steps and its ensemble would take more
+    than MAX_ARRAY_BYTES."""
+    solver = ("uniqueness", "blowup-phase", "moments", "factorization")
+    doubles = {}
+    if scenario in solver:
+        doubles["the sine matrix"] = n_modes ** 2
+    if scenario in solver + ("isometry",):
+        doubles["a noise realization"] = n_modes * steps
+    if scenario in ("blowup-phase", "moments"):
+        doubles["the L2 table"] = ensemble * (steps + 1)
+    for name, count in doubles.items():
+        if 8 * count > MAX_ARRAY_BYTES:
+            raise ValueError(f"{name} would take {8 * count / 2 ** 30:.3g} "
+                             f"GiB, above the {MAX_ARRAY_BYTES >> 30} GiB "
+                             "bound on one array")
+
+
 def _inputs(cfg: dict) -> _Inputs:
     """The parsed objects of cfg; raises ConfigError for any value the
     scenario cannot run with."""
@@ -200,6 +227,14 @@ def _inputs(cfg: dict) -> _Inputs:
     try:
         grid = Grid(n_modes=cfg["grid.n_modes"], T=cfg["grid.T"],
                     n_steps=cfg["grid.n_steps"])
+        # moments restarts over a doubled horizon, and factorization's
+        # finest level has 16 times the steps and a dt that may underflow
+        # alone
+        steps = grid.n_steps * {"moments": 2, "factorization": 2 ** (
+            _FACTORIZATION_LEVELS - 1)}.get(scenario, 1)
+        if scenario == "factorization":
+            Grid(grid.n_modes, grid.T, steps)
+        _check_array_bytes(scenario, grid.n_modes, steps, cfg["ensemble"])
         drift = None if cfg["drift.family"] == "none" else DriftSpec(
             family=cfg["drift.family"], scale=cfg["drift.scale"],
             exponent=cfg["drift.exponent"], degree=cfg["drift.degree"])
@@ -536,7 +571,8 @@ def _run_factorization(cfg: dict, inputs: _Inputs, out: Path) -> list:
         noise = sample_noise(cfg["master_seed"], g.n_modes, n_steps, g.dt)
         return n_steps, g.dt, factorization_check(cfg["alpha"], g, noise)
 
-    rows = _ordered_map(level_error, range(5), cfg["threads"])
+    rows = _ordered_map(level_error, range(_FACTORIZATION_LEVELS),
+                        cfg["threads"])
     write_csv(out / "factorization.csv", ["n_steps", "dt", "rel_sup_error"],
               rows)
     errs = [r[2] for r in rows]

@@ -17,9 +17,9 @@ domination statement against that oracle. For x log_+ x one Bihari
 bound, built from (c1, c2, c3, alpha) alone, covers the regular and the
 singular problems; it never reads the oracle.
 
-The Osgood classifier decides whether 1/b integrates at infinity for a
-positive drift b, separating drifts that admit global comparison solutions
-from those that explode.
+Whether 1/b integrates at infinity for a positive drift b (Osgood's
+condition) is decided exactly, by family, in
+``coefficients.DriftSpec.super_log_linear``.
 """
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ from .fields import fft_lag_product, lag_convolver, log_plus
 
 MAX_PICARD_ITERATIONS = 10_000
 PICARD_TOL = 1e-10
-OSGOOD_TAIL_RATIO = 0.75
 # rows x grid points x 8 B of one lockstep batch: a default corpus (100
 # problems on the refined grid, K = 512) marches as one batch
 _LOCKSTEP_BYTES = 1 << 20
@@ -513,72 +512,6 @@ def vanishing_data_decay(eps_values: Sequence[float],
                                 alpha=0.5, grid_dt=grid_dt)
                 for eps in eps_values]
     return volterra_oracle(problems, "vanishing").max(axis=1)
-
-
-@dataclass(frozen=True)
-class OsgoodReport:
-    classification: str  # "convergent" | "divergent"
-    integral_estimate: float
-    shell_bounds: tuple
-    shell_increments: tuple
-
-
-def osgood_classifier(drift: Callable[[float], float], z0: float) -> OsgoodReport:
-    """Classify whether int_{z0}^inf dz / b(z) converges, for positive b.
-
-    Substituting z = e^w turns the integral into int e^w / b(e^w) dw, which
-    is split over shells whose log-boundaries eventually double; geometric
-    decay of the shell increments (last ratio below OSGOOD_TAIL_RATIO)
-    certifies convergence, with the tail geometrically extrapolated. A flat
-    or growing increment sequence is classified divergent. b must be
-    positive on the sampled range; b values overflowing to inf contribute 0,
-    consistent with a convergent tail.
-    """
-    # loaded on first call: no CLI scenario calls this function
-    from scipy.integrate import quad
-
-    if not (math.isfinite(z0) and z0 > 0):
-        raise ValueError("z0 must be finite and positive")
-    w0 = math.log(z0)
-    if w0 > 300.0:
-        raise ValueError("z0 too large to build shells")
-    # full shells only: a shell truncated at the float ceiling would bias the
-    # last increment ratio toward fake convergence
-    bounds = [w0]
-    while True:
-        nxt = max(2.0 * bounds[-1], bounds[-1] + 1.0)
-        if nxt > 700.0:
-            break
-        bounds.append(nxt)
-    for z in np.exp(np.linspace(w0, math.log(1e300) if w0 < 690 else w0, 200)):
-        bz = drift(float(z))
-        if not (bz > 0 or not math.isfinite(bz)):
-            raise ValueError(f"drift must be positive beyond z0; b({z:.3g}) = {bz!r}")
-
-    def integrand(w: float) -> float:
-        z = math.exp(w)
-        bz = drift(z)
-        if not math.isfinite(bz) or bz <= 0:
-            return 0.0
-        val = z / bz
-        return val if math.isfinite(val) else 0.0
-
-    incs = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        val, _ = quad(integrand, a, b, limit=200)
-        incs.append(max(val, 0.0))
-    incs = np.asarray(incs)
-    total = float(incs.sum())
-    nz = np.nonzero(incs > 1e-300)[0]
-    if nz.size == 0 or nz[-1] < incs.size - 2:
-        # increments already dead well before the float ceiling
-        return OsgoodReport("convergent", total, tuple(bounds), tuple(incs))
-    last, prev = incs[-1], incs[-2]
-    if prev > 0 and last / prev < OSGOOD_TAIL_RATIO:
-        r = last / prev
-        return OsgoodReport("convergent", total + float(last * r / (1.0 - r)),
-                            tuple(bounds), tuple(incs))
-    return OsgoodReport("divergent", math.inf, tuple(bounds), tuple(incs))
 
 
 def make_problem_corpus(kind: str, count: int, seed: int) -> list[GronwallProblem]:

@@ -54,6 +54,9 @@ class Grid:
             raise ValueError("n_steps must be >= 1")
         if not (self.T > 0.0 and math.isfinite(self.T)):
             raise ValueError("T must be positive and finite")
+        if not self.dt > 0.0:
+            # a subnormal T over many steps rounds to 0
+            raise ValueError("dt = T / n_steps must be > 0, not an underflow")
 
     @property
     def dt(self) -> float:

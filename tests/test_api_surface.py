@@ -13,6 +13,7 @@ package's ``__init__``, every name that a module imports is read in it.
 
 import ast
 import importlib
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -31,8 +32,6 @@ UNREAD_MEMBERS_KEPT = {
 UNREACHED_EXPORTS_KEPT = {
     "log_jensen_bound_check": "acceptance criterion 04 and the benchmark's "
                               "serial workload run it (ROADMAP item 13)",
-    "osgood_classifier": "the critical-drift blow-up verdict may call it "
-                         "(ROADMAP item 11)",
     "vanishing_data_decay": "acceptance criterion 06 runs it (ROADMAP item "
                             "13)",
 }
@@ -176,6 +175,24 @@ def unused_imports(src: Path) -> list:
     return sorted(found)
 
 
+def third_party_imports(src: Path) -> list:
+    """The modules outside the standard library that any import statement
+    of the package at src names, inside functions too; relative imports
+    are the package's own."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found.update(name for name in names if name.split(".")[0]
+                         not in sys.stdlib_module_names)
+    return sorted(found)
+
+
 def test_every_public_name_is_exported_or_used_in_the_package():
     assert unreached_public_names(SRC) == []
 
@@ -196,6 +213,22 @@ def test_every_public_attribute_is_read_in_the_package():
 
 def test_every_import_is_read_in_its_module():
     assert unused_imports(SRC) == []
+
+
+def test_third_party_imports_are_pinned():
+    # a new dependency, or a scipy submodule loaded on a first call,
+    # shows here
+    assert third_party_imports(SRC) == [
+        "numpy", "numpy.fft", "numpy.lib.stride_tricks", "scipy.special"]
+
+
+def test_guard_finds_an_import_inside_a_function(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import json\nimport numpy as np\nfrom . import k\n\n\n"
+        "def api():\n    from scipy.integrate import quad\n"
+        "    return quad, np, json, k\n")
+    assert third_party_imports(tmp_path) == ["numpy", "scipy.integrate"]
 
 
 def test_every_all_entry_is_bound_in_its_module():

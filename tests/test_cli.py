@@ -301,7 +301,30 @@ def test_contract_failure_exits_1_and_names_assertion(tmp_path, capsys):
            (["grid.T=1e-300"], "the pure-convolution moment at lam = 1 "
             "is 0"),
            (["lambdas=1e35", "grid.T=1e-60"], "lam^p or int_0^T ||lam||^p dt "
-            "at lam = 1e+35 is 0 or overflows"))])
+            "at lam = 1e+35 is 0 or overflows"))]
+    # a dt that rounds to 0 ended in a traceback from the solver or the
+    # noise; factorization's finest level has 16 times the steps
+    + [(scenario, ["grid.n_modes=8", "grid.n_steps=16", "ensemble=30",
+                   f"grid.T={T}"], 2, "dt = T / n_steps must be > 0")
+       for scenario, T in (("moments", "5e-324"), ("blowup-phase", "5e-324"),
+                           ("uniqueness", "5e-324"),
+                           ("factorization", "5e-324"),
+                           ("isometry", "5e-324"),
+                           ("factorization", "8e-323"))]
+    # arrays of hundreds of GiB ended in numpy's allocation error
+    + [(scenario, [line], 2,
+        f"GiB, above the {cli.MAX_ARRAY_BYTES >> 30} GiB bound on one array")
+       for scenario, line in (("factorization", "grid.n_steps=1000000000"),
+                              ("uniqueness", "grid.n_steps=1000000000"),
+                              ("moments", "grid.n_modes=200000"),
+                              ("isometry", "grid.n_modes=100000000"),
+                              ("blowup-phase", "grid.n_steps=2000000000"),
+                              ("blowup-phase", "ensemble=100000000"),
+                              ("moments", "ensemble=100000000"))]
+    # a log_power drift just above the critical exponent grows faster than
+    # z log z, which the sampled growth constant alone passed
+    + [("hypothesis-check", ["drift.family=log_power", "drift.exponent=1.05"],
+        1, "FAIL drift growth hypothesis")])
 # the configs are built to overflow, underflow or divide on the way to
 # their named failures
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -480,9 +503,9 @@ def _python(code: str, *args: str) -> str:
 
 
 def test_cli_import_leaves_scipy_signal_interpolate_optimize_integrate_out():
-    # the package never needs scipy.signal, scipy.interpolate or
-    # scipy.optimize; scipy.integrate loads at its one call site, on first
-    # use; the real FFTs are numpy's, whose pocketfft keeps no plan cache
+    # the package never needs scipy.signal, scipy.interpolate,
+    # scipy.optimize or scipy.integrate; the real FFTs are numpy's, whose
+    # pocketfft keeps no plan cache
     assert _python("import sys, logdrift.cli; print(sorted(m for m in ("
                    "'scipy.signal', 'scipy.interpolate', 'scipy.optimize', "
                    "'scipy.integrate', 'scipy.fft') if m in sys.modules))") \

@@ -113,13 +113,44 @@ def test_growth_check_zero_drift():
 
 
 def test_growth_check_flags_superlogarithmic_families():
-    with pytest.raises(HypothesisViolation):
-        growth_check(DriftSpec("polynomial", degree=2))
-    with pytest.raises(HypothesisViolation):
-        growth_check(DriftSpec("log_power", exponent=2.0))
+    for spec in (DriftSpec("polynomial", degree=2),
+                 DriftSpec("polynomial", degree=3),
+                 DriftSpec("log_power", exponent=2.0),
+                 # just above the critical exponent the sampled slope climbs
+                 # too slowly over the top decades for a sampled rule to see
+                 DriftSpec("log_power", exponent=1.05),
+                 DriftSpec("log_power", exponent=1.2),
+                 # |b| is what grows, whatever the sign
+                 DriftSpec("log_power", exponent=2.0, scale=-1.0)):
+        with pytest.raises(HypothesisViolation,
+                           match=f"the {spec.family} drift grows faster "
+                                 "than z log z"):
+            growth_check(spec)
     # exponent 1 stays within the log-linear envelope (log(1+z) <= log z + 1/z)
     c1, c2 = growth_check(DriftSpec("log_power", exponent=1.0))
     assert c1 < 1.5 and c2 < 1.0
+
+
+@pytest.mark.parametrize("spec, expected", [
+    (DriftSpec("log_linear"), False),
+    (DriftSpec("log_linear", scale=-3.0), False),
+    (DriftSpec("linear"), False),
+    (DriftSpec("log_power", exponent=1.0), False),
+    (DriftSpec("log_power", exponent=1.05), True),
+    (DriftSpec("log_power", exponent=2.0), True),
+    (DriftSpec("log_power", exponent=2.0, scale=-1.0), True),
+    (DriftSpec("log_power", exponent=2.0, scale=0.0), False),
+    (DriftSpec("polynomial", degree=1), False),
+    (DriftSpec("polynomial", degree=2), True),
+    (DriftSpec("polynomial", degree=3, scale=0.5), True),
+    (DriftSpec("polynomial", degree=2, scale=0.0), False),
+    # np.interp holds the last value, so a table is bounded
+    (DriftSpec("custom_table", table_x=(-1.0, 0.0, 1.0),
+               table_y=(-2.0, 0.0, 2.0)), False)])
+def test_super_log_linear_is_osgoods_condition_by_family(spec, expected):
+    # among them Osgood's canonical cases: int^inf dz / b(z) converges for
+    # z^2 and z log(1+z)^2 and diverges for z log z and z
+    assert spec.super_log_linear is expected
 
 
 def test_loglip_check_linear_is_pure_lipschitz():

@@ -22,7 +22,6 @@ from logdrift.gronwall import (
     check_domination,
     make_problem_corpus,
     oracle_pair,
-    osgood_classifier,
     singular_weights,
     superlinear_g,
     vanishing_data_decay,
@@ -469,27 +468,6 @@ def test_vanishing_data_decay_square_root_envelope():
     sups = vanishing_data_decay(eps, grid_dt=1.0 / 512.0)
     assert np.all(sups <= 10.0 * np.sqrt(eps))
     assert np.all(np.diff(sups) < 0)
-
-
-def test_osgood_classifier_canonical_cases():
-    assert osgood_classifier(lambda z: z * z, 1.0).classification == "convergent"
-    assert osgood_classifier(lambda z: z * z, 1.0).integral_estimate == pytest.approx(1.0, rel=1e-6)
-    assert osgood_classifier(lambda z: z * math.log(z), math.e).classification == "divergent"
-    r = osgood_classifier(lambda z: z * math.log1p(z) ** 2, 1.0)
-    assert r.classification == "convergent"
-    assert math.isfinite(r.integral_estimate)
-    assert osgood_classifier(lambda z: z, 1.0).classification == "divergent"
-
-
-def test_osgood_classifier_validation():
-    with pytest.raises(ValueError):
-        osgood_classifier(lambda z: z, 0.0)
-    with pytest.raises(ValueError):
-        osgood_classifier(lambda z: -z, 2.0)
-    for z0 in (math.nan, math.inf, -1.0):
-        # NaN compares False against both guards; unchecked, the shells never end
-        with pytest.raises(ValueError, match="z0 must be finite and positive"):
-            osgood_classifier(lambda z: z, z0)
 
 
 # how far one oracle_pair of the alpha = 1/2 stability problem (65,537
