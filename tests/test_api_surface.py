@@ -8,7 +8,9 @@ package runs is code that only tests reach as well.
 A public method or property that no statement of the package reads is
 test-only code as well, exported class or not, and so is a public attribute
 that a method assigns as ``self.name`` and nothing reads. Outside the
-package's ``__init__``, every name that a module imports is read in it.
+package's ``__init__``, every name that a module imports is read in it, and
+the modules outside the standard library that the package imports are
+pinned.
 """
 
 import ast
