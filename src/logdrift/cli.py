@@ -92,9 +92,10 @@ SCALING_SPREAD_TOL = 3.0
 UNIFORMITY_SPREAD_TOL = 2.0
 ORACLE_STABILITY_TOL = 1.0e-6
 
-# the most bytes of one array that a run builds from its grid and ensemble:
-# the sine matrix, a noise realization or the L2 table. Past it numpy's
-# allocation failed with a traceback instead of an exit 2
+# the most bytes of one array that a run builds from its grid, ensemble and
+# levels: the sine matrix, a noise realization or uniqueness' history. Past
+# it numpy's allocation failed with a traceback instead of an exit 2. The
+# same bound caps an ensemble's L2 norms over the horizon
 MAX_ARRAY_BYTES = 1 << 30
 # the factorization scenario's levels, each with twice the previous steps
 _FACTORIZATION_LEVELS = 5
@@ -194,18 +195,25 @@ class _Inputs(NamedTuple):
 
 
 def _check_array_bytes(scenario: str, n_modes: int, steps: int,
-                       ensemble: int) -> None:
+                       ensemble: int, levels: int) -> None:
     """Raises ValueError when an array that the scenario builds from its
-    mode count, its longest grid's steps and its ensemble would take more
-    than MAX_ARRAY_BYTES."""
+    mode count, its longest grid's steps, its ensemble and its level count
+    would take more than MAX_ARRAY_BYTES."""
     solver = ("uniqueness", "blowup-phase", "moments", "factorization")
     doubles = {}
     if scenario in solver:
         doubles["the sine matrix"] = n_modes ** 2
     if scenario in solver + ("isometry",):
         doubles["a noise realization"] = n_modes * steps
+    if scenario == "uniqueness":
+        # the coupled march keeps every level's coefficients at every step
+        doubles["the uniqueness history"] = (steps + 1) * levels * n_modes
     if scenario in ("blowup-phase", "moments"):
-        doubles["the L2 table"] = ensemble * (steps + 1)
+        # no run holds these norms at once (each noise chunk is reduced to
+        # its paths' window peaks), but the bound still caps the ensemble
+        # against the horizon, as it did when they formed one table
+        doubles["the ensemble's L2 norms over the horizon"] = \
+            ensemble * (steps + 1)
     for name, count in doubles.items():
         if 8 * count > MAX_ARRAY_BYTES:
             raise ValueError(f"{name} would take {8 * count / 2 ** 30:.3g} "
@@ -234,7 +242,9 @@ def _inputs(cfg: dict) -> _Inputs:
             _FACTORIZATION_LEVELS - 1)}.get(scenario, 1)
         if scenario == "factorization":
             Grid(grid.n_modes, grid.T, steps)
-        _check_array_bytes(scenario, grid.n_modes, steps, cfg["ensemble"])
+        levels = _parse_list(cfg["levels"], int, "levels")
+        _check_array_bytes(scenario, grid.n_modes, steps, cfg["ensemble"],
+                           len(levels))
         drift = None if cfg["drift.family"] == "none" else DriftSpec(
             family=cfg["drift.family"], scale=cfg["drift.scale"],
             exponent=cfg["drift.exponent"], degree=cfg["drift.degree"])
@@ -243,7 +253,6 @@ def _inputs(cfg: dict) -> _Inputs:
                           d1=cfg["diffusion.d1"], d2=cfg["diffusion.d2"],
                           theta=cfg["diffusion.theta"])
         u0 = parse_u0(cfg["u0"], grid.n_modes)
-        levels = _parse_list(cfg["levels"], int, "levels")
         if scenario in ("moments", "uniqueness"):
             mollifier_levels(levels)
     except (ValueError, HypothesisViolation) as e:

@@ -32,7 +32,9 @@ __all__ = [
     "restart_window_report",
 ]
 
-# bytes of path noise resident at once: 128 paths on the 64 x 256 base grid
+# the most bytes of path noise resident at once: 128 paths on the 64 x 256
+# base grid. An ensemble runs in the fewest chunks this allows, split evenly,
+# so a chunk may hold less
 _CHUNK_BYTES = 128 * 64 * 256 * 8
 
 # least ensemble with a meaningful standard error; least moment order
@@ -87,37 +89,50 @@ class MomentReport:
         return math.isfinite(self.estimate)
 
 
+def _window_peaks(l2: np.ndarray, windows) -> np.ndarray:
+    """Each row's largest L2 norm over steps a..b-1, one column per (a, b)."""
+    return np.stack([np.max(l2[:, a:b], axis=1) for a, b in windows], axis=1)
+
+
 def _solve_ensemble(drift, diffusion, u0: Field, grid: Grid, ensemble: int,
-                    master_seed: int, threshold: float):
-    """Solve paths 0..ensemble-1 in index order; returns (l2, blown,
-    blow_steps) as solve_l2_ensemble does, one row per path.
+                    master_seed: int, threshold: float, windows):
+    """Solve paths 0..ensemble-1 in index order; returns (peaks, blown,
+    blow_steps), one row per path: peaks[i, j] is path i's largest L2 norm
+    over the steps a..b-1 of windows[j] = (a, b), and blown and blow_steps
+    are solve_l2_ensemble's.
 
     Path i runs on the noise seeded by derive_path_seeds(master_seed, i,
-    i + 1)[0], drawn a chunk of paths at a time, their seeds hashed in one
-    derive_path_seeds pass, into one time-major buffer of at most
-    _CHUNK_BYTES (at least one path), refilled for every chunk; each step's
-    noise is then one contiguous block. A row's bits do not depend on the
+    i + 1)[0]. The paths run in the fewest chunks whose noise fits in
+    _CHUNK_BYTES (at least one path per chunk), of sizes that differ by at
+    most one; a chunk's seeds are hashed in one derive_path_seeds pass and
+    its noise drawn into one time-major buffer, refilled for every chunk, so
+    each step's noise is one contiguous block. Each chunk's L2 rows are
+    reduced to their window peaks as soon as it is solved, so no
+    ensemble-wide L2 table is held. A row's bits do not depend on the
     chunking, because the solver's products go through fields.rows_matmul.
     Without diffusion every path is the same solve, so one solve is
     broadcast over all rows."""
     if diffusion is None:
         Xi = np.zeros((1, grid.n_modes, grid.n_steps))
+        l2, blown, blow_steps = solve_l2_ensemble(u0, drift, diffusion, grid,
+                                                  Xi, threshold)
         return tuple(np.broadcast_to(a, (ensemble,) + a.shape[1:]) for a in
-                     solve_l2_ensemble(u0, drift, diffusion, grid, Xi, threshold))
+                     (_window_peaks(l2, windows), blown, blow_steps))
     N, K = grid.n_modes, grid.n_steps
-    chunk = min(ensemble, max(1, _CHUNK_BYTES // (8 * N * K)))
-    buf = np.empty((K, chunk, N))
-    l2 = np.empty((ensemble, K + 1))
+    n_chunks = -(-ensemble // max(1, _CHUNK_BYTES // (8 * N * K)))
+    edges = [-(-ensemble * c // n_chunks) for c in range(n_chunks + 1)]
+    buf = np.empty((K, edges[1], N))
+    peaks = np.empty((ensemble, len(windows)))
     blown = np.empty(ensemble, dtype=bool)
     blow_steps = np.empty(ensemble, dtype=int)
-    for lo in range(0, ensemble, chunk):
-        p = min(chunk, ensemble - lo)
-        for i, seed in enumerate(derive_path_seeds(master_seed, lo, lo + p)):
+    for lo, hi in zip(edges, edges[1:]):
+        for i, seed in enumerate(derive_path_seeds(master_seed, lo, hi)):
             buf[:, i] = sample_noise(seed, N, K, grid.dt).increments.T
-        l2[lo:lo + p], blown[lo:lo + p], blow_steps[lo:lo + p] = (
-            solve_l2_ensemble(u0, drift, diffusion, grid,
-                              buf[:, :p].transpose(1, 2, 0), threshold))
-    return l2, blown, blow_steps
+        l2, blown[lo:hi], blow_steps[lo:hi] = solve_l2_ensemble(
+            u0, drift, diffusion, grid, buf[:, :hi - lo].transpose(1, 2, 0),
+            threshold)
+        peaks[lo:hi] = _window_peaks(l2, windows)
+    return peaks, blown, blow_steps
 
 
 def _report_config(p: float, drift, diffusion, u0: Field, grid: Grid,
@@ -169,10 +184,12 @@ def mc_sup_moment(p: float, drift, diffusion, u0: Field, grid: Grid,
     """
     config = _report_config(p, drift, diffusion, u0, grid, ensemble,
                             master_seed, threshold)
-    l2, blown, _ = _solve_ensemble(drift, diffusion, u0, grid, ensemble,
-                                   master_seed, threshold)
-    values = l2[:, -1] if terminal else np.max(l2, axis=1)
-    return _report(values, blown, grid.T, dict(config, terminal=terminal))
+    K = grid.n_steps
+    peaks, blown, _ = _solve_ensemble(drift, diffusion, u0, grid, ensemble,
+                                      master_seed, threshold,
+                                      [(K, K + 1) if terminal else (0, K + 1)])
+    return _report(peaks[:, 0], blown, grid.T,
+                   dict(config, terminal=terminal))
 
 
 def _constant_field_norm(grid: Grid, value: float) -> float:
@@ -314,10 +331,10 @@ def restart_window_report(p: float, drift, diffusion, u0: Field, grid: Grid,
     config = _report_config(p, drift, diffusion, u0, grid, ensemble,
                             master_seed, threshold)
     K = grid.n_steps
-    l2, blown, steps = _solve_ensemble(drift, diffusion, u0,
-                                       Grid(grid.n_modes, 2.0 * grid.T, 2 * K),
-                                       ensemble, master_seed, threshold)
-    return (_report(np.max(l2[:, :K + 1], axis=1), blown & (steps <= K),
-                    grid.T, dict(config, window="first")),
-            _report(np.max(l2[:, K:], axis=1), blown, 2.0 * grid.T,
+    peaks, blown, steps = _solve_ensemble(
+        drift, diffusion, u0, Grid(grid.n_modes, 2.0 * grid.T, 2 * K),
+        ensemble, master_seed, threshold, [(0, K + 1), (K, 2 * K + 1)])
+    return (_report(peaks[:, 0], blown & (steps <= K), grid.T,
+                    dict(config, window="first")),
+            _report(peaks[:, 1], blown, 2.0 * grid.T,
                     dict(config, window="second")))

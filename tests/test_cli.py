@@ -324,7 +324,14 @@ def test_contract_failure_exits_1_and_names_assertion(tmp_path, capsys):
     # a log_power drift just above the critical exponent grows faster than
     # z log z, which the sampled growth constant alone passed
     + [("hypothesis-check", ["drift.family=log_power", "drift.exponent=1.05"],
-        1, "FAIL drift growth hypothesis")])
+        1, "FAIL drift growth hypothesis")]
+    # uniqueness' march history, (n_steps + 1) x levels x n_modes doubles
+    # (2.62 GiB here), ended in numpy's allocation error while its noise
+    # realization passed the bound
+    + [("uniqueness", ["grid.n_steps=1000000",
+                       "levels=1,2,4,8,16,32,64,128,256,512,1024"], 2,
+        "the uniqueness history would take 2.62 GiB, above the "
+        f"{cli.MAX_ARRAY_BYTES >> 30} GiB bound on one array")])
 # the configs are built to overflow, underflow or divide on the way to
 # their named failures
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

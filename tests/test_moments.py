@@ -237,20 +237,22 @@ def test_restart_equals_continuation_bitwise():
 
 
 def test_chunking_moves_no_bits(monkeypatch):
-    # a drifted run in which some but not all of 20 paths breach; with
-    # 7-path chunks the second chunk ends with one path running alone at 8
-    # modes, and 17 modes is not a multiple of 8
+    # a drifted run in which some but not all of 20 paths breach; the
+    # one-path budget runs every path alone, a 7-path budget runs chunks of
+    # 7, 7 and 6, at 8 modes and at 17, which is not a multiple of 8; a
+    # one-step window per step returns every L2 norm of every path
     drift = DriftSpec("log_power", exponent=2.0)
     diffusion = DiffusionSpec("sublinear_power", d1=2.0, d2=2.0, theta=0.5)
     for n_modes in (8, 17):
         g = Grid(n_modes=n_modes, T=2.0, n_steps=128)
         u0 = Field.from_coeffs(np.concatenate([[7.0], np.zeros(n_modes - 1)]))
+        windows = [(k, k + 1) for k in range(129)] + [(0, 129), (64, 129)]
         path_bytes = 8 * g.n_modes * g.n_steps
         runs = []
         for budget in (path_bytes, 7 * path_bytes, moments._CHUNK_BYTES):
             monkeypatch.setattr(moments, "_CHUNK_BYTES", budget)
             runs.append(moments._solve_ensemble(drift, diffusion, u0, g, 20, 3,
-                                                1e8))
+                                                1e8, windows))
         blown = runs[0][1]
         assert blown.any() and not blown.all()
         for run in runs[1:]:
@@ -271,3 +273,61 @@ def test_restart_report_holds_one_noise_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * moments._CHUNK_BYTES
+
+
+# 129 paths, one more than the 128-path bound on the base grid: every report
+# shape the mc-ensemble benchmark runs, with the grid its solves step on
+# (the restart report's is the doubled horizon)
+BLOWUP_DRIFT = DriftSpec("log_power", exponent=2.0)
+BLOWUP_SIGMA = DiffusionSpec("bounded", d1=0.0, d2=1.0)
+BASE_SIGMA = DiffusionSpec("sublinear_power", d1=1.0, d2=0.5, theta=0.5)
+UNEVEN_ENSEMBLE_SHAPES = {
+    "restart": (lambda: restart_window_report(
+        2.0, CRITICAL, BASE_SIGMA, Field.zero(64), Grid(64, 1.0, 256), 129, 0),
+        Grid(64, 2.0, 512)),
+    "sup": (lambda: mc_sup_moment(
+        2.0, CRITICAL, BASE_SIGMA, Field.zero(64), Grid(64, 1.0, 256), 129, 0),
+        Grid(64, 1.0, 256)),
+    "blowup-phase": (lambda: mc_sup_moment(
+        2.0, BLOWUP_DRIFT, BLOWUP_SIGMA, Field.mode(16, 1, 50.0),
+        Grid(16, 4.0, 2048), 129, 0), Grid(16, 4.0, 2048)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(UNEVEN_ENSEMBLE_SHAPES))
+def test_uneven_ensemble_holds_less_than_one_full_chunk(shape):
+    # 129 paths run as even chunks (65 + 64, or 3 x 43) whose L2 rows are
+    # reduced as each is solved; a full chunk plus a one-path remainder and
+    # an ensemble-wide L2 table took 1.06-1.20 chunks
+    report = UNEVEN_ENSEMBLE_SHAPES[shape][0]
+    tracemalloc.start()
+    try:
+        report()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.9 * moments._CHUNK_BYTES
+
+
+@pytest.mark.parametrize("shape", sorted(UNEVEN_ENSEMBLE_SHAPES))
+def test_uneven_ensemble_keeps_its_chunk_count(monkeypatch, shape):
+    # the fewest chunks the byte bound allows at 129 paths: 2 on the base
+    # grid, 3 on the doubled horizon and on blowup-phase's grid. The
+    # mc-ensemble benchmark runs 129 paths so every report runs a second
+    # chunk; a chunk rule that drops it changes these counts
+    report, grid = UNEVEN_ENSEMBLE_SHAPES[shape]
+    most = moments._CHUNK_BYTES // (8 * grid.n_modes * grid.n_steps)
+    sizes = []
+
+    def counting(u0, drift, diffusion, g, Xi, threshold):
+        assert g == grid
+        sizes.append(Xi.shape[0])
+        paths = Xi.shape[0]
+        return (np.zeros((paths, g.n_steps + 1)), np.zeros(paths, dtype=bool),
+                np.full(paths, -1))
+
+    monkeypatch.setattr(moments, "solve_l2_ensemble", counting)
+    report()
+    assert len(sizes) == {"restart": 3, "sup": 2, "blowup-phase": 3}[shape]
+    assert len(sizes) == math.ceil(129 / most)
+    assert sum(sizes) == 129 and max(sizes) - min(sizes) <= 1
