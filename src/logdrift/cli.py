@@ -209,9 +209,9 @@ def _check_array_bytes(scenario: str, n_modes: int, steps: int,
         # the coupled march keeps every level's coefficients at every step
         doubles["the uniqueness history"] = (steps + 1) * levels * n_modes
     if scenario in ("blowup-phase", "moments"):
-        # no run holds these norms at once (each noise chunk is reduced to
-        # its paths' window peaks), but the bound still caps the ensemble
-        # against the horizon, as it did when they formed one table
+        # caps the ensemble against the horizon; no run holds these norms
+        # at once (each noise chunk is reduced to its paths' window peaks),
+        # and the cap keeps the accepted configs as they were
         doubles["the ensemble's L2 norms over the horizon"] = \
             ensemble * (steps + 1)
     for name, count in doubles.items():

@@ -187,7 +187,7 @@ def mc_sup_moment(p: float, drift, diffusion, u0: Field, grid: Grid,
     K = grid.n_steps
     peaks, blown, _ = _solve_ensemble(drift, diffusion, u0, grid, ensemble,
                                       master_seed, threshold,
-                                      [(K, K + 1) if terminal else (0, K + 1)])
+                                      [(K if terminal else 0, K + 1)])
     return _report(peaks[:, 0], blown, grid.T,
                    dict(config, terminal=terminal))
 
